@@ -59,6 +59,7 @@ from .machine import (
     HypermachineError,
     InputError,
     Machine,
+    Run,
     RunOutcome,
     StructureError,
     observational_equiv,

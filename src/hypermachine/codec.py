@@ -20,6 +20,7 @@ on valid descriptions and encoding is constant on renaming classes.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -375,15 +376,18 @@ def enumerate_machines(count: int) -> list[Description]:
 
 _NTH_CACHE: list[Description] = []
 _NTH_SOURCE = iter_descriptions()
+_NTH_LOCK = threading.Lock()  # guards the shared generator and its cache
 
 
 def nth_description(n: int) -> Description:
-    """Element n (0-based) of the enumeration, cached across calls."""
+    """Element n (0-based) of the enumeration, cached across calls; safe to
+    call from several threads."""
     if n < 0:
         raise InputError("enumeration indices are non-negative")
-    while len(_NTH_CACHE) <= n:
-        _NTH_CACHE.append(next(_NTH_SOURCE))
-    return _NTH_CACHE[n]
+    with _NTH_LOCK:
+        while len(_NTH_CACHE) <= n:
+            _NTH_CACHE.append(next(_NTH_SOURCE))
+        return _NTH_CACHE[n]
 
 
 # --- universal simulation -------------------------------------------------

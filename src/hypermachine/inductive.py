@@ -35,9 +35,8 @@ from .machine import (
     HaltedWithResult,
     InputError,
     Machine,
+    Run,
     RunOutcome,
-    STAY,
-    initial_configuration,
     run_bounded,
     trimmed_word,
 )
@@ -118,167 +117,94 @@ class InductiveOutcome:
 
 
 # --- the observing engine ---------------------------------------------------
+#
+# Observation is a plain ``Run`` with a pre-step hook that looks for the two
+# certificate patterns; the hook returns the certificate, which stops the run.
 
 _CYCLE_CELL_CAP = 64  # configurations larger than this are not cycle-tracked
 
 
-@dataclass
-class _Observed:
-    halted: bool
-    halt_step: int
-    result_bearing: bool
-    result: str
-    certificate: NonHaltingCertificate | None
-    steps: int
-    changes: list[tuple[int, str]]
+def _single_tape_check() -> Callable:
+    seen: dict[tuple, int] = {}
+
+    def check(state, tape, head, steps, rule):
+        # a runaway repeats a rule that reads blank (the head is off the
+        # stored cells), writes blank, moves, and keeps the state
+        nstate, _, wblank, delta, _, _ = rule
+        if wblank and delta and nstate == state and head not in tape and _runaway_direction_ok(delta, tape, head):
+            return BlankRunaway(state, ("R" if delta > 0 else "L",), steps)
+        if len(tape) <= _CYCLE_CELL_CAP:
+            key = (state, tuple(sorted((cell - head, sym) for cell, sym in tape.items())))
+            first = seen.get(key)
+            if first is not None:
+                return ConfigurationCycle(steps - first, first)
+            seen[key] = steps
+        return None
+
+    return check
 
 
-def _normalized(state: str, tapes, heads) -> tuple:
-    return (
-        state,
-        tuple(
-            tuple(sorted((cell - head, sym) for cell, sym in tape.items()))
-            for tape, head in zip(tapes, heads)
-        ),
-    )
+def _multi_tape_check(machine: Machine) -> Callable:
+    seen: dict[tuple, int] = {}
+    blanks = (machine.blank,) * machine.tape_count
+
+    def check(state, tapes, heads, steps, rule):
+        nstate, writes, deltas, _, _ = rule
+        if (
+            nstate == state
+            and writes == blanks
+            and any(deltas)
+            and all(h not in t for t, h in zip(tapes, heads))
+            and all(_runaway_direction_ok(d, t, h) for d, t, h in zip(deltas, tapes, heads))
+        ):
+            return BlankRunaway(state, machine.rules[(state, blanks)][2], steps)
+        if sum(map(len, tapes)) <= _CYCLE_CELL_CAP:
+            key = (
+                state,
+                tuple(
+                    tuple(sorted((cell - head, sym) for cell, sym in tape.items()))
+                    for tape, head in zip(tapes, heads)
+                ),
+            )
+            first = seen.get(key)
+            if first is not None:
+                return ConfigurationCycle(steps - first, first)
+            seen[key] = steps
+        return None
+
+    return check
 
 
-def _runaway_direction_ok(move: str, tape: dict, head: int) -> bool:
-    if move == STAY:
+def _runaway_direction_ok(delta: int, tape: dict, head: int) -> bool:
+    if not delta or not tape:
         return True
-    if not tape:
-        return True
-    if move == "R":
-        return head > max(tape)
-    return head < min(tape)
+    return head > max(tape) if delta > 0 else head < min(tape)
 
 
-def _observe(machine: Machine, input_word: str, budget: int, track_output: bool) -> _Observed:
+def _observe(machine: Machine, input_word: str, budget: int, track_output: bool) -> tuple[Run, list[tuple[int, str]]]:
+    """Run until a halt, a certificate (kept in ``run.checked``) or the
+    budget; with ``track_output``, also log every change of the trimmed
+    output tape."""
     if budget < 1:
         raise InputError(f"budget must be >= 1, got {budget}")
     if machine.tape_count == 1:
         if track_output:
             raise UnsupportedMachineError("output tracking needs a 3-tape machine")
-        return _observe_single(machine, input_word, budget)
-    return _observe_multi(machine, input_word, budget, track_output)
-
-
-def _observe_single(machine: Machine, input_word: str, budget: int) -> _Observed:
-    config = initial_configuration(machine, input_word)
-    tape = dict(config.tapes[0])
-    head = 0
-    state = machine.start
-    blank = machine.blank
-    finals = machine.finals
-    # per-rule precomputation; the runaway flag marks a blank self-loop that
-    # writes blank and moves, the only rule shape a runaway can repeat
-    rows: dict[str, dict] = {}
-    for (q, syms), (nq, writes, moves) in machine.rules.items():
-        sym, w, m = syms[0], writes[0], moves[0]
-        runaway = sym == blank and nq == q and w == blank and m != STAY
-        rows.setdefault(q, {})[sym] = (nq, w, w == blank, -1 if m == "L" else (1 if m == "R" else 0), m, runaway)
-    steps = 0
-    seen: dict[tuple, int] = {}
-    certificate: NonHaltingCertificate | None = None
-    get = tape.get
-    pop = tape.pop
-    while True:
-        if steps == budget:
-            break
-        if state in finals:
-            bearing = finals[state]
-            result = trimmed_word(tape, blank) if bearing else ""
-            return _Observed(True, steps, bearing, result, None, steps, [])
-        row = rows.get(state)
-        rule = None if row is None else row.get(get(head, blank))
-        if rule is None:
-            return _Observed(True, steps, False, "", None, steps, [])
-        nstate, wsym, wblank, delta, move, runaway = rule
-        if runaway and (not tape or (head > max(tape) if move == "R" else head < min(tape))):
-            certificate = BlankRunaway(state, (move,), steps)
-            break
-        if len(tape) <= _CYCLE_CELL_CAP:
-            key = (state, tuple(sorted((cell - head, sym) for cell, sym in tape.items())))
-            first = seen.get(key)
-            if first is not None:
-                certificate = ConfigurationCycle(steps - first, first)
-                break
-            seen[key] = steps
-        if wblank:
-            pop(head, None)
-        else:
-            tape[head] = wsym
-        head += delta
-        state = nstate
-        steps += 1
-    return _Observed(False, -1, False, "", certificate, steps, [])
-
-
-def _observe_multi(machine: Machine, input_word: str, budget: int, track_output: bool) -> _Observed:
-    config = initial_configuration(machine, input_word)
-    tapes = [dict(t) for t in config.tapes]
-    heads = list(config.heads)
-    state = machine.start
-    blank = machine.blank
-    finals = machine.finals
-    rules = machine.rules
-    k = machine.tape_count
-    out_idx = k - 1
-    steps = 0
-    changes: list[tuple[int, str]] = [(0, "")] if track_output else []
-    current_out = ""
-    seen: dict[tuple, int] = {}
-    certificate: NonHaltingCertificate | None = None
-    cells = sum(len(t) for t in tapes)
-
-    while True:
-        if steps == budget:
-            break
-        if state in finals:
-            result = trimmed_word(tapes[out_idx], blank) if finals[state] else ""
-            return _Observed(True, steps, finals[state], result, None, steps, changes)
-        syms = tuple(t.get(h, blank) for t, h in zip(tapes, heads))
-        rule = rules.get((state, syms))
-        if rule is None:
-            return _Observed(True, steps, False, "", None, steps, changes)
-        nstate, writes, moves = rule
-        if (
-            nstate == state
-            and all(s == blank for s in syms)
-            and all(w == blank for w in writes)
-            and any(m != STAY for m in moves)
-            and all(_runaway_direction_ok(m, t, h) for m, t, h in zip(moves, tapes, heads))
-        ):
-            certificate = BlankRunaway(state, tuple(moves), steps)
-            break
-        if cells <= _CYCLE_CELL_CAP:
-            key = _normalized(state, tapes, heads)
-            first = seen.get(key)
-            if first is not None:
-                certificate = ConfigurationCycle(steps - first, first)
-                break
-            seen[key] = steps
-        for i in range(k):
-            w = writes[i]
-            h = heads[i]
-            tape = tapes[i]
-            if w == blank:
-                if tape.pop(h, None) is not None:
-                    cells -= 1
-            else:
-                if h not in tape:
-                    cells += 1
-                tape[h] = w
-            heads[i] = h + (-1 if moves[i] == "L" else (1 if moves[i] == "R" else 0))
-        if track_output and writes[out_idx] != syms[out_idx]:
-            word = trimmed_word(tapes[out_idx], blank)
-            if word != current_out:
-                current_out = word
-                changes.append((steps + 1, word))
-        state = nstate
-        steps += 1
-
-    return _Observed(False, -1, False, "", certificate, steps, changes)
+        hook = _single_tape_check()
+    else:
+        hook = _multi_tape_check(machine)
+    changes: list[tuple[int, str]] = []
+    breaks = None
+    if track_output:
+        changes.append((0, ""))
+        # only a rule that rewrites the scanned output cell can change the output
+        breaks = {key: True for key, (_, writes, _) in machine.rules.items() if writes[-1] != key[1][-1]}
+    run = Run(machine, input_word, hook, breaks)
+    while run.advance(budget):
+        word = trimmed_word(run.tapes[-1], machine.blank)
+        if word != changes[-1][1]:
+            changes.append((run.steps, word))
+    return run, changes
 
 
 # --- public operations ------------------------------------------------------
@@ -289,23 +215,24 @@ def inductive_run(machine: Machine, input_word: str, budget: int) -> InductiveOu
     non-halting certificate fires, or the budget runs out."""
     if machine.tape_count != 3:
         raise UnsupportedMachineError("inductive runs need a 3-tape machine (input, working, output)")
-    obs = _observe(machine, input_word, budget, track_output=True)
-    log = ObservationLog(tuple(obs.changes))
+    run, changes = _observe(machine, input_word, budget, track_output=True)
+    log = ObservationLog(tuple(changes))
     last_step, current = log.entries[-1]
-    if obs.halted:
+    certificate = run.checked
+    if run.halted:
         status: CertifiedStable | Provisional = CertifiedStable(HALTED)
-    elif isinstance(obs.certificate, BlankRunaway):
-        status = CertifiedStable(obs.certificate)
-    elif isinstance(obs.certificate, ConfigurationCycle):
+    elif isinstance(certificate, BlankRunaway):
+        status = CertifiedStable(certificate)
+    elif isinstance(certificate, ConfigurationCycle):
         # Output changes inside the repeating window recur forever; only a
         # change-free window certifies stability.
-        if last_step <= obs.certificate.first_repeat_step:
-            status = CertifiedStable(obs.certificate)
+        if last_step <= certificate.first_repeat_step:
+            status = CertifiedStable(certificate)
         else:
             status = PROVISIONAL
     else:
         status = PROVISIONAL
-    return InductiveOutcome(current, last_step, obs.steps, status, log)
+    return InductiveOutcome(current, last_step, run.steps, status, log)
 
 
 @dataclass(frozen=True)
@@ -328,11 +255,11 @@ UNKNOWN = Unknown()
 
 def certify_nonhalting(machine: Machine, input_word: str, budget: int) -> Certificate | HaltsAt | Unknown:
     """Sound, incomplete non-halting detection; never a false certificate."""
-    obs = _observe(machine, input_word, budget, track_output=False)
-    if obs.halted:
-        return HaltsAt(obs.halt_step)
-    if obs.certificate is not None:
-        return Certificate(obs.certificate)
+    run, _ = _observe(machine, input_word, budget, track_output=False)
+    if run.halted:
+        return HaltsAt(run.steps)
+    if run.checked:
+        return Certificate(run.checked)
     return UNKNOWN
 
 
@@ -340,33 +267,32 @@ def halting_limit_decider(description: Description, input_word: str, budget: int
     """Limit-style halting decision: output 0 while the simulated machine
     runs, flipping to 1 exactly when it halts within the budget."""
     machine = decode(description)
-    obs = _observe(machine, input_word, budget, track_output=False)
-    if obs.halted:
-        entries = ((0, "1"),) if obs.halt_step == 0 else ((0, "0"), (obs.halt_step, "1"))
+    run, _ = _observe(machine, input_word, budget, track_output=False)
+    if run.halted:
+        entries = ((0, "1"),) if run.steps == 0 else ((0, "0"), (run.steps, "1"))
         status: CertifiedStable | Provisional = CertifiedStable(HALTED)
     else:
         entries = ((0, "0"),)
-        if obs.certificate is not None:
-            status = CertifiedStable(obs.certificate)
+        if run.checked:
+            status = CertifiedStable(run.checked)
         else:
             status = PROVISIONAL
     log = ObservationLog(entries)
     last_step, current = log.entries[-1]
-    return InductiveOutcome(current, last_step, obs.steps, status, log)
+    return InductiveOutcome(current, last_step, run.steps, status, log)
 
 
 # --- diagonalization --------------------------------------------------------
 
 
-def _diagonal_bit(
-    decider: CandidateDecider, description: Description, word: str, budget: int
-) -> tuple[str, bool]:
-    """The anti-diagonal bit for one (machine, word) pair.
+def _diagonal_bit(claims_halt: bool, description: Description, word: str, budget: int) -> tuple[str, bool]:
+    """The anti-diagonal bit for one (machine, word) pair, given the
+    decider's claim about it.
 
     Returns (bit, tie_break): tie_break marks the fallback taken when the
     decider claimed a halt but the bounded simulation did not finish.
     """
-    if not decider(description, word):
+    if not claims_halt:
         return "0", False
     outcome = universal_run(description, word, budget)
     if isinstance(outcome, HaltedWithResult) and outcome.result == "1":
@@ -377,8 +303,8 @@ def _diagonal_bit(
 def diagonalize(decider: CandidateDecider, input_word: str, budget: int) -> str:
     """Behave differently from machine T_n on input u_n wherever the decider
     is right: n is the input's word index, T_n the n-th enumerated machine."""
-    n = word_index(input_word)
-    return _diagonal_bit(decider, nth_description(n), input_word, budget)[0]
+    description = nth_description(word_index(input_word))
+    return _diagonal_bit(bool(decider(description, input_word)), description, input_word, budget)[0]
 
 
 @dataclass(frozen=True)
@@ -459,7 +385,7 @@ def audit_decider(
     for n, (description, word) in enumerate(pairs):
         claim = bool(decider(description, word))
         observed = run_bounded(decode(description), word, truth_budget)
-        diagonal, tie = _diagonal_bit(decider, description, word, sim_budget)
+        diagonal, tie = _diagonal_bit(claim, description, word, sim_budget)
         truth_halted = not isinstance(observed, BudgetExhausted)
         contradiction = (not claim and truth_halted) or (
             isinstance(observed, HaltedWithResult) and diagonal == observed.result

@@ -9,13 +9,18 @@ result-bearing or resultless; only a result-bearing halt yields a result word.
 
 Tapes are stored sparsely as {cell: symbol} with blank cells absent, so every
 reachable configuration is finite and cheap to copy, compare, and replay.
+
+``Run`` is the one engine: a resumable cursor over a machine compiled once
+per run, behind ``run_bounded``, ``HaltProbe`` and every client in the other
+modules.  ``step`` and ``config_sequence`` are the reference semantics: small,
+pure and slow, kept for tests to compare the engine against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 LEFT = "L"
 RIGHT = "R"
@@ -129,36 +134,6 @@ def single_tape_machine(
     )
 
 
-def multi_tape_machine(
-    name: str,
-    tape_count: int,
-    rules: Mapping[RuleKey, RuleBody],
-    finals: Mapping[str, bool] | None = None,
-    start: str = "q0",
-    alphabet: Symbols = ("0", "1"),
-) -> Machine:
-    """Build a multi-tape machine; rule keys carry one symbol per tape."""
-    finals = dict(finals or {})
-    states: list[str] = [start]
-    for (q, _), (nq, _, _) in rules.items():
-        for s in (q, nq):
-            if s not in states:
-                states.append(s)
-    for q in finals:
-        if q not in states:
-            states.append(q)
-    return Machine(
-        name=name,
-        tape_count=tape_count,
-        alphabet=(BLANK,) + tuple(alphabet),
-        blank=BLANK,
-        states=tuple(states),
-        start=start,
-        finals=finals,
-        rules=dict(rules),
-    )
-
-
 @dataclass
 class Configuration:
     """A full instantaneous description: state, tapes, heads, step count."""
@@ -167,9 +142,6 @@ class Configuration:
     tapes: tuple[dict[int, str], ...]
     heads: tuple[int, ...]
     step: int = 0
-
-    def copy(self) -> "Configuration":
-        return Configuration(self.state, tuple(dict(t) for t in self.tapes), self.heads, self.step)
 
 
 # --- step results ---------------------------------------------------------
@@ -297,79 +269,166 @@ def _check_budget(budget: int) -> None:
         raise InputError(f"budget must be >= 1, got {budget}")
 
 
-_FINAL, _NORULE, _BUDGET = 0, 1, 2
+def _compiled_rows(
+    machine: Machine,
+    check: bool = False,
+    breaks: Mapping[RuleKey, object] | None = None,
+    rules: Mapping[RuleKey, RuleBody] | None = None,
+) -> dict[str, dict]:
+    """Per-state rule rows for non-final states; a final state has no row.
 
-
-def _compiled_rows(machine: Machine) -> dict[str, dict]:
-    """Per-state rule rows for non-final states; a final state has no row."""
+    A row maps the scanned symbol (single tape) or symbol tuple to a compiled
+    rule ending in two flags: ``check`` asks the run's hook before the rule
+    fires, and a truthy ``brk`` (the rule's value in ``breaks``) stops the run
+    right after it fires.  ``rules`` defaults to the machine's own table.
+    """
     rows: dict[str, dict] = {q: {} for q in machine.states if q not in machine.finals}
+    blank = machine.blank
     single = machine.tape_count == 1
-    for (state, syms), (nstate, writes, moves) in machine.rules.items():
+    breaks = breaks or {}
+    for key, (nstate, writes, moves) in (machine.rules if rules is None else rules).items():
+        state, syms = key
         if single:
-            rows[state][syms[0]] = (nstate, writes[0], writes[0] == machine.blank, _DELTA[moves[0]])
+            rows[state][syms[0]] = (nstate, writes[0], writes[0] == blank, _DELTA[moves[0]], check, breaks.get(key))
         else:
-            rows[state][syms] = (nstate, writes, tuple(_DELTA[m] for m in moves))
+            rows[state][syms] = (nstate, writes, tuple(_DELTA[m] for m in moves), check, breaks.get(key))
     return rows
-
-
-def _run_single(machine: Machine, tape: dict[int, str], budget: int):
-    rows = _compiled_rows(machine)
-    blank = machine.blank
-    state = machine.start
-    head = 0
-    steps = 0
-    row = rows.get(state)
-    get = tape.get
-    pop = tape.pop
-    while steps < budget:
-        if row is None:
-            return _FINAL, state, head, steps
-        rule = row.get(get(head, blank))
-        if rule is None:
-            return _NORULE, state, head, steps
-        nstate, wsym, wblank, delta = rule
-        if wblank:
-            pop(head, None)
-        else:
-            tape[head] = wsym
-        head += delta
-        steps += 1
-        if nstate is not state:
-            state = nstate
-            row = rows.get(state)
-    return _BUDGET, state, head, steps
-
-
-def _run_multi(machine: Machine, tapes: tuple[dict[int, str], ...], budget: int):
-    rows = _compiled_rows(machine)
-    blank = machine.blank
-    state = machine.start
-    heads = [0] * machine.tape_count
-    steps = 0
-    while steps < budget:
-        row = rows.get(state)
-        if row is None:
-            return _FINAL, state, heads, steps
-        syms = tuple(t.get(h, blank) for t, h in zip(tapes, heads))
-        rule = row.get(syms)
-        if rule is None:
-            return _NORULE, state, heads, steps
-        state, writes, deltas = rule
-        for i in range(machine.tape_count):
-            w = writes[i]
-            h = heads[i]
-            if w == blank:
-                tapes[i].pop(h, None)
-            else:
-                tapes[i][h] = w
-            heads[i] = h + deltas[i]
-        steps += 1
-    return _BUDGET, state, heads, steps
 
 
 def result_tape_index(machine: Machine) -> int:
     """Single tape carries the result; multi-tape machines use the last tape."""
     return 0 if machine.tape_count == 1 else machine.tape_count - 1
+
+
+class Run:
+    """A resumable run from the standard initial configuration.
+
+    This is the one engine: every bounded run, probe, observation, trace and
+    self-editing run advances a ``Run``, while ``step`` stays the reference
+    semantics that tests compare against.  The machine is compiled once, into
+    rows private to this run.  ``hook(state, tapes, heads, steps, rule)`` is
+    called before every rule fires when given (on a single tape it receives
+    the tape and the head instead); a truthy result stops the run unfired and
+    is kept in ``checked``.  A rule whose key has a truthy value in ``breaks``
+    stops the run right after it fires, and ``advance`` returns that value.
+    """
+
+    __slots__ = ("machine", "state", "tapes", "heads", "steps", "halted", "checked", "_hook", "_breaks", "_rows")
+
+    def __init__(
+        self,
+        machine: Machine,
+        input_word: str,
+        hook: Callable[..., object] | None = None,
+        breaks: Mapping[RuleKey, object] | None = None,
+    ):
+        config = initial_configuration(machine, input_word)
+        self.machine = machine
+        self.state = config.state
+        self.tapes = config.tapes
+        self.heads = list(config.heads)
+        self.steps = 0
+        self.halted = False  # a final state or a missing rule was reached
+        self.checked = None
+        self._hook = hook
+        self._breaks = breaks
+        self._rows = _compiled_rows(machine, hook is not None, breaks)
+
+    def advance(self, budget: int) -> object:
+        """Run until ``steps`` reaches ``budget``, the run halts, the hook
+        stops it or a break rule fires; returns the break value or None."""
+        rows = self._rows
+        hook = self._hook
+        blank = self.machine.blank
+        state = self.state
+        steps = self.steps
+        row = rows.get(state)
+        found = brk = None
+        if len(self.tapes) == 1:
+            tape = self.tapes[0]
+            get = tape.get
+            pop = tape.pop
+            head = self.heads[0]
+            while steps < budget:
+                if row is None:
+                    self.halted = True
+                    break
+                rule = row.get(get(head, blank))
+                if rule is None:
+                    self.halted = True
+                    break
+                nstate, wsym, wblank, delta, check, brk = rule
+                if check and (found := hook(state, tape, head, steps, rule)):
+                    brk = None
+                    break
+                if wblank:
+                    pop(head, None)
+                else:
+                    tape[head] = wsym
+                head += delta
+                steps += 1
+                if nstate is not state:
+                    state = nstate
+                    row = rows.get(state)
+                if brk:
+                    break
+            self.heads[0] = head
+        else:
+            tapes = self.tapes
+            heads = self.heads
+            blanks = (blank,) * len(tapes)
+            get = dict.get
+            span = range(len(tapes))
+            while steps < budget:
+                if row is None:
+                    self.halted = True
+                    break
+                rule = row.get(tuple(map(get, tapes, heads, blanks)))
+                if rule is None:
+                    self.halted = True
+                    break
+                nstate, writes, deltas, check, brk = rule
+                if check and (found := hook(state, tapes, heads, steps, rule)):
+                    brk = None
+                    break
+                for i in span:
+                    w = writes[i]
+                    h = heads[i]
+                    if w == blank:
+                        tapes[i].pop(h, None)
+                    else:
+                        tapes[i][h] = w
+                    heads[i] = h + deltas[i]
+                steps += 1
+                if nstate is not state:
+                    state = nstate
+                    row = rows.get(state)
+                if brk:
+                    break
+        self.state = state
+        self.steps = steps
+        self.checked = found
+        return brk
+
+    def snapshot(self) -> Configuration:
+        """A copy of the current configuration."""
+        return Configuration(self.state, tuple(dict(t) for t in self.tapes), tuple(self.heads), self.steps)
+
+    def outcome(self) -> RunOutcome:
+        """The outcome so far: a halt once one was reached, else exhaustion."""
+        if not self.halted:
+            return BudgetExhausted(self.steps, self.snapshot())
+        machine = self.machine
+        if machine.finals.get(self.state):
+            return HaltedWithResult(trimmed_word(self.tapes[result_tape_index(machine)], machine.blank), self.steps)
+        return HaltedResultless(self.steps)
+
+    def patch(self, key: RuleKey, body: RuleBody) -> None:
+        """Install or replace one rule of this run's private table."""
+        state, syms = key
+        sym = syms[0] if len(self.tapes) == 1 else syms
+        compiled = _compiled_rows(self.machine, self._hook is not None, self._breaks, {key: body})
+        self._rows[state][sym] = compiled[state][sym]
 
 
 def run_bounded(machine: Machine, input_word: str, budget: int) -> RunOutcome:
@@ -382,59 +441,39 @@ def run_bounded(machine: Machine, input_word: str, budget: int) -> RunOutcome:
     smaller ones.
     """
     _check_budget(budget)
-    init = initial_configuration(machine, input_word)
-    tapes = init.tapes
-    if machine.tape_count == 1:
-        kind, state, head, steps = _run_single(machine, tapes[0], budget)
-        heads = (head,)
-    else:
-        kind, state, heads_list, steps = _run_multi(machine, tapes, budget)
-        heads = tuple(heads_list)
-    if kind == _BUDGET:
-        return BudgetExhausted(steps, Configuration(state, tapes, heads, steps))
-    if kind == _NORULE or not machine.finals[state]:
-        return HaltedResultless(steps)
-    return HaltedWithResult(trimmed_word(tapes[result_tape_index(machine)], machine.blank), steps)
+    run = Run(machine, input_word)
+    run.advance(budget)
+    return run.outcome()
 
 
 class HaltProbe:
     """Incremental halting queries against a single machine run.
 
     ``halted_by(b)`` answers exactly as ``run_bounded(machine, word, b)``
-    would, advancing a persistent simulation only as far as needed, so a
-    sweep over growing budgets costs one pass instead of one run per budget.
+    would, advancing a persistent run only as far as needed, so a sweep over
+    growing budgets costs one pass instead of one run per budget.
     """
 
     def __init__(self, machine: Machine, input_word: str):
         self.machine = machine
-        self._config = initial_configuration(machine, input_word)
-        self._halt_step: int | None = None
-
-    def _advance(self, budget: int) -> None:
-        while self._halt_step is None and self._config.step < budget:
-            nxt = step(self.machine, self._config)
-            if isinstance(nxt, NextConfig):
-                self._config = nxt.config
-            else:
-                self._halt_step = self._config.step
-                break
+        self._run = Run(machine, input_word)
 
     def halted_by(self, budget: int) -> bool:
         _check_budget(budget)
-        self._advance(budget)
+        run = self._run
+        if not run.halted:
+            run.advance(budget)
         # Halting is discovered by attempting the next step, so it needs a
         # budget strictly beyond the halt step.
-        return self._halt_step is not None and self._halt_step < budget
+        return run.halted and run.steps < budget
 
     @property
     def halt_step(self) -> int | None:
-        return self._halt_step
+        return self._run.steps if self._run.halted else None
 
 
 def words_over(alphabet: Symbols, max_length: int) -> Iterator[str]:
     """All words up to the given length in length-lexicographic order."""
-    from itertools import product
-
     for length in range(max_length + 1):
         for chars in product(alphabet, repeat=length):
             yield "".join(chars)

@@ -15,22 +15,18 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .machine import (
-    BudgetExhausted,
     Configuration,
-    HaltedResultless,
     HaltedWithResult,
     InputError,
     Machine,
     MOVES,
     RuleBody,
     RuleKey,
+    Run,
     RunOutcome,
     StructureError,
     Symbols,
-    initial_configuration,
-    result_tape_index,
     run_bounded,
-    trimmed_word,
 )
 
 
@@ -105,10 +101,6 @@ class ReflexiveMachine:
             if isinstance(action, ReplaceRule) and target not in base.rules and target not in install_targets:
                 raise StructureError(f"replace edit targets missing rule {target!r}")
 
-    @property
-    def rhs(self) -> Mapping[RuleKey, RuleBody]:
-        return self.base.rules
-
 
 def _action_rule(action: EditAction) -> tuple[RuleKey, RuleBody]:
     return (
@@ -118,78 +110,33 @@ def _action_rule(action: EditAction) -> tuple[RuleKey, RuleBody]:
 
 
 def _run(
-    rm: ReflexiveMachine,
-    input_word: str,
-    budget: int,
-    record: list[Configuration] | None,
-    debug: bool = False,
+    rm: ReflexiveMachine, input_word: str, budget: int, record: list[Configuration] | None
 ) -> tuple[RunOutcome, EditLog]:
     if budget < 1:
         raise InputError(f"budget must be >= 1, got {budget}")
-    base = rm.base
-    config = initial_configuration(base, input_word)
-    tapes = [dict(t) for t in config.tapes]
-    heads = list(config.heads)
-    state = base.start
-    blank = base.blank
-    live: dict[RuleKey, RuleBody] = dict(base.rules)
+    # a rule with an attached edit breaks the run, which then patches the
+    # edit's target into its private table
+    run = Run(rm.base, input_word, breaks=rm.edits)
     log: list[tuple[int, EditAction]] = []
-    steps = 0
-    k = base.tape_count
-
-    def snapshot() -> Configuration:
-        return Configuration(state, tuple(dict(t) for t in tapes), tuple(heads), steps)
-
     if record is not None:
-        record.append(snapshot())
-    while True:
-        if steps == budget:
-            return BudgetExhausted(steps, snapshot()), EditLog(tuple(log))
-        if state in base.finals:
-            if base.finals[state]:
-                word = trimmed_word(tapes[result_tape_index(base)], blank)
-                return HaltedWithResult(word, steps), EditLog(tuple(log))
-            return HaltedResultless(steps), EditLog(tuple(log))
-        syms = tuple(t.get(h, blank) for t, h in zip(tapes, heads))
-        rule = live.get((state, syms))
-        if rule is None:
-            return HaltedResultless(steps), EditLog(tuple(log))
-        fired = (state, syms)
-        state, writes, moves = rule
-        for i in range(k):
-            w = writes[i]
-            h = heads[i]
-            if w == blank:
-                tapes[i].pop(h, None)
-            else:
-                tapes[i][h] = w
-            heads[i] = h + (-1 if moves[i] == "L" else (1 if moves[i] == "R" else 0))
-        steps += 1
-        action = rm.edits.get(fired)
+        record.append(run.snapshot())
+    while run.steps < budget and not run.halted:
+        action = run.advance(budget if record is None else run.steps + 1)
         if action is not None:
-            key, body = _action_rule(action)
-            live[key] = body
-            log.append((steps, action))
-            if debug:
-                # the table is keyed, so it stays a partial function; check
-                # that the fresh rule only references declared entities
-                declared = set(base.states)
-                alphabet = set(base.alphabet)
-                assert key[0] in declared and body[0] in declared
-                assert all(s in alphabet for s in key[1] + body[1])
-        if record is not None:
-            record.append(snapshot())
+            run.patch(*_action_rule(action))
+            log.append((run.steps, action))
+        if record is not None and not run.halted:
+            record.append(run.snapshot())
+    return run.outcome(), EditLog(tuple(log))
 
 
-def reflexive_run(
-    rm: ReflexiveMachine, input_word: str, budget: int, debug: bool = False
-) -> tuple[RunOutcome, EditLog]:
+def reflexive_run(rm: ReflexiveMachine, input_word: str, budget: int) -> tuple[RunOutcome, EditLog]:
     """Bounded run applying attached edits to a private copy of the table.
 
     With an empty edit map this is step-for-step identical to running the
     base machine.
     """
-    return _run(rm, input_word, budget, record=None, debug=debug)
+    return _run(rm, input_word, budget, record=None)
 
 
 def reflexive_config_sequence(

@@ -13,7 +13,7 @@ from .inductive import (
     Provisional,
     inductive_run,
 )
-from .machine import Configuration, Machine, NextConfig, initial_configuration, step, trimmed_word
+from .machine import Configuration, Machine, Run, trimmed_word
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,13 @@ def record_of(machine: Machine, config: Configuration, with_output: bool = False
 def trace_run(machine: Machine, input_word: str, budget: int) -> list[TraceRecord]:
     """One record per visited configuration, the initial one included."""
     with_output = machine.tape_count == 3
-    config = initial_configuration(machine, input_word)
-    records = [record_of(machine, config, with_output)]
-    while config.step < budget:
-        nxt = step(machine, config)
-        if not isinstance(nxt, NextConfig):
+    run = Run(machine, input_word)
+    records = [record_of(machine, run.snapshot(), with_output)]
+    while run.steps < budget:
+        run.advance(run.steps + 1)
+        if run.halted:
             break
-        config = nxt.config
-        records.append(record_of(machine, config, with_output))
+        records.append(record_of(machine, run.snapshot(), with_output))
     return records
 
 

@@ -1,6 +1,8 @@
 """Encoding layout, word numbering, enumeration, and universal simulation."""
 
 import itertools
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,7 @@ from hypermachine.codec import (
     universal_run,
     word_index,
 )
-from hypermachine.codec import _decode_bits
+from hypermachine.codec import _NTH_CACHE, _decode_bits
 from hypermachine.corpus import LOCATABLE, corpus_machine, encodable_corpus
 from hypermachine.machine import (
     BudgetExhausted,
@@ -242,6 +244,34 @@ def test_nth_description_matches_enumerate():
     listed = enumerate_machines(40)
     for n, description in enumerate(listed):
         assert nth_description(n).bits == description.bits
+
+
+def test_nth_description_is_safe_under_threads():
+    # more threads than cores, each walking past the cached prefix so that
+    # they contend for the shared enumeration source
+    start = len(_NTH_CACHE)
+    errors = []
+
+    def walk():
+        try:
+            for n in range(start, start + 3000):
+                nth_description(n)
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert _NTH_CACHE == enumerate_machines(len(_NTH_CACHE))
 
 
 def test_first_enumerated_description_decodes():

@@ -1,9 +1,19 @@
 """Core engine tests: stepping, bounded runs, and behavioural comparison."""
 
+import itertools
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypermachine.corpus import corpus_machine, delay_machine
+from hypermachine.inductive import (
+    BlankRunaway,
+    Certificate,
+    ConfigurationCycle,
+    HaltsAt,
+    certify_nonhalting,
+    inductive_run,
+)
 from hypermachine.machine import (
     AtFinal,
     BudgetExhausted,
@@ -22,12 +32,15 @@ from hypermachine.machine import (
     initial_configuration,
     observational_equiv,
     outcomes_agree,
+    result_tape_index,
     run_bounded,
     single_tape_machine,
     step,
     trimmed_word,
     words_over,
 )
+from hypermachine.reflexive import EditLog, ReflexiveMachine, reflexive_config_sequence
+from hypermachine.trace import record_of, trace_run
 
 FLIP = corpus_machine("flip")
 ERASER = corpus_machine("eraser")
@@ -267,16 +280,131 @@ def test_halt_probe_agrees_with_run_bounded(machine, word, budget):
     assert probe.halted_by(budget) == (not isinstance(run_bounded(machine, word, budget), BudgetExhausted))
 
 
-@given(small_machines())
-@settings(max_examples=40, deadline=None)
+@st.composite
+def small_three_tape_machines(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    states = [f"s{i}" for i in range(n)]
+    flags = draw(st.lists(st.sampled_from([None, False, True]), min_size=n - 1, max_size=n - 1))
+    finals = {q: flag for q, flag in zip(states[1:], flags) if flag is not None}
+    rules = {}
+    for q in states:
+        if q in finals:
+            continue
+        for syms in itertools.product(_SYMS, repeat=3):
+            if draw(st.integers(0, 7)):  # dense, so that runs last
+                # blank writes and stays are drawn more often, so that
+                # runaways and cycles show up
+                rules[(q, syms)] = (
+                    draw(st.sampled_from(states)),
+                    draw(st.tuples(*[st.sampled_from(("_", "_", "0", "1"))] * 3)),
+                    draw(st.tuples(*[st.sampled_from(["L", "R", "S", "S"])] * 3)),
+                )
+    return Machine(
+        name="rand3",
+        tape_count=3,
+        alphabet=_SYMS,
+        blank="_",
+        states=tuple(states),
+        start=states[0],
+        finals=finals,
+        rules=rules,
+    )
+
+
+def _normal(config):
+    return (
+        config.state,
+        tuple(tuple(sorted((c - h, s) for c, s in t.items())) for t, h in zip(config.tapes, config.heads)),
+    )
+
+
+def _reference_outcome(machine, seq, budget):
+    last = seq[-1]
+    if last.step == budget:
+        return BudgetExhausted(budget, last)
+    if machine.finals.get(last.state):
+        return HaltedWithResult(trimmed_word(last.tapes[result_tape_index(machine)]), last.step)
+    return HaltedResultless(last.step)
+
+
+def _check_certificate_on(machine, seq, budget, cert):
+    """Re-check a non-halting certificate on the reference sequence."""
+    assert seq[-1].step == budget
+    if isinstance(cert, ConfigurationCycle):
+        repeat = cert.first_repeat_step + cert.period
+        assert _normal(seq[cert.first_repeat_step]) == _normal(seq[repeat])
+        # the first repeat: every earlier configuration is new (tapes this
+        # short are always cycle-tracked)
+        assert len({_normal(config) for config in seq[:repeat]}) == repeat
+        return
+    assert isinstance(cert, BlankRunaway)
+    blanks = (machine.blank,) * machine.tape_count
+    assert machine.rules[(cert.state, blanks)] == (cert.state, blanks, cert.direction)
+    for config in seq[cert.onset_step :]:
+        assert config.state == cert.state
+        for tape, head, move in zip(config.tapes, config.heads, cert.direction):
+            assert head not in tape
+            if move == "R":
+                assert not tape or head > max(tape)
+            elif move == "L":
+                assert not tape or head < min(tape)
+
+
+# bouncers: a blank self-loop that heads back over written cells is no runaway
+_BOUNCER = single_tape_machine("bouncer", {("q0", "1"): ("q0", "1", "R"), ("q0", "_"): ("q0", "_", "L")})
+_BOUNCER3 = Machine(
+    name="bouncer3",
+    tape_count=3,
+    alphabet=_SYMS,
+    blank="_",
+    states=("s0",),
+    start="s0",
+    finals={},
+    rules={
+        ("s0", ("1", "_", "_")): ("s0", ("1", "_", "_"), ("R", "S", "S")),
+        ("s0", ("_", "_", "_")): ("s0", ("_", "_", "_"), ("L", "S", "S")),
+    },
+)
+
+
+@given(st.one_of(small_machines(), small_three_tape_machines()))
+@example(_BOUNCER)
+@example(_BOUNCER3)
+@settings(max_examples=80, deadline=None)
 def test_run_via_step_matches_fast_engine(machine):
+    budget = 25
+    three_tape = machine.tape_count == 3
     for word in ("", "0", "11"):
-        seq = config_sequence(machine, word, 25)
+        seq = config_sequence(machine, word, budget)
         last = seq[-1]
-        outcome = run_bounded(machine, word, 25)
+        outcome = run_bounded(machine, word, budget)
         assert outcome.steps == last.step
         if isinstance(outcome, BudgetExhausted):
             assert outcome.config == last
+        assert outcome == _reference_outcome(machine, seq, budget)
+
+        halt = None if last.step == budget else last.step
+        probe = HaltProbe(machine, word)
+        for b in [*range(1, budget + 1), *range(budget, 0, -1)]:
+            assert probe.halted_by(b) == (halt is not None and halt < b)
+
+        answer = certify_nonhalting(machine, word, budget)
+        if halt is not None:
+            assert answer == HaltsAt(halt)
+        elif isinstance(answer, Certificate):
+            _check_certificate_on(machine, seq, budget, answer.certificate)
+
+        if three_tape:
+            observed = inductive_run(machine, word, budget)
+            changes = [(0, "")]
+            for config in seq[1 : observed.steps_executed + 1]:
+                out = trimmed_word(config.tapes[-1])
+                if out != changes[-1][1]:
+                    changes.append((config.step, out))
+            assert observed.log.entries == tuple(changes)
+
+        assert trace_run(machine, word, budget) == [record_of(machine, c, three_tape) for c in seq]
+        assert reflexive_config_sequence(ReflexiveMachine(machine, {}), word, budget) == (seq, EditLog(()))
 
 
 def test_delay_machine_halts_exactly_on_time():
