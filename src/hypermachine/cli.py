@@ -36,9 +36,9 @@ from .machine import (
     observational_equiv,
     run_bounded,
 )
-from .reflexive import ReflexiveMachine, reflexive_config_sequence, reflexive_run
+from .reflexive import ReflexiveMachine, reflexive_run
 from .subrec import BUILTIN_SAMPLES, DfaFound, separation_search
-from .trace import emit_trace, record_of, summary_line, trace_run, watch
+from .trace import emit_trace, summary_line, trace_run, watch
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -76,20 +76,14 @@ def _write_text(path: str, text: str) -> None:
 def cmd_run(args) -> int:
     doc = _load_spec(args.spec)
     machine = doc.machine
+    if args.trace:
+        _write_text(args.trace, emit_trace(trace_run(machine, args.input, args.budget)))
     if isinstance(machine, ReflexiveMachine):
         outcome, edit_log = reflexive_run(machine, args.input, args.budget)
-        if args.trace:
-            records = [
-                record_of(machine.base, cfg, machine.base.tape_count == 3)
-                for cfg in reflexive_config_sequence(machine, args.input, args.budget)[0]
-            ]
-            _write_text(args.trace, emit_trace(records))
         for at, action in edit_log.entries:
             print(f"edit\tstep={at}\taction={type(action).__name__}")
     else:
         outcome = run_bounded(machine, args.input, args.budget)
-        if args.trace:
-            _write_text(args.trace, emit_trace(trace_run(machine, args.input, args.budget)))
     print(_outcome_fields(outcome))
     return EXIT_PROVISIONAL if isinstance(outcome, BudgetExhausted) else EXIT_OK
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .machine import BLANK, HypermachineError, Machine, MOVES, RuleKey, Symbols
+from .machine import BLANK, HypermachineError, Machine, MOVES, RuleKey, StructureError, Symbols
 from .reflexive import EditAction, InstallRule, ReflexiveMachine, ReplaceRule
 
 
@@ -50,13 +50,10 @@ class _Builder:
     def __init__(self) -> None:
         self.name: str | None = None
         self.tapes = 1
-        self.tapes_line: int | None = None
         self.alphabet: list[str] = ["0", "1"]
-        self.alphabet_line: int | None = None
         self.start: str | None = None
         self.finals: dict[str, bool] = {}
         self.rules: dict[RuleKey, tuple] = {}
-        self.rule_lines: dict[RuleKey, int] = {}
         self.edits: dict[RuleKey, EditAction] = {}
         self.positions: dict[tuple, tuple[int, int]] = {}
         self.states: list[str] = []
@@ -81,7 +78,7 @@ def _edit_side(text: str, what: str, lineno: int, col: int) -> list[str]:
     return parts
 
 
-def _parse_edit(clause: str, tapes: int, lineno: int, raw: str) -> tuple[str, str, Symbols, str, Symbols, Symbols]:
+def _parse_edit(clause: str, lineno: int, raw: str) -> tuple[str, str, Symbols, str, Symbols, Symbols]:
     col = _col(raw, "!")
     clause = clause.strip()
     kind = None
@@ -104,11 +101,6 @@ def _parse_edit(clause: str, tapes: int, lineno: int, raw: str) -> tuple[str, st
         raise ParseError("malformed edit clause: wrong number of parts", lineno, col)
     target_state, target_syms = lhs[0], lhs[1].split()
     next_state, writes, moves = rhs[0], rhs[1].split(), rhs[2].split()
-    if not (len(target_syms) == len(writes) == len(moves) == tapes):
-        raise ParseError(f"edit clause needs {tapes} symbols and moves per side", lineno, col)
-    for move in moves:
-        if move not in MOVES:
-            raise ParseError(f"invalid move {move!r} in edit clause", lineno, col)
     return kind, target_state, tuple(target_syms), next_state, tuple(writes), tuple(moves)
 
 
@@ -135,20 +127,17 @@ def _parse_rule(builder: _Builder, rest: str, lineno: int, raw: str) -> None:
     if key in builder.rules:
         raise ParseError(f"nondeterministic rule: ({state}, {' '.join(syms)}) already defined", lineno, _col(raw, state))
     builder.rules[key] = (nstate, writes, moves)
-    builder.rule_lines[key] = lineno
     builder.positions[("rule", state, syms)] = (lineno, _col(raw, state))
     builder.note_state(state)
     builder.note_state(nstate)
     if edit_text.strip():
-        kind, tq, tsyms, nq, ews, ems = _parse_edit(edit_text, k, lineno, raw)
+        kind, tq, tsyms, nq, ews, ems = _parse_edit(edit_text, lineno, raw)
         _symbols(builder, list(tsyms) + list(ews), lineno, raw)
         action: EditAction
         if kind == "install":
             action = InstallRule(tq, tsyms, nq, ews, ems)
         else:
             action = ReplaceRule(tq, tsyms, nq, ews, ems)
-        if key in builder.edits:
-            raise ParseError("rule already carries an edit clause", lineno, _col(raw, "!"))
         builder.edits[key] = action
         builder.note_state(tq)
         builder.note_state(nq)
@@ -220,41 +209,28 @@ def parse_machine_spec(text: str) -> SpecDocument:
         raise ParseError("missing machine name", max(1, text.count("\n") + 1))
     if builder.start is None:
         raise ParseError("missing start state", max(1, text.count("\n") + 1))
-    for (state, syms), lineno in builder.rule_lines.items():
-        if state in builder.finals:
-            raise ParseError(f"rule declared for final state {state!r}", lineno)
 
     states = list(builder.states)
     for q in [builder.start] + list(builder.finals):
         if q not in states:
             states.append(q)
     ordered = [builder.start] + [q for q in states if q != builder.start]
-    machine = Machine(
-        name=builder.name,
-        tape_count=builder.tapes,
-        alphabet=(BLANK,) + tuple(builder.alphabet),
-        blank=BLANK,
-        states=tuple(ordered),
-        start=builder.start,
-        finals=builder.finals,
-        rules=builder.rules,
-    )
-    if builder.edits:
-        install_targets = {
-            (a.target_state, a.target_symbols)
-            for a in builder.edits.values()
-            if isinstance(a, InstallRule)
-        }
-        for key, action in builder.edits.items():
-            target = (action.target_state, action.target_symbols)
-            lineno = builder.rule_lines[key]
-            if isinstance(action, InstallRule) and target in builder.rules:
-                raise ParseError(f"install edit targets existing rule {target!r}", lineno)
-            if isinstance(action, ReplaceRule) and target not in builder.rules and target not in install_targets:
-                raise ParseError(f"replace edit targets missing rule {target!r}", lineno)
-        parsed: Machine | ReflexiveMachine = ReflexiveMachine(machine, builder.edits)
-    else:
-        parsed = machine
+    # the directives are checked above, so a structural fault here lies in
+    # a rule or its edit clause
+    try:
+        machine = Machine(
+            name=builder.name,
+            tape_count=builder.tapes,
+            alphabet=(BLANK,) + tuple(builder.alphabet),
+            blank=BLANK,
+            states=tuple(ordered),
+            start=builder.start,
+            finals=builder.finals,
+            rules=builder.rules,
+        )
+        parsed: Machine | ReflexiveMachine = ReflexiveMachine(machine, builder.edits) if builder.edits else machine
+    except StructureError as exc:
+        raise ParseError(str(exc), *builder.positions[("rule", *exc.key)]) from exc
     return SpecDocument(source=text, machine=parsed, positions=builder.positions)
 
 

@@ -98,14 +98,6 @@ class ObservationLog:
 
     entries: tuple[tuple[int, str], ...]
 
-    def output_at(self, step: int) -> str:
-        current = self.entries[0][1]
-        for at, word in self.entries:
-            if at > step:
-                break
-            current = word
-        return current
-
 
 @dataclass(frozen=True)
 class InductiveOutcome:
@@ -130,7 +122,7 @@ def _single_tape_check() -> Callable:
     def check(state, tape, head, steps, rule):
         # a runaway repeats a rule that reads blank (the head is off the
         # stored cells), writes blank, moves, and keeps the state
-        nstate, _, wblank, delta, _, _ = rule
+        nstate, _, wblank, delta, _ = rule
         if wblank and delta and nstate == state and head not in tape and _runaway_direction_ok(delta, tape, head):
             return BlankRunaway(state, ("R" if delta > 0 else "L",), steps)
         if len(tape) <= _CYCLE_CELL_CAP:
@@ -149,7 +141,7 @@ def _multi_tape_check(machine: Machine) -> Callable:
     blanks = (machine.blank,) * machine.tape_count
 
     def check(state, tapes, heads, steps, rule):
-        nstate, writes, deltas, _, _ = rule
+        nstate, writes, deltas, _ = rule
         if (
             nstate == state
             and writes == blanks

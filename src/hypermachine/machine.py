@@ -40,7 +40,15 @@ class HypermachineError(Exception):
 
 
 class StructureError(HypermachineError):
-    """A machine, configuration, or edit violates a structural invariant."""
+    """A machine, configuration, or edit violates a structural invariant.
+
+    ``key`` names the rule at fault, or the rule that carries a faulty edit;
+    it is None when no single rule is at fault.
+    """
+
+    def __init__(self, message: str, key: RuleKey | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class InputError(HypermachineError):
@@ -84,24 +92,37 @@ class Machine:
         for q in self.finals:
             if q not in declared:
                 raise StructureError(f"final state {q!r} is not declared")
-        symbols = set(self.alphabet)
-        for (state, syms), (nstate, writes, moves) in self.rules.items():
-            if state not in declared or nstate not in declared:
-                raise StructureError(f"rule ({state!r}, {syms!r}) references an undeclared state")
-            if state in self.finals:
-                raise StructureError(f"rule declared for final state {state!r}")
-            if not (len(syms) == len(writes) == len(moves) == self.tape_count):
-                raise StructureError(f"rule ({state!r}, {syms!r}) has wrong arity")
-            for sym in syms + writes:
-                if sym not in symbols:
-                    raise StructureError(f"rule ({state!r}, {syms!r}) uses unknown symbol {sym!r}")
-            for move in moves:
-                if move not in MOVES:
-                    raise StructureError(f"rule ({state!r}, {syms!r}) has invalid move {move!r}")
+        _check_rules(self, self.rules)
 
     @property
     def input_alphabet(self) -> Symbols:
         return tuple(sym for sym in self.alphabet if sym != self.blank)
+
+
+def _check_rules(machine: Machine, rules: Mapping[RuleKey, RuleBody], at: RuleKey | None = None) -> None:
+    """Raise StructureError unless every rule fits the machine: declared
+    states, no rule for a final state, one symbol and one move per tape,
+    symbols of the alphabet and valid moves.  Given ``at``, the rules are
+    what an edit carried by the rule ``at`` installs, and ``at`` is the
+    error's key; otherwise the key is the faulty rule's own."""
+    declared = set(machine.states)
+    symbols = set(machine.alphabet)
+    what = "rule" if at is None else "edit rule"
+    for key, (nstate, writes, moves) in rules.items():
+        state, syms = key
+        fault = at or key
+        if state not in declared or nstate not in declared:
+            raise StructureError(f"{what} ({state!r}, {syms!r}) references an undeclared state", fault)
+        if state in machine.finals:
+            raise StructureError(f"{what} declared for final state {state!r}", fault)
+        if not (len(syms) == len(writes) == len(moves) == machine.tape_count):
+            raise StructureError(f"{what} ({state!r}, {syms!r}) has wrong arity", fault)
+        for sym in syms + writes:
+            if sym not in symbols:
+                raise StructureError(f"{what} ({state!r}, {syms!r}) uses unknown symbol {sym!r}", fault)
+        for move in moves:
+            if move not in MOVES:
+                raise StructureError(f"{what} ({state!r}, {syms!r}) has invalid move {move!r}", fault)
 
 
 def single_tape_machine(
@@ -271,16 +292,15 @@ def _check_budget(budget: int) -> None:
 
 def _compiled_rows(
     machine: Machine,
-    check: bool = False,
     breaks: Mapping[RuleKey, object] | None = None,
     rules: Mapping[RuleKey, RuleBody] | None = None,
 ) -> dict[str, dict]:
     """Per-state rule rows for non-final states; a final state has no row.
 
     A row maps the scanned symbol (single tape) or symbol tuple to a compiled
-    rule ending in two flags: ``check`` asks the run's hook before the rule
-    fires, and a truthy ``brk`` (the rule's value in ``breaks``) stops the run
-    right after it fires.  ``rules`` defaults to the machine's own table.
+    rule ending in ``brk``, the rule's value in ``breaks``: a truthy one stops
+    the run right after the rule fires.  ``rules`` defaults to the machine's
+    own table.
     """
     rows: dict[str, dict] = {q: {} for q in machine.states if q not in machine.finals}
     blank = machine.blank
@@ -289,9 +309,9 @@ def _compiled_rows(
     for key, (nstate, writes, moves) in (machine.rules if rules is None else rules).items():
         state, syms = key
         if single:
-            rows[state][syms[0]] = (nstate, writes[0], writes[0] == blank, _DELTA[moves[0]], check, breaks.get(key))
+            rows[state][syms[0]] = (nstate, writes[0], writes[0] == blank, _DELTA[moves[0]], breaks.get(key))
         else:
-            rows[state][syms] = (nstate, writes, tuple(_DELTA[m] for m in moves), check, breaks.get(key))
+            rows[state][syms] = (nstate, writes, tuple(_DELTA[m] for m in moves), breaks.get(key))
     return rows
 
 
@@ -332,7 +352,7 @@ class Run:
         self.checked = None
         self._hook = hook
         self._breaks = breaks
-        self._rows = _compiled_rows(machine, hook is not None, breaks)
+        self._rows = _compiled_rows(machine, breaks)
 
     def advance(self, budget: int) -> object:
         """Run until ``steps`` reaches ``budget``, the run halts, the hook
@@ -357,8 +377,8 @@ class Run:
                 if rule is None:
                     self.halted = True
                     break
-                nstate, wsym, wblank, delta, check, brk = rule
-                if check and (found := hook(state, tape, head, steps, rule)):
+                nstate, wsym, wblank, delta, brk = rule
+                if hook is not None and (found := hook(state, tape, head, steps, rule)):
                     brk = None
                     break
                 if wblank:
@@ -387,8 +407,8 @@ class Run:
                 if rule is None:
                     self.halted = True
                     break
-                nstate, writes, deltas, check, brk = rule
-                if check and (found := hook(state, tapes, heads, steps, rule)):
+                nstate, writes, deltas, brk = rule
+                if hook is not None and (found := hook(state, tapes, heads, steps, rule)):
                     brk = None
                     break
                 for i in span:
@@ -427,7 +447,7 @@ class Run:
         """Install or replace one rule of this run's private table."""
         state, syms = key
         sym = syms[0] if len(self.tapes) == 1 else syms
-        compiled = _compiled_rows(self.machine, self._hook is not None, self._breaks, {key: body})
+        compiled = _compiled_rows(self.machine, self._breaks, {key: body})
         self._rows[state][sym] = compiled[state][sym]
 
 

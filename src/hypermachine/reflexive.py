@@ -12,20 +12,20 @@ immutable and shareable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .machine import (
     Configuration,
     HaltedWithResult,
     InputError,
     Machine,
-    MOVES,
     RuleBody,
     RuleKey,
     Run,
     RunOutcome,
     StructureError,
     Symbols,
+    _check_rules,
     run_bounded,
 )
 
@@ -67,8 +67,6 @@ class ReflexiveMachine:
 
     def __post_init__(self) -> None:
         base = self.base
-        declared = set(base.states)
-        symbols = set(base.alphabet)
         install_targets = {
             (a.target_state, a.target_symbols)
             for a in self.edits.values()
@@ -76,30 +74,13 @@ class ReflexiveMachine:
         }
         for key, action in self.edits.items():
             if key not in base.rules:
-                raise StructureError(f"edit attached to nonexistent rule {key!r}")
-            target = (action.target_state, action.target_symbols)
-            for q in (action.target_state, action.next_state):
-                if q not in declared:
-                    raise StructureError(f"edit references undeclared state {q!r}")
-            if action.target_state in base.finals:
-                raise StructureError(f"edit targets final state {action.target_state!r}")
-            if not (
-                len(action.target_symbols)
-                == len(action.writes)
-                == len(action.moves)
-                == base.tape_count
-            ):
-                raise StructureError(f"edit for {target!r} has wrong arity")
-            for sym in action.target_symbols + action.writes:
-                if sym not in symbols:
-                    raise StructureError(f"edit references unknown symbol {sym!r}")
-            for move in action.moves:
-                if move not in MOVES:
-                    raise StructureError(f"edit has invalid move {move!r}")
+                raise StructureError(f"edit attached to nonexistent rule {key!r}", key)
+            target, body = _action_rule(action)
+            _check_rules(base, {target: body}, key)
             if isinstance(action, InstallRule) and target in base.rules:
-                raise StructureError(f"install edit targets existing rule {target!r}")
+                raise StructureError(f"install edit targets existing rule {target!r}", key)
             if isinstance(action, ReplaceRule) and target not in base.rules and target not in install_targets:
-                raise StructureError(f"replace edit targets missing rule {target!r}")
+                raise StructureError(f"replace edit targets missing rule {target!r}", key)
 
 
 def _action_rule(action: EditAction) -> tuple[RuleKey, RuleBody]:
@@ -110,23 +91,25 @@ def _action_rule(action: EditAction) -> tuple[RuleKey, RuleBody]:
 
 
 def _run(
-    rm: ReflexiveMachine, input_word: str, budget: int, record: list[Configuration] | None
+    rm: ReflexiveMachine, input_word: str, budget: int, visit: Callable[[Run], None] | None = None
 ) -> tuple[RunOutcome, EditLog]:
+    """The bounded self-editing run; ``visit(run)``, when given, is called at
+    every visited configuration, the initial one included."""
     if budget < 1:
         raise InputError(f"budget must be >= 1, got {budget}")
     # a rule with an attached edit breaks the run, which then patches the
     # edit's target into its private table
     run = Run(rm.base, input_word, breaks=rm.edits)
     log: list[tuple[int, EditAction]] = []
-    if record is not None:
-        record.append(run.snapshot())
+    if visit is not None:
+        visit(run)
     while run.steps < budget and not run.halted:
-        action = run.advance(budget if record is None else run.steps + 1)
+        action = run.advance(budget if visit is None else run.steps + 1)
         if action is not None:
             run.patch(*_action_rule(action))
             log.append((run.steps, action))
-        if record is not None and not run.halted:
-            record.append(run.snapshot())
+        if visit is not None and not run.halted:
+            visit(run)
     return run.outcome(), EditLog(tuple(log))
 
 
@@ -136,7 +119,7 @@ def reflexive_run(rm: ReflexiveMachine, input_word: str, budget: int) -> tuple[R
     With an empty edit map this is step-for-step identical to running the
     base machine.
     """
-    return _run(rm, input_word, budget, record=None)
+    return _run(rm, input_word, budget)
 
 
 def reflexive_config_sequence(
@@ -144,7 +127,7 @@ def reflexive_config_sequence(
 ) -> tuple[list[Configuration], EditLog]:
     """The visited configurations (initial one included) plus the edit log."""
     record: list[Configuration] = []
-    _, log = _run(rm, input_word, budget, record=record)
+    _, log = _run(rm, input_word, budget, lambda run: record.append(run.snapshot()))
     return record, log
 
 

@@ -13,7 +13,8 @@ from .inductive import (
     Provisional,
     inductive_run,
 )
-from .machine import Configuration, Machine, Run, trimmed_word
+from .machine import Configuration, InputError, Machine, trimmed_word
+from .reflexive import ReflexiveMachine, _run
 
 
 @dataclass(frozen=True)
@@ -45,16 +46,15 @@ def record_of(machine: Machine, config: Configuration, with_output: bool = False
     )
 
 
-def trace_run(machine: Machine, input_word: str, budget: int) -> list[TraceRecord]:
-    """One record per visited configuration, the initial one included."""
-    with_output = machine.tape_count == 3
-    run = Run(machine, input_word)
-    records = [record_of(machine, run.snapshot(), with_output)]
-    while run.steps < budget:
-        run.advance(run.steps + 1)
-        if run.halted:
-            break
-        records.append(record_of(machine, run.snapshot(), with_output))
+def trace_run(machine: Machine | ReflexiveMachine, input_word: str, budget: int) -> list[TraceRecord]:
+    """One record per visited configuration, the initial one included.  A
+    plain machine runs as a reflexive one without edits, step for step the
+    same."""
+    rm = machine if isinstance(machine, ReflexiveMachine) else ReflexiveMachine(machine, {})
+    base = rm.base
+    with_output = base.tape_count == 3
+    records: list[TraceRecord] = []
+    _run(rm, input_word, budget, lambda run: records.append(record_of(base, run.snapshot(), with_output)))
     return records
 
 
@@ -104,16 +104,16 @@ def watch(machine: Machine, input_word: str, interval: int, budget: int) -> tupl
     follows the snapshots, and is the only line when the run ends before the
     first sampling point.
     """
-    from .machine import InputError
-
     if interval < 1:
         raise InputError("interval must be >= 1")
     outcome = inductive_run(machine, input_word, budget)
+    entries = outcome.log.entries
     lines = []
-    at = interval
-    while at <= outcome.steps_executed:
+    change = 0  # the last output change at or before the sample step
+    for at in range(interval, outcome.steps_executed + 1, interval):
+        while change + 1 < len(entries) and entries[change + 1][0] <= at:
+            change += 1
         status = describe_status(outcome.status) if at == outcome.steps_executed else "provisional"
-        lines.append(f"step={at}\tout={outcome.log.output_at(at)}\tstatus={status}")
-        at += interval
+        lines.append(f"step={at}\tout={entries[change][1]}\tstatus={status}")
     lines.append(summary_line(outcome))
     return lines, outcome

@@ -52,6 +52,35 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_edit_structure_fault_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.tm"
+    path.write_text("machine m\nstart: q0\nfinal: qf\nrule q0 0 -> q0 0 R ! install(qf, 0 -> q0, 1, R)\n")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: line 4")
+
+
+def test_reflexive_run_trace_to_stdout(tmp_path, capsys):
+    path = tmp_path / "specializer.tm"
+    path.write_text(CORPUS_SPECS["specializer"])
+    code, out, _ = run_cli(capsys, "run", str(path), "--input", "000", "--budget", "50", "--trace", "-")
+    assert code == 0
+    assert out == (
+        "step=0\tstate=scan\thead=0\ttape=000\n"
+        "step=1\tstate=d1\thead=0\ttape=000\n"
+        "step=2\tstate=d2\thead=0\ttape=000\n"
+        "step=3\tstate=d3\thead=0\ttape=000\n"
+        "step=4\tstate=wr\thead=0\ttape=000\n"
+        "step=5\tstate=scan\thead=1\ttape=100\n"
+        "step=6\tstate=scan\thead=2\ttape=110\n"
+        "step=7\tstate=scan\thead=3\ttape=111\n"
+        "step=8\tstate=done\thead=3\ttape=111\n"
+        "edit\tstep=5\taction=ReplaceRule\n"
+        "status=halted\tresult=111\tsteps=8\n"
+    )
+
+
 def test_runtime_error_exits_one(flip_spec, capsys):
     code, _, err = run_cli(capsys, "run", flip_spec, "--input", "2")
     assert code == 1

@@ -110,6 +110,14 @@ def test_replace_edit_must_target_existing_rule():
         parse_machine_spec(text)
 
 
+def test_edit_targeting_a_final_state_is_a_positioned_parse_error():
+    text = "machine m\nstart: q0\nfinal: qf\nrule q0 0 -> q0 0 R ! install(qf, 0 -> q0, 1, R)\n"
+    with pytest.raises(ParseError) as err:
+        parse_machine_spec(text)
+    assert "final state 'qf'" in str(err.value)
+    assert err.value.line == 4
+
+
 def test_parse_reflexive_document():
     doc = parse_machine_spec(CORPUS_SPECS["specializer"])
     machine = doc.machine

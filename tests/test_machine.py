@@ -40,7 +40,7 @@ from hypermachine.machine import (
     words_over,
 )
 from hypermachine.reflexive import EditLog, ReflexiveMachine, reflexive_config_sequence
-from hypermachine.trace import record_of, trace_run
+from hypermachine.trace import record_of, trace_run, watch
 
 FLIP = corpus_machine("flip")
 ERASER = corpus_machine("eraser")
@@ -125,6 +125,8 @@ def test_input_validation():
         run_bounded(FLIP, "_", 10)
     with pytest.raises(InputError):
         run_bounded(FLIP, "0", 0)
+    with pytest.raises(InputError):
+        trace_run(FLIP, "0", 0)
 
 
 def test_trimmed_word():
@@ -402,8 +404,16 @@ def test_run_via_step_matches_fast_engine(machine):
                 if out != changes[-1][1]:
                     changes.append((config.step, out))
             assert observed.log.entries == tuple(changes)
+            for interval in (1, 2, 3):
+                lines, _ = watch(machine, word, interval, budget)
+                samples = range(interval, observed.steps_executed + 1, interval)
+                assert [line.split("\t")[:2] for line in lines[:-1]] == [
+                    [f"step={at}", f"out={trimmed_word(seq[at].tapes[-1])}"] for at in samples
+                ]
 
-        assert trace_run(machine, word, budget) == [record_of(machine, c, three_tape) for c in seq]
+        traced = trace_run(machine, word, budget)
+        assert traced == [record_of(machine, c, three_tape) for c in seq]
+        assert trace_run(ReflexiveMachine(machine, {}), word, budget) == traced
         assert reflexive_config_sequence(ReflexiveMachine(machine, {}), word, budget) == (seq, EditLog(()))
 
 
