@@ -38,7 +38,7 @@ from .machine import (
 )
 from .reflexive import ReflexiveMachine, reflexive_run
 from .subrec import BUILTIN_SAMPLES, DfaFound, separation_search
-from .trace import emit_trace, summary_line, trace_run, watch
+from .trace import emit_trace, summary_line, traced_run, watch
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -76,14 +76,15 @@ def _write_text(path: str, text: str) -> None:
 def cmd_run(args) -> int:
     doc = _load_spec(args.spec)
     machine = doc.machine
+    if isinstance(machine, Machine):
+        machine = ReflexiveMachine(machine, {})
     if args.trace:
-        _write_text(args.trace, emit_trace(trace_run(machine, args.input, args.budget)))
-    if isinstance(machine, ReflexiveMachine):
-        outcome, edit_log = reflexive_run(machine, args.input, args.budget)
-        for at, action in edit_log.entries:
-            print(f"edit\tstep={at}\taction={type(action).__name__}")
+        records, outcome, edit_log = traced_run(machine, args.input, args.budget)
+        _write_text(args.trace, emit_trace(records))
     else:
-        outcome = run_bounded(machine, args.input, args.budget)
+        outcome, edit_log = reflexive_run(machine, args.input, args.budget)
+    for at, action in edit_log.entries:
+        print(f"edit\tstep={at}\taction={type(action).__name__}")
     print(_outcome_fields(outcome))
     return EXIT_PROVISIONAL if isinstance(outcome, BudgetExhausted) else EXIT_OK
 

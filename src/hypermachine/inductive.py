@@ -14,11 +14,25 @@ Non-halting certificates are sound but deliberately incomplete: a full
 decision procedure cannot exist.  Two finite, machine-checkable patterns are
 recognised - an exact repeat of a (translation-normalised) configuration, and
 a head running away over blank cells in a self-returning state.
+
+Repeats are looked for among configurations of at most 64 cells, through a
+Karp-Rabin rolling hash that the rule about to fire updates in O(1).  The
+hash keys of the first 2**16 steps are kept, so a cycle that starts before
+then is reported exactly at its first repeat.  After that only the keys at
+Brent's power-of-two checkpoints are kept (Brent 1980), so memory stays
+bounded whatever the budget.  The one difference: a cycle that starts at or
+after step 2**16 may be reported, and its run stopped, some steps after its
+first repeat.  Its certificate is still the exact (period,
+first_repeat_step), as the period is found exactly and the start is
+recovered by replay.  Every hash match is confirmed by replaying a fresh run
+and comparing configurations exactly, so a hash collision costs time but
+never yields a false or different certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .codec import (
@@ -112,35 +126,178 @@ class InductiveOutcome:
 #
 # Observation is a plain ``Run`` with a pre-step hook that looks for the two
 # certificate patterns; the hook returns the certificate, which stops the run.
+#
+# Cycles are found through a rolling hash of the translation-normalised
+# configuration.  Per tape it is the sum of v(symbol) * B**(cell - head) modulo
+# a prime, with v(blank) = 0, so the rule about to fire updates it with one
+# addition for the write and one multiplication, by B**-1 or B, for the move.
+# Only configurations of at most _CYCLE_CELL_CAP cells are tracked, and the
+# hash is not kept for configurations far above that size.
 
 _CYCLE_CELL_CAP = 64  # configurations larger than this are not cycle-tracked
+_REHASH_CELLS = 2 * _CYCLE_CELL_CAP  # above this the hash is dropped until tracking resumes
+_HISTORY_STEPS = 1 << 16  # tracked configurations before this step are remembered
+_MODULUS = (1 << 61) - 1
+_BASE = 0x27895416BD6F612
+_TAPE_WEIGHT = 0x678504D9B701C53
 
 
-def _single_tape_check() -> Callable:
-    seen: dict[tuple, int] = {}
+@lru_cache(maxsize=256)
+def _hash_constants(
+    modulus: int, alphabet: tuple[str, ...], blank: str, tape_count: int, states: tuple[str, ...]
+) -> tuple[tuple[dict[str, int], ...], tuple[int, ...], dict[str, int]]:
+    """The value of each symbol on each tape (blank is 0, and each tape has its
+    own weight), the factor for each head move, indexed by its delta, and the
+    key offset of each state.  A key is the sum of the tape hashes plus the
+    state's offset, so it is exact in the state.  Callers share the result
+    and never change it."""
+    values = []
+    for i in range(tape_count):
+        weight = pow(_TAPE_WEIGHT, i, modulus)
+        value = {sym: (k + 1) * weight % modulus for k, sym in enumerate(alphabet) if sym != blank}
+        value[blank] = 0
+        values.append(value)
+    base = _BASE % modulus
+    # a move right lowers every cell's offset from the head by one
+    move = (1, pow(base, -1, modulus), base)
+    return tuple(values), move, {q: i * modulus for i, q in enumerate(states)}
+
+
+def _tape_hash(tape: dict[int, str], head: int, value: dict[str, int], move: tuple[int, ...], modulus: int) -> int:
+    """One tape's hash, computed in full."""
+    base, inverse = move[-1], move[1]
+    terms = (
+        value[sym] * pow(base if cell >= head else inverse, abs(cell - head), modulus) for cell, sym in tape.items()
+    )
+    return sum(terms) % modulus
+
+
+def _normal_form(state: str, tapes: Sequence[dict], heads: Sequence[int]) -> tuple:
+    return state, tuple({cell - head: sym for cell, sym in tape.items()} for tape, head in zip(tapes, heads))
+
+
+class _Cycles:
+    """The first repeat of a cycle-tracked configuration, found by hash key.
+
+    The key of every tracked configuration before step _HISTORY_STEPS is
+    kept, so a cycle that starts before then is reported exactly at its first
+    repeat, step first_repeat_step + period.  Later, keys are kept only at
+    Brent's checkpoints: the first tracked step at or after ``mark``, where
+    the distance between checkpoints doubles each time.  A later cycle is
+    therefore reported at the first repeat of a checkpoint that lies in it.
+    The distance from the checkpoint to that repeat is exactly the period,
+    because every tracked step is compared with every checkpoint before it;
+    replay then recovers the cycle's first tracked step, so the certificate
+    is the one a full history would give.  The hooks call ``visit`` only for
+    a known key or at the mark.
+    """
+
+    __slots__ = ("machine", "input_word", "seen", "collided", "mark", "window")
+
+    def __init__(self, machine: Machine, input_word: str):
+        self.machine = machine
+        self.input_word = input_word
+        self.seen: dict[int, int] = {}  # key -> step of its first configuration
+        self.collided: dict[int, list[int]] = {}  # key -> steps of other configurations
+        self.mark = 0
+        self.window = 1
+
+    def visit(
+        self, key: int, steps: int, state: str, tapes: Sequence[dict], heads: Sequence[int]
+    ) -> ConfigurationCycle | None:
+        first = self.seen.get(key)
+        if first is None:
+            self.seen[key] = steps
+            if steps >= _HISTORY_STEPS:
+                self.mark = steps + self.window
+                self.window *= 2
+            return None
+        for earlier in (first, *self.collided.get(key, ())):
+            if self._same(earlier, state, tapes, heads):
+                period = steps - earlier
+                if earlier >= _HISTORY_STEPS:  # a checkpoint, which may lie past the cycle's start
+                    earlier = self._first_repeat(period, earlier)
+                return ConfigurationCycle(period, earlier)
+        if steps < _HISTORY_STEPS:
+            self.collided.setdefault(key, []).append(steps)
+        return None
+
+    def _replay(self, steps: int) -> Run:
+        run = Run(self.machine, self.input_word)
+        run.advance(steps)
+        return run
+
+    def _same(self, earlier: int, state: str, tapes: Sequence[dict], heads: Sequence[int]) -> bool:
+        run = self._replay(earlier)
+        return _normal_form(run.state, run.tapes, run.heads) == _normal_form(state, tapes, heads)
+
+    def _first_repeat(self, period: int, repeating: int) -> int:
+        """The first tracked step from which the run repeats with ``period``,
+        given that it does so from step ``repeating``."""
+        # a configuration repeats after ``period`` steps from the cycle's start
+        # on and never before, so the start is found by bisection
+        lo, hi = 0, repeating
+        while lo < hi:
+            mid = (lo + hi) // 2
+            run = self._replay(mid)
+            then = _normal_form(run.state, run.tapes, run.heads)
+            run.advance(mid + period)
+            if then == _normal_form(run.state, run.tapes, run.heads):
+                hi = mid
+            else:
+                lo = mid + 1
+        run = self._replay(lo)
+        while sum(map(len, run.tapes)) > _CYCLE_CELL_CAP:
+            run.advance(run.steps + 1)
+        return run.steps
+
+
+def _single_tape_check(machine: Machine, input_word: str) -> Callable:
+    modulus = _MODULUS
+    (value,), move, offsets = _hash_constants(modulus, machine.alphabet, machine.blank, 1, machine.states)
+    blank = machine.blank
+    h = None  # the tape's hash, None while it is not kept
+    cycles = _Cycles(machine, input_word)
+    seen = cycles.seen
 
     def check(state, tape, head, steps, rule):
+        nonlocal h
         # a runaway repeats a rule that reads blank (the head is off the
         # stored cells), writes blank, moves, and keeps the state
-        nstate, _, wblank, delta, _ = rule
+        nstate, wsym, wblank, delta, _ = rule
         if wblank and delta and nstate == state and head not in tape and _runaway_direction_ok(delta, tape, head):
             return BlankRunaway(state, ("R" if delta > 0 else "L",), steps)
-        if len(tape) <= _CYCLE_CELL_CAP:
-            key = (state, tuple(sorted((cell - head, sym) for cell, sym in tape.items())))
-            first = seen.get(key)
-            if first is not None:
-                return ConfigurationCycle(steps - first, first)
-            seen[key] = steps
+        cells = len(tape)
+        if h is None:
+            if cells > _CYCLE_CELL_CAP:
+                return None
+            h = _tape_hash(tape, head, value, move, modulus)
+        elif cells > _REHASH_CELLS:
+            h = None
+            return None
+        if cells <= _CYCLE_CELL_CAP:
+            key = h + offsets[state]
+            if (key in seen or steps >= cycles.mark) and (found := cycles.visit(key, steps, state, (tape,), (head,))):
+                return found
+        h = (h + value[wsym] - value[tape.get(head, blank)]) * move[delta] % modulus
         return None
 
     return check
 
 
-def _multi_tape_check(machine: Machine) -> Callable:
-    seen: dict[tuple, int] = {}
-    blanks = (machine.blank,) * machine.tape_count
+def _multi_tape_check(machine: Machine, input_word: str) -> Callable:
+    modulus = _MODULUS
+    tape_count = machine.tape_count
+    values, move, offsets = _hash_constants(modulus, machine.alphabet, machine.blank, tape_count, machine.states)
+    blank = machine.blank
+    blanks = (blank,) * tape_count
+    span = range(tape_count)
+    hashes = None  # the tapes' hashes, None while they are not kept
+    cycles = _Cycles(machine, input_word)
+    seen = cycles.seen
 
     def check(state, tapes, heads, steps, rule):
+        nonlocal hashes
         nstate, writes, deltas, _ = rule
         if (
             nstate == state
@@ -150,18 +307,22 @@ def _multi_tape_check(machine: Machine) -> Callable:
             and all(_runaway_direction_ok(d, t, h) for d, t, h in zip(deltas, tapes, heads))
         ):
             return BlankRunaway(state, machine.rules[(state, blanks)][2], steps)
-        if sum(map(len, tapes)) <= _CYCLE_CELL_CAP:
-            key = (
-                state,
-                tuple(
-                    tuple(sorted((cell - head, sym) for cell, sym in tape.items()))
-                    for tape, head in zip(tapes, heads)
-                ),
-            )
-            first = seen.get(key)
-            if first is not None:
-                return ConfigurationCycle(steps - first, first)
-            seen[key] = steps
+        cells = sum(map(len, tapes))
+        if hashes is None:
+            if cells > _CYCLE_CELL_CAP:
+                return None
+            hashes = [_tape_hash(t, h, v, move, modulus) for t, h, v in zip(tapes, heads, values)]
+        elif cells > _REHASH_CELLS:
+            hashes = None
+            return None
+        if cells <= _CYCLE_CELL_CAP:
+            key = sum(hashes) % modulus + offsets[state]
+            if (key in seen or steps >= cycles.mark) and (found := cycles.visit(key, steps, state, tapes, heads)):
+                return found
+        for i in span:
+            old = tapes[i].get(heads[i], blank)
+            if writes[i] != old or deltas[i]:
+                hashes[i] = (hashes[i] + values[i][writes[i]] - values[i][old]) * move[deltas[i]] % modulus
         return None
 
     return check
@@ -182,9 +343,9 @@ def _observe(machine: Machine, input_word: str, budget: int, track_output: bool)
     if machine.tape_count == 1:
         if track_output:
             raise UnsupportedMachineError("output tracking needs a 3-tape machine")
-        hook = _single_tape_check()
+        hook = _single_tape_check(machine, input_word)
     else:
-        hook = _multi_tape_check(machine)
+        hook = _multi_tape_check(machine, input_word)
     changes: list[tuple[int, str]] = []
     breaks = None
     if track_output:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .inductive import (
     BlankRunaway,
@@ -13,8 +14,8 @@ from .inductive import (
     Provisional,
     inductive_run,
 )
-from .machine import Configuration, InputError, Machine, trimmed_word
-from .reflexive import ReflexiveMachine, _run
+from .machine import Configuration, InputError, Machine, Run, RunOutcome, trimmed_word
+from .reflexive import EditLog, ReflexiveMachine, _run
 
 
 @dataclass(frozen=True)
@@ -35,27 +36,45 @@ class TraceRecord:
         return "\t".join(parts)
 
 
-def record_of(machine: Machine, config: Configuration, with_output: bool = False) -> TraceRecord:
-    tapes = tuple(trimmed_word(t, machine.blank) for t in config.tapes)
+def record_of(
+    machine: Machine,
+    state: str,
+    tapes: Sequence[dict[int, str]],
+    heads: Sequence[int],
+    step: int,
+    with_output: bool = False,
+) -> TraceRecord:
+    trimmed = tuple(trimmed_word(t, machine.blank) for t in tapes)
     return TraceRecord(
-        step=config.step,
-        state=config.state,
-        heads=config.heads,
-        tapes=tapes,
-        out=tapes[-1] if with_output and machine.tape_count > 1 else None,
+        step=step,
+        state=state,
+        heads=tuple(heads),
+        tapes=trimmed,
+        out=trimmed[-1] if with_output and machine.tape_count > 1 else None,
     )
 
 
-def trace_run(machine: Machine | ReflexiveMachine, input_word: str, budget: int) -> list[TraceRecord]:
-    """One record per visited configuration, the initial one included.  A
-    plain machine runs as a reflexive one without edits, step for step the
-    same."""
+def traced_run(
+    machine: Machine | ReflexiveMachine, input_word: str, budget: int
+) -> tuple[list[TraceRecord], RunOutcome, EditLog]:
+    """One record per visited configuration, the initial one included, with
+    the run's outcome and edit log.  A plain machine runs as a reflexive one
+    without edits, step for step the same."""
     rm = machine if isinstance(machine, ReflexiveMachine) else ReflexiveMachine(machine, {})
     base = rm.base
     with_output = base.tape_count == 3
     records: list[TraceRecord] = []
-    _run(rm, input_word, budget, lambda run: records.append(record_of(base, run.snapshot(), with_output)))
-    return records
+
+    def visit(run: Run) -> None:
+        records.append(record_of(base, run.state, run.tapes, run.heads, run.steps, with_output))
+
+    outcome, log = _run(rm, input_word, budget, visit)
+    return records, outcome, log
+
+
+def trace_run(machine: Machine | ReflexiveMachine, input_word: str, budget: int) -> list[TraceRecord]:
+    """The records of ``traced_run``."""
+    return traced_run(machine, input_word, budget)[0]
 
 
 def emit_trace(records: list[TraceRecord]) -> str:

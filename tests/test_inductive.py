@@ -1,11 +1,16 @@
 """Stabilizing runs, non-halting certificates, the halting limit-decider,
 and the diagonal construction."""
 
+import tracemalloc
+from itertools import islice
+
 import pytest
 
+from hypermachine import inductive
 from hypermachine.codec import Description, InvalidEncoding, encode, index_word, nth_description
 from hypermachine.codec import UnsupportedMachineError
-from hypermachine.corpus import corpus_machine, delay_machine
+from hypermachine.corpus import corpus_machine, delay_machine, two_state_family
+from hypermachine.dsl import parse_machine_spec
 from hypermachine.inductive import (
     BlankRunaway,
     Certificate,
@@ -23,7 +28,7 @@ from hypermachine.inductive import (
     halting_limit_decider,
     inductive_run,
 )
-from hypermachine.machine import BudgetExhausted, HaltedWithResult, InputError, run_bounded
+from hypermachine.machine import BudgetExhausted, HaltedWithResult, InputError, run_bounded, single_tape_machine
 
 FLIP = corpus_machine("flip")
 LOOP = corpus_machine("loop")
@@ -133,6 +138,107 @@ def test_certificates_are_never_false():
 def test_certify_validates_budget():
     with pytest.raises(InputError):
         certify_nonhalting(LOOP, "", 0)
+
+
+def test_a_cycle_that_starts_late_is_found_by_the_brent_phase():
+    # By hand: the machine erases its input left to right, one cell per step,
+    # so at step n = len(word) it sits in state a on a blank tape; then
+    # a _ -> b moves right and b _ -> a moves back, and the configuration of
+    # step n recurs at step n + 2.  Every earlier configuration still holds
+    # input cells, their count falling by one per step, so none repeats.
+    machine = single_tape_machine(
+        "erase_then_bounce",
+        {("a", "1"): ("a", "_", "R"), ("a", "_"): ("b", "_", "R"), ("b", "_"): ("a", "_", "L")},
+        start="a",
+        alphabet=("1",),
+    )
+    n = 2**16 + 1000  # the cycle starts after the exact history ends
+    expected = Certificate(ConfigurationCycle(period=2, first_repeat_step=n))
+    for budget in (10**5, 10**5 + 1, 3 * 10**5):
+        assert certify_nonhalting(machine, "1" * n, budget) == expected
+
+
+def test_the_brent_phase_alone_gives_the_same_certificates(monkeypatch):
+    # the toggler's cycle starts at step 0 on 65 cells, too many to track, so
+    # its certificate starts at step 1, where one cell is erased
+    toggler = single_tape_machine("toggler", {("a", "1"): ("b", "_", "S"), ("b", "_"): ("a", "1", "S")}, start="a")
+    cases = [(m, w) for m in islice(two_state_family(), 0, None, 7) for w in ("", "0110")]
+    cases.append((toggler, "1" * 65))
+    expected = [certify_nonhalting(m, w, 1000) for m, w in cases]
+    assert expected[-1] == Certificate(ConfigurationCycle(period=2, first_repeat_step=1))
+    assert sum(isinstance(a, Certificate) and isinstance(a.certificate, ConfigurationCycle) for a in expected) > 50
+    monkeypatch.setattr(inductive, "_HISTORY_STEPS", 0)  # no exact history at all
+    assert [certify_nonhalting(m, w, 1000) for m, w in cases] == expected
+
+
+def test_forced_hash_collisions_change_no_certificate(monkeypatch):
+    machines = list(islice(two_state_family(), 0, None, 7))
+    words = ("", "0110")
+    budget = 100
+    expected = [certify_nonhalting(m, w, budget) for m in machines for w in words]
+    confirmations = []
+    same = inductive._Cycles._same
+
+    def counted(self, *args):
+        confirmations.append(same(self, *args))
+        return confirmations[-1]
+
+    monkeypatch.setattr(inductive, "_MODULUS", 31)  # keys now collide often
+    monkeypatch.setattr(inductive._Cycles, "_same", counted)
+    assert [certify_nonhalting(m, w, budget) for m in machines for w in words] == expected
+    assert confirmations.count(False) > 100  # collisions were met and rejected
+    assert True in confirmations
+
+
+COUNTER_SPEC = """
+machine counter
+start: go
+rule go 0 -> go 0 R
+rule go 1 -> go 1 R
+rule go _ -> inc _ L
+rule inc 1 -> inc 0 L
+rule inc 0 -> ret 1 R
+rule inc _ -> ret 1 R
+rule ret 0 -> ret 0 R
+rule ret 1 -> ret 1 R
+rule ret _ -> inc _ L
+"""
+
+# the same rules acting on the output tape, the other heads parked on blank
+COUNTER3_SPEC = """
+machine counter3
+tapes: 3
+start: go
+rule go _ _ 0 -> go _ _ 0 S S R
+rule go _ _ 1 -> go _ _ 1 S S R
+rule go _ _ _ -> inc _ _ _ S S L
+rule inc _ _ 1 -> inc _ _ 0 S S L
+rule inc _ _ 0 -> ret _ _ 1 S S R
+rule inc _ _ _ -> ret _ _ 1 S S R
+rule ret _ _ 0 -> ret _ _ 0 S S R
+rule ret _ _ 1 -> ret _ _ 1 S S R
+rule ret _ _ _ -> inc _ _ _ S S L
+"""
+
+
+def _traced_peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_cycle_detection_memory_is_bounded():
+    # binary counters: their tapes stay short, so every configuration is
+    # cycle-tracked, and none ever repeats
+    counter = parse_machine_spec(COUNTER_SPEC).machine
+    assert _traced_peak_mb(certify_nonhalting, counter, "0", 200_000) < 20
+    # the observation log itself takes an entry every other step here, so
+    # the inductive run is measured over fewer steps
+    counter3 = parse_machine_spec(COUNTER3_SPEC).machine
+    assert _traced_peak_mb(inductive_run, counter3, "", 50_000) < 20
 
 
 # --- halting limit-decider ------------------------------------------------------
