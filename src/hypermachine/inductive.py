@@ -45,6 +45,7 @@ from .codec import (
     word_index,
 )
 from .machine import (
+    _DELTA,
     BudgetExhausted,
     HaltedWithResult,
     InputError,
@@ -350,11 +351,25 @@ def _observe(machine: Machine, input_word: str, budget: int, track_output: bool)
     breaks = None
     if track_output:
         changes.append((0, ""))
-        # only a rule that rewrites the scanned output cell can change the output
-        breaks = {key: True for key, (_, writes, _) in machine.rules.items() if writes[-1] != key[1][-1]}
+        # only a rule that rewrites the scanned output cell can change the
+        # output; its break value is the output head's move plus 2, so truthy
+        breaks = {
+            key: _DELTA[moves[-1]] + 2
+            for key, (_, writes, moves) in machine.rules.items()
+            if writes[-1] != key[1][-1]
+        }
     run = Run(machine, input_word, hook, breaks)
-    while run.advance(budget):
-        word = trimmed_word(run.tapes[-1], machine.blank)
+    tape = run.tapes[-1]
+    word, lo = "", 0  # the trimmed output and its leftmost cell
+    while moved := run.advance(budget):
+        cell = run.heads[-1] - (moved - 2)
+        written = tape.get(cell)
+        if written is not None and lo <= cell < lo + len(word):
+            at = cell - lo
+            word = word[:at] + written + word[at + 1 :]
+        else:  # a blank, or a cell outside the word: trim again
+            word = trimmed_word(tape, machine.blank)
+            lo = min(tape, default=0)
         if word != changes[-1][1]:
             changes.append((run.steps, word))
     return run, changes

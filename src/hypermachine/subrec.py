@@ -3,10 +3,13 @@
 The separation harness enumerates every DFA over {0,1} up to a state bound,
 in a fixed canonical order (start state first, breadth-first first-use
 numbering of targets, so renamings are never revisited), and checks whether
-any of them reproduces a labelled sample exactly.  A NoDfaMatches verdict is
-a finite certificate: every DFA of that size disagrees with the sample
-somewhere.  Nothing here claims the general theorem; every claim is checked
-by exhaustion at desk scale.
+any of them reproduces a labelled sample exactly.  Tables are built one
+transition at a time against the sample's prefix trie: once two sample words
+with opposite labels are sure to end in one state, every completion of that
+partial table is refuted, so it is skipped and its completions are counted
+exactly.  A NoDfaMatches verdict is a finite certificate: every DFA of that
+size disagrees with the sample somewhere.  Nothing here claims the general
+theorem; every claim is checked by exhaustion at desk scale.
 """
 
 from __future__ import annotations
@@ -138,7 +141,8 @@ def _canonical_deltas(n: int) -> Iterator[tuple[int, ...]]:
     """Transition tables (flat, cell 2*state+bit) in first-use canonical
     numbering with every state mentioned, lexicographic order.  Renamings are
     never revisited; every language over fewer live states already appears at
-    a smaller n."""
+    a smaller n.  ``_walk_tables`` visits them in this order; the generator
+    stays as the reference that tests compare the walk against."""
     cells = 2 * n
     table = [0] * cells
 
@@ -175,7 +179,8 @@ def _normalize_sample(sample: Mapping[str, int] | Iterable[tuple[str, int]]) -> 
 def _forced_accepting(delta: tuple[int, ...], sample: tuple[tuple[str, int], ...]) -> frozenset[int] | None:
     """The accepting states a sample forces under this table, or None on
     conflict.  Unconstrained states stay rejecting, which picks the first
-    matching DFA in canonical (ascending accepting-mask) order."""
+    matching DFA in canonical (ascending accepting-mask) order.  This whole
+    table check is the reference for ``_walk_tables``."""
     forced: dict[int, int] = {}
     for word, bit in sample:
         state = 0
@@ -201,6 +206,112 @@ def _build_dfa(n: int, delta: tuple[int, ...], accepting: frozenset[int]) -> Dfa
     )
 
 
+def _completion_counts(n: int) -> list[list[int]]:
+    """``counts[idx][top]``: how many canonical tables of n states extend a
+    prefix that fixes the first ``idx`` cells with ``top`` the highest state
+    used so far.  ``counts[0][0]`` is the length of ``_canonical_deltas(n)``."""
+    cells = 2 * n
+    counts = [[0] * n for _ in range(cells + 1)]
+    counts[cells][n - 1] = 1
+    for idx in range(cells - 1, -1, -1):
+        after = counts[idx + 1]
+        for top in range(n):
+            counts[idx][top] = sum(after[max(top, target)] for target in range(min(top + 1, n - 1) + 1))
+    return counts
+
+
+def _sample_trie(sample: tuple[tuple[str, int], ...]) -> tuple[list[int], list[list[int]]]:
+    """The sample's prefix trie: per node its label (-1 if the prefix is not a
+    sample word) and its children on 0 and 1 (-1 if absent); node 0 is the
+    empty prefix."""
+    labels = [-1]
+    children = [[-1, -1]]
+    for word, bit in sample:
+        node = 0
+        for ch in word:
+            b = ch == "1"
+            child = children[node][b]
+            if child < 0:
+                child = children[node][b] = len(labels)
+                labels.append(-1)
+                children.append([-1, -1])
+            node = child
+        labels[node] = bit
+    return labels, children
+
+
+def _walk_tables(
+    n: int, labels: list[int], children: list[list[int]]
+) -> tuple[int, tuple[tuple[int, ...], frozenset[int]] | None]:
+    """Depth-first over the canonical tables of n states, in the order of
+    ``_canonical_deltas``, fixing one cell at a time.
+
+    Each trie node whose path is fully fixed gets its state, and a sample
+    word's label forces its state.  Once two words force one state both ways,
+    every completion of the prefix conflicts, so the subtree is skipped and
+    counted through ``_completion_counts``.  Returns the (table, accepting
+    set) pairs covered up to and including the first match, and that match
+    (its accepting set as ``_forced_accepting`` gives it) or None.
+    """
+    cells = 2 * n
+    counts = _completion_counts(n)
+    weight = 2**n
+    table = [0] * cells
+    forced = [-1] * n  # the label a state is forced to, -1 while free
+    forced[0] = labels[0]
+    pending: list[list[int]] = [[] for _ in range(cells)]  # trie nodes reached through each unfixed cell
+    for b, child in enumerate(children[0]):
+        if child >= 0:
+            pending[b].append(child)
+    searched = 0
+
+    def fix(idx: int) -> bool:
+        """Give a state to every node entered through cell ``idx``, and to
+        their descendants through fixed cells; False on a conflict."""
+        work = [(node, table[idx]) for node in pending[idx]]
+        while work:
+            node, state = work.pop()
+            label = labels[node]
+            if label >= 0:
+                if forced[state] < 0:
+                    forced[state] = label
+                elif forced[state] != label:
+                    return False
+            for b, child in enumerate(children[node]):
+                if child >= 0:
+                    cell = 2 * state + b
+                    if cell <= idx:
+                        work.append((child, table[cell]))
+                    else:
+                        pending[cell].append(child)
+        return True
+
+    def walk(idx: int, top: int) -> tuple[tuple[int, ...], frozenset[int]] | None:
+        nonlocal searched
+        for target in range(min(top + 1, n - 1) + 1):
+            new_top = max(top, target)
+            completions = counts[idx + 1][new_top]
+            if not completions:
+                continue
+            table[idx] = target
+            saved = forced[:]
+            sizes = [len(nodes) for nodes in pending]
+            if not fix(idx):
+                searched += weight * completions
+            elif idx + 1 == cells:
+                searched += weight
+                return tuple(table), frozenset(state for state in range(n) if forced[state] == 1)
+            elif (found := walk(idx + 1, new_top)) is not None:
+                return found
+            forced[:] = saved
+            for nodes, size in zip(pending, sizes):
+                del nodes[size:]
+        return None
+
+    found = walk(0, 0)
+    return searched, found
+
+
 def separation_search(
     sample: Mapping[str, int] | Iterable[tuple[str, int]], max_states: int
 ) -> SeparationReport:
@@ -209,7 +320,10 @@ def separation_search(
     dfas_searched counts every (table, accepting set) pair the search covers;
     accepting sets are resolved per table by constraint propagation, which
     decides all 2^n of them at once without changing the verdict or the
-    canonical choice of witness.
+    canonical choice of witness.  Tables are built one cell at a time, and a
+    prefix on which two sample words already conflict is skipped with all its
+    completions, which are counted exactly, so the report equals that of
+    checking every table of ``_canonical_deltas`` with ``_forced_accepting``.
     """
     if max_states < 1:
         raise InputError("max_states must be >= 1")
@@ -218,13 +332,14 @@ def separation_search(
     if estimate > cap:
         raise SearchSpaceError(estimate, cap)
     normalized = _normalize_sample(sample)
+    labels, children = _sample_trie(normalized)
     searched = 0
     for n in range(1, max_states + 1):
-        for delta in _canonical_deltas(n):
-            searched += 2**n
-            accepting = _forced_accepting(delta, normalized)
-            if accepting is not None:
-                return SeparationReport(normalized, max_states, searched, DfaFound(_build_dfa(n, delta, accepting)))
+        covered, found = _walk_tables(n, labels, children)
+        searched += covered
+        if found is not None:
+            delta, accepting = found
+            return SeparationReport(normalized, max_states, searched, DfaFound(_build_dfa(n, delta, accepting)))
     return SeparationReport(normalized, max_states, searched, NoDfaMatches())
 
 

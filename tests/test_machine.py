@@ -369,9 +369,67 @@ _BOUNCER3 = Machine(
 )
 
 
+
+
+def _on_output_tape(name, rules):
+    """A 3-tape machine running single-tape ``rules`` (start state ``a``) on
+    its output tape, whatever its input tape holds."""
+    return Machine(
+        name=name,
+        tape_count=3,
+        alphabet=_SYMS,
+        blank="_",
+        states=tuple(sorted({q for q, _ in rules} | {body[0] for body in rules.values()})),
+        start="a",
+        finals={},
+        rules={
+            (q, (s, "_", sym)): (nq, (s, "_", write), ("S", "S", move))
+            for (q, sym), (nq, write, move) in rules.items()
+            for s in _SYMS
+        },
+    )
+
+
+# output words that shrink or gain a hole, then change inside the new extent
+_WRITE_111 = {("a", "_"): ("b", "1", "R"), ("b", "_"): ("c", "1", "R")}
+_ERASE_LEFTMOST = _on_output_tape(
+    "erase-leftmost",
+    {
+        **_WRITE_111,
+        ("c", "_"): ("d", "1", "L"),
+        ("d", "1"): ("d", "1", "L"),
+        ("d", "_"): ("e", "_", "R"),
+        ("e", "1"): ("f", "_", "R"),  # 111 -> 11
+        ("f", "1"): ("g", "0", "R"),  # 11 -> 01
+    },
+)
+_ERASE_RIGHTMOST = _on_output_tape(
+    "erase-rightmost",
+    {
+        **_WRITE_111,
+        ("c", "_"): ("d", "1", "S"),
+        ("d", "1"): ("e", "_", "L"),  # 111 -> 11
+        ("e", "1"): ("f", "0", "S"),  # 11 -> 10
+    },
+)
+_INTERIOR_BLANK = _on_output_tape(
+    "interior-blank",
+    {
+        **_WRITE_111,
+        ("c", "_"): ("d", "1", "L"),
+        ("d", "1"): ("e", "_", "R"),  # 111 -> 1_1
+        ("e", "1"): ("f", "0", "L"),  # 1_1 -> 1_0
+        ("f", "_"): ("g", "1", "S"),  # 1_0 -> 110
+    },
+)
+
+
 @given(st.one_of(small_machines(), small_three_tape_machines()))
 @example(_BOUNCER)
 @example(_BOUNCER3)
+@example(_ERASE_LEFTMOST)
+@example(_ERASE_RIGHTMOST)
+@example(_INTERIOR_BLANK)
 @settings(max_examples=80, deadline=None)
 def test_run_via_step_matches_fast_engine(machine):
     budget = 25

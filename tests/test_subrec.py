@@ -1,6 +1,7 @@
 """DFA semantics, exact equivalence, and the exhaustive separation search."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hypermachine.corpus import corpus_machine
 from hypermachine.machine import HaltedWithResult, InputError, run_bounded, words_over
@@ -11,6 +12,12 @@ from hypermachine.subrec import (
     Equivalent,
     NoDfaMatches,
     SearchSpaceError,
+    SeparationReport,
+    _build_dfa,
+    _canonical_deltas,
+    _completion_counts,
+    _forced_accepting,
+    _normalize_sample,
     dfa_equiv,
     dfa_run,
     sample_anbn,
@@ -164,6 +171,43 @@ def test_safety_cap_env_override(monkeypatch):
     monkeypatch.setenv("HYPERMACHINE_SAFETY_CAP", "um")
     with pytest.raises(InputError):
         separation_search({}, 2)
+
+
+def _brute_force_search(sample, max_states):
+    """The reference: every canonical table in order, each checked whole."""
+    normalized = _normalize_sample(sample)
+    searched = 0
+    for n in range(1, max_states + 1):
+        for delta in _canonical_deltas(n):
+            searched += 2**n
+            accepting = _forced_accepting(delta, normalized)
+            if accepting is not None:
+                return SeparationReport(normalized, max_states, searched, DfaFound(_build_dfa(n, delta, accepting)))
+    return SeparationReport(normalized, max_states, searched, NoDfaMatches())
+
+
+@given(
+    st.dictionaries(st.text(alphabet="01", max_size=6), st.integers(0, 1), max_size=12),
+    st.integers(1, 4),
+)
+@example({}, 4)
+@example({"0110": 1, "1": 0, "111": 1}, 4)  # not prefix-closed
+@example(sample_anbn(6), 4)
+@settings(max_examples=300, deadline=None)
+def test_pruned_search_matches_brute_force(sample, max_states):
+    assert separation_search(sample, max_states) == _brute_force_search(sample, max_states)
+
+
+def test_completion_counts_match_the_canonical_tables():
+    for n in range(1, 6):
+        assert _completion_counts(n)[0][0] == sum(1 for _ in _canonical_deltas(n))
+
+
+def test_anbn_defeats_five_state_dfas(monkeypatch):
+    monkeypatch.setenv("HYPERMACHINE_SAFETY_CAP", str(search_space_estimate(5)))
+    report = separation_search(sample_anbn(6), 5)
+    assert report.dfas_searched == 8_022_150
+    assert report.witness == NoDfaMatches()
 
 
 def test_palindrome_sample_shape():
