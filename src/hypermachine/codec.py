@@ -63,7 +63,7 @@ class Description:
     bits: str
 
     def __post_init__(self) -> None:
-        if any(ch not in "01" for ch in self.bits):
+        if self.bits.strip("01"):  # empty exactly when every character is 0 or 1
             raise InputError("descriptions are words over {0,1}")
 
 

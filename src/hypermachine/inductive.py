@@ -27,6 +27,12 @@ first_repeat_step), as the period is found exactly and the start is
 recovered by replay.  Every hash match is confirmed by replaying a fresh run
 and comparing configurations exactly, so a hash collision costs time but
 never yields a false or different certificate.
+
+On a single tape the engine calls the check only while the tape holds at
+most 128 cells, or when the rule about to fire could start a blank runaway.
+On every other step the check could only drop its hash, which it rebuilds
+once the tape holds at most 64 cells again, so the certificates are
+unchanged.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from .codec import (
 )
 from .machine import (
     _DELTA,
+    _HOOK_CELLS,
     BudgetExhausted,
     HaltedWithResult,
     InputError,
@@ -136,7 +143,7 @@ class InductiveOutcome:
 # hash is not kept for configurations far above that size.
 
 _CYCLE_CELL_CAP = 64  # configurations larger than this are not cycle-tracked
-_REHASH_CELLS = 2 * _CYCLE_CELL_CAP  # above this the hash is dropped until tracking resumes
+_REHASH_CELLS = _HOOK_CELLS  # above this the hash is dropped, and a single-tape engine skips the hook
 _HISTORY_STEPS = 1 << 16  # tracked configurations before this step are remembered
 _MODULUS = (1 << 61) - 1
 _BASE = 0x27895416BD6F612
@@ -189,8 +196,9 @@ class _Cycles:
     The distance from the checkpoint to that repeat is exactly the period,
     because every tracked step is compared with every checkpoint before it;
     replay then recovers the cycle's first tracked step, so the certificate
-    is the one a full history would give.  The hooks call ``visit`` only for
-    a known key or at the mark.
+    is the one a full history would give.  The hooks keep a new key before
+    _HISTORY_STEPS themselves and call ``visit`` only for a known key or,
+    after that, at the mark.
     """
 
     __slots__ = ("machine", "input_word", "seen", "collided", "mark", "window")
@@ -257,30 +265,38 @@ def _single_tape_check(machine: Machine, input_word: str) -> Callable:
     modulus = _MODULUS
     (value,), move, offsets = _hash_constants(modulus, machine.alphabet, machine.blank, 1, machine.states)
     blank = machine.blank
-    h = None  # the tape's hash, None while it is not kept
+    history = _HISTORY_STEPS
+    h, at = 0, -1  # the tape's hash, kept for the configuration of step ``at`` only
     cycles = _Cycles(machine, input_word)
     seen = cycles.seen
 
     def check(state, tape, head, steps, rule):
-        nonlocal h
+        nonlocal h, at
         # a runaway repeats a rule that reads blank (the head is off the
         # stored cells), writes blank, moves, and keeps the state
         nstate, wsym, wblank, delta, _ = rule
         if wblank and delta and nstate == state and head not in tape and _runaway_direction_ok(delta, tape, head):
             return BlankRunaway(state, ("R" if delta > 0 else "L",), steps)
         cells = len(tape)
-        if h is None:
+        # the hash is lost on a step that drops it and on the steps that the
+        # engine skips, all of which hold more than _REHASH_CELLS cells
+        if at != steps:
             if cells > _CYCLE_CELL_CAP:
                 return None
             h = _tape_hash(tape, head, value, move, modulus)
         elif cells > _REHASH_CELLS:
-            h = None
             return None
         if cells <= _CYCLE_CELL_CAP:
             key = h + offsets[state]
-            if (key in seen or steps >= cycles.mark) and (found := cycles.visit(key, steps, state, (tape,), (head,))):
-                return found
+            if key in seen:
+                if found := cycles.visit(key, steps, state, (tape,), (head,)):
+                    return found
+            elif steps < history:
+                seen[key] = steps
+            elif steps >= cycles.mark:
+                cycles.visit(key, steps, state, (tape,), (head,))
         h = (h + value[wsym] - value[tape.get(head, blank)]) * move[delta] % modulus
+        at = steps + 1
         return None
 
     return check
@@ -293,6 +309,7 @@ def _multi_tape_check(machine: Machine, input_word: str) -> Callable:
     blank = machine.blank
     blanks = (blank,) * tape_count
     span = range(tape_count)
+    history = _HISTORY_STEPS
     hashes = None  # the tapes' hashes, None while they are not kept
     cycles = _Cycles(machine, input_word)
     seen = cycles.seen
@@ -318,8 +335,13 @@ def _multi_tape_check(machine: Machine, input_word: str) -> Callable:
             return None
         if cells <= _CYCLE_CELL_CAP:
             key = sum(hashes) % modulus + offsets[state]
-            if (key in seen or steps >= cycles.mark) and (found := cycles.visit(key, steps, state, tapes, heads)):
-                return found
+            if key in seen:
+                if found := cycles.visit(key, steps, state, tapes, heads):
+                    return found
+            elif steps < history:
+                seen[key] = steps
+            elif steps >= cycles.mark:
+                cycles.visit(key, steps, state, tapes, heads)
         for i in span:
             old = tapes[i].get(heads[i], blank)
             if writes[i] != old or deltas[i]:

@@ -29,6 +29,7 @@ MOVES = (LEFT, RIGHT, STAY)
 BLANK = "_"
 
 _DELTA = {LEFT: -1, RIGHT: 1, STAY: 0}
+_HOOK_CELLS = 128  # above this many cells a single-tape hook sees only possible runaway starts
 
 Symbols = tuple[str, ...]
 RuleKey = tuple[str, Symbols]
@@ -329,8 +330,11 @@ class Run:
     rows private to this run.  ``hook(state, tapes, heads, steps, rule)`` is
     called before every rule fires when given (on a single tape it receives
     the tape and the head instead); a truthy result stops the run unfired and
-    is kept in ``checked``.  A rule whose key has a truthy value in ``breaks``
-    stops the run right after it fires, and ``advance`` returns that value.
+    is kept in ``checked``.  On a single tape holding more than _HOOK_CELLS
+    cells the hook is skipped, and ``steps`` jumps, unless the rule could
+    start a blank runaway: it reads blank, writes blank, moves and keeps its
+    state.  A rule whose key has a truthy value in ``breaks`` stops the run
+    right after it fires, and ``advance`` returns that value.
     """
 
     __slots__ = ("machine", "state", "tapes", "heads", "steps", "halted", "checked", "_hook", "_breaks", "_rows")
@@ -369,6 +373,7 @@ class Run:
             get = tape.get
             pop = tape.pop
             head = self.heads[0]
+            cap = _HOOK_CELLS
             while steps < budget:
                 if row is None:
                     self.halted = True
@@ -378,7 +383,11 @@ class Run:
                     self.halted = True
                     break
                 nstate, wsym, wblank, delta, brk = rule
-                if hook is not None and (found := hook(state, tape, head, steps, rule)):
+                if (
+                    hook is not None
+                    and (len(tape) <= cap or (wblank and delta and nstate == state and head not in tape))
+                    and (found := hook(state, tape, head, steps, rule))
+                ):
                     brk = None
                     break
                 if wblank:

@@ -157,8 +157,10 @@ def test_decode_rejects_duplicate_rule_keys():
 
 
 def test_description_rejects_non_binary_text():
-    with pytest.raises(InputError):
-        Description("012")
+    # interior and edge non-bits alike, whitespace included
+    for bits in ("012", "0a1", " 01", "01 ", "0\n1"):
+        with pytest.raises(InputError, match=r"descriptions are words over \{0,1\}"):
+            Description(bits)
 
 
 # --- enumeration -------------------------------------------------------------

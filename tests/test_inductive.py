@@ -7,6 +7,7 @@ from itertools import islice
 import pytest
 
 from hypermachine import inductive
+from hypermachine import machine as engine
 from hypermachine.codec import Description, InvalidEncoding, encode, index_word, nth_description
 from hypermachine.codec import UnsupportedMachineError
 from hypermachine.corpus import corpus_machine, delay_machine, two_state_family
@@ -169,6 +170,92 @@ def test_the_brent_phase_alone_gives_the_same_certificates(monkeypatch):
     assert sum(isinstance(a, Certificate) and isinstance(a.certificate, ConfigurationCycle) for a in expected) > 50
     monkeypatch.setattr(inductive, "_HISTORY_STEPS", 0)  # no exact history at all
     assert [certify_nonhalting(m, w, 1000) for m, w in cases] == expected
+
+
+# Over 1, x and y, the shared rules turn the input 1^k into x^k y^2k, one 1 per
+# round: the leftmost 1 becomes x and yy is appended at the right end.  In
+# state s the head then stands on the first y.  With k = 50 the tape grows
+# from 50 cells, tracked, to 150, more than the engine shows the hook.
+_GROW = {
+    ("s", "1"): ("a", "x", "R"),
+    ("a", "1"): ("a", "1", "R"),
+    ("a", "y"): ("a", "y", "R"),
+    ("a", "_"): ("b", "y", "R"),
+    ("b", "_"): ("c", "y", "L"),
+    ("c", "y"): ("c", "y", "L"),
+    ("c", "1"): ("c", "1", "L"),
+    ("c", "x"): ("s", "x", "R"),
+}
+
+
+def _grown(name, rules):
+    return single_tape_machine(name, {**_GROW, **rules}, start="s", alphabet=("1", "x", "y"))
+
+
+# then undoes the growth, two y erased and the rightmost x back to 1 per
+# round, and returns to the start configuration without moving
+EXCURSION = _grown(
+    "excursion",
+    {
+        ("s", "y"): ("t", "y", "R"),
+        ("t", "y"): ("t", "y", "R"),
+        ("t", "x"): ("t", "x", "R"),
+        ("t", "1"): ("t", "1", "R"),
+        ("t", "_"): ("u", "_", "L"),
+        ("u", "y"): ("v", "_", "L"),
+        ("v", "y"): ("w", "_", "L"),
+        ("w", "y"): ("w", "y", "L"),
+        ("w", "1"): ("w", "1", "L"),
+        ("w", "x"): ("z", "1", "L"),
+        ("z", "x"): ("z", "x", "L"),
+        ("z", "_"): ("r", "_", "R"),
+        ("r", "x"): ("t", "x", "R"),
+        ("r", "1"): ("s", "1", "S"),
+    },
+)
+# then erases every y from the right and bounces on the blank after the x block
+BOUNCE = _grown(
+    "bounce",
+    {
+        ("s", "y"): ("e", "y", "R"),
+        ("e", "y"): ("e", "y", "R"),
+        ("e", "_"): ("f", "_", "L"),
+        ("f", "y"): ("f", "_", "L"),
+        ("f", "x"): ("g", "x", "R"),
+        ("g", "_"): ("h", "_", "R"),
+        ("h", "_"): ("g", "_", "L"),
+    },
+)
+# then runs right over blanks with all 150 cells on the tape
+FAR_RUNAWAY = _grown(
+    "far_runaway",
+    {("s", "y"): ("e", "y", "R"), ("e", "y"): ("e", "y", "R"), ("e", "_"): ("e", "_", "R")},
+)
+
+
+def test_cycles_through_a_large_tape_are_found_once_it_shrinks():
+    # expected values as the hook gave them on every step: the excursion's
+    # start configuration recurs only after 150 cells, so its repeat is seen
+    # only if the hash is rebuilt after the steps the engine skipped
+    assert certify_nonhalting(EXCURSION, "1" * 50, 10**5) == Certificate(ConfigurationCycle(17751, 0))
+    # the bounce repeats on the 50 x cells, after 100 y were erased
+    assert certify_nonhalting(BOUNCE, "1" * 50, 10**5) == Certificate(ConfigurationCycle(2, 7802))
+
+
+def test_a_runaway_on_a_large_tape_is_found():
+    expected = Certificate(BlankRunaway("e", ("R",), 7700))
+    assert certify_nonhalting(FAR_RUNAWAY, "1" * 50, 10**5) == expected
+
+
+def test_the_hook_on_every_step_gives_the_same_certificates(monkeypatch):
+    family = [(m, w, 1000) for m in islice(two_state_family(), 0, None, 7) for w in ("", "0110")]
+    cases = family + [(m, "1" * 50, 10**5) for m in (EXCURSION, BOUNCE, FAR_RUNAWAY)]
+    expected = [certify_nonhalting(*case) for case in cases]
+    # the engine skips the hook on many of these runs
+    grown = [run_bounded(*case) for case in family]
+    assert sum(isinstance(o, BudgetExhausted) and len(o.config.tapes[0]) > engine._HOOK_CELLS for o in grown) > 500
+    monkeypatch.setattr(engine, "_HOOK_CELLS", float("inf"))
+    assert [certify_nonhalting(*case) for case in cases] == expected
 
 
 def test_forced_hash_collisions_change_no_certificate(monkeypatch):
