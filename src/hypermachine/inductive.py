@@ -53,6 +53,7 @@ from .codec import (
 from .machine import (
     _DELTA,
     _HOOK_CELLS,
+    _retrim,
     BudgetExhausted,
     HaltedWithResult,
     InputError,
@@ -60,7 +61,6 @@ from .machine import (
     Run,
     RunOutcome,
     run_bounded,
-    trimmed_word,
 )
 
 CandidateDecider = Callable[[Description, str], bool]
@@ -382,16 +382,11 @@ def _observe(machine: Machine, input_word: str, budget: int, track_output: bool)
         }
     run = Run(machine, input_word, hook, breaks)
     tape = run.tapes[-1]
+    blank = machine.blank
     word, lo = "", 0  # the trimmed output and its leftmost cell
     while moved := run.advance(budget):
         cell = run.heads[-1] - (moved - 2)
-        written = tape.get(cell)
-        if written is not None and lo <= cell < lo + len(word):
-            at = cell - lo
-            word = word[:at] + written + word[at + 1 :]
-        else:  # a blank, or a cell outside the word: trim again
-            word = trimmed_word(tape, machine.blank)
-            lo = min(tape, default=0)
+        word, lo = _retrim(word, lo, cell, tape.get(cell, blank), blank)
         if word != changes[-1][1]:
             changes.append((run.steps, word))
     return run, changes

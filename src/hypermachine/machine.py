@@ -233,6 +233,29 @@ def trimmed_word(tape: Mapping[int, str], blank: str = BLANK) -> str:
     return "".join(tape.get(i, blank) for i in range(lo, hi + 1))
 
 
+def _retrim(word: str, lo: int, cell: int, sym: str, blank: str) -> tuple[str, int]:
+    """A tape's trimmed word and leftmost cell after one step left ``sym``
+    (the blank when erased) at ``cell``, from ``word`` and ``lo`` before it;
+    ``lo`` is meaningless while the word is empty.  Exact because a run never
+    stores a blank cell, so a trimmed word never starts or ends with one."""
+    at = cell - lo
+    if 0 <= at < len(word):
+        if word[at] == sym:
+            return word, lo
+        word = word[:at] + sym + word[at + 1 :]
+        if sym != blank:
+            return word, lo
+        kept = word.lstrip(blank)
+        return kept.rstrip(blank), lo + len(word) - len(kept)
+    if sym == blank:
+        return word, lo
+    if not word:
+        return sym, cell
+    if at < 0:
+        return sym + blank * (-at - 1) + word, cell
+    return word + blank * (at - len(word)) + sym, lo
+
+
 def initial_configuration(machine: Machine, input_word: str) -> Configuration:
     """Input on tape 0 starting at cell 0, all heads at 0."""
     symbols = set(machine.alphabet)

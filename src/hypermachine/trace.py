@@ -14,7 +14,7 @@ from .inductive import (
     Provisional,
     inductive_run,
 )
-from .machine import Configuration, InputError, Machine, Run, RunOutcome, trimmed_word
+from .machine import Configuration, InputError, Machine, Run, RunOutcome, _retrim, trimmed_word
 from .reflexive import EditLog, ReflexiveMachine, _run
 
 
@@ -44,6 +44,9 @@ def record_of(
     step: int,
     with_output: bool = False,
 ) -> TraceRecord:
+    """The record of one configuration, every tape trimmed again in full: the
+    reference that the tests compare ``traced_run``'s incremental records
+    against."""
     trimmed = tuple(trimmed_word(t, machine.blank) for t in tapes)
     return TraceRecord(
         step=step,
@@ -59,14 +62,27 @@ def traced_run(
 ) -> tuple[list[TraceRecord], RunOutcome, EditLog]:
     """One record per visited configuration, the initial one included, with
     the run's outcome and edit log.  A plain machine runs as a reflexive one
-    without edits, step for step the same."""
+    without edits, step for step the same.
+
+    Each tape's trimmed word is kept from step to step and updated only at
+    the cell its head left, the one cell the step wrote, so a record costs
+    the changed cells plus a copy of its words."""
     rm = machine if isinstance(machine, ReflexiveMachine) else ReflexiveMachine(machine, {})
     base = rm.base
+    blank = base.blank
     with_output = base.tape_count == 3
     records: list[TraceRecord] = []
+    words = [input_word] + [""] * (base.tape_count - 1)  # the initial tapes, trimmed
+    los = [0] * base.tape_count
+    written: tuple[int, ...] = ()  # the head cells of the last record
 
     def visit(run: Run) -> None:
-        records.append(record_of(base, run.state, run.tapes, run.heads, run.steps, with_output))
+        nonlocal written
+        for i, cell in enumerate(written):
+            words[i], los[i] = _retrim(words[i], los[i], cell, run.tapes[i].get(cell, blank), blank)
+        written = tuple(run.heads)
+        tapes = tuple(words)
+        records.append(TraceRecord(run.steps, run.state, written, tapes, tapes[-1] if with_output else None))
 
     outcome, log = _run(rm, input_word, budget, visit)
     return records, outcome, log

@@ -15,6 +15,7 @@ from hypermachine.inductive import (
     inductive_run,
 )
 from hypermachine.machine import (
+    BLANK,
     AtFinal,
     BudgetExhausted,
     Configuration,
@@ -28,6 +29,7 @@ from hypermachine.machine import (
     NextConfig,
     NoRule,
     StructureError,
+    _retrim,
     config_sequence,
     initial_configuration,
     observational_equiv,
@@ -134,6 +136,31 @@ def test_trimmed_word():
     assert trimmed_word({0: "1"}) == "1"
     assert trimmed_word({-2: "0", 0: "1"}) == "0_1"
     assert trimmed_word({5: "1", 3: "0"}) == "0_1"
+
+
+@given(
+    st.dictionaries(st.integers(-6, 6), st.sampled_from("01"), max_size=8),
+    st.integers(-9, 9),
+    st.sampled_from((BLANK, "0", "1")),
+)
+@example({0: "1", 1: "0"}, 1, "1")  # a write inside the word
+@example({0: "1", 2: "0"}, 0, BLANK)  # blank at the left end, across a hole
+@example({0: "1", 2: "0"}, 2, BLANK)  # blank at the right end, across a hole
+@example({3: "1"}, 3, BLANK)  # a one-cell word erased
+@example({0: "1"}, -3, "0")  # a non-blank write left of the word, with a gap
+@example({0: "1"}, 3, "0")  # a non-blank write right of the word, with a gap
+@example({}, 4, "1")  # a write on an empty tape
+@example({0: "1"}, 5, BLANK)  # a blank write outside the word
+def test_retrim_matches_full_trim(tape, cell, sym):
+    word, lo = _retrim(trimmed_word(tape), min(tape, default=0), cell, sym, BLANK)
+    edited = dict(tape)
+    if sym == BLANK:
+        edited.pop(cell, None)
+    else:
+        edited[cell] = sym
+    assert word == trimmed_word(edited)
+    if edited:
+        assert lo == min(edited)
 
 
 # --- machine validation -----------------------------------------------------
@@ -369,6 +396,17 @@ _BOUNCER3 = Machine(
 )
 
 
+# erases its leftmost cell, then writes left of the old extent and erases
+# that cell again: the left end shrinks, regrows and shrinks across a hole
+_ERASE_REGROW = single_tape_machine(
+    "erase-regrow",
+    {
+        ("q0", "1"): ("q1", "_", "L"),  # 11 -> _1
+        ("q1", "_"): ("q2", "0", "L"),  # _1 -> 0_1
+        ("q2", "_"): ("q3", "_", "R"),
+        ("q3", "0"): ("q3", "_", "R"),  # 0_1 -> 1
+    },
+)
 
 
 def _on_output_tape(name, rules):
@@ -427,6 +465,7 @@ _INTERIOR_BLANK = _on_output_tape(
 @given(st.one_of(small_machines(), small_three_tape_machines()))
 @example(_BOUNCER)
 @example(_BOUNCER3)
+@example(_ERASE_REGROW)
 @example(_ERASE_LEFTMOST)
 @example(_ERASE_RIGHTMOST)
 @example(_INTERIOR_BLANK)
