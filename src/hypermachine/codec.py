@@ -93,24 +93,27 @@ def index_word(index: int) -> str:
 # --- encoding -------------------------------------------------------------
 
 
+def _first_use_order(start, per_state: dict) -> list:
+    """The states reachable from ``start`` in breadth-first first-use order;
+    ``per_state`` maps a state to the (symbol code, next state) of its rules,
+    which are taken by symbol code."""
+    order = [start]
+    for q in order:  # grows while it is walked, so it is the queue as well
+        for _, target in sorted(per_state.get(q, ())):
+            if target not in order:
+                order.append(target)
+    return order
+
+
 def canonical_state_order(machine: Machine) -> list[str]:
     """Breadth-first first-use order from the start; unreachable states follow
     in declaration order."""
     per_state: dict[str, list[tuple[int, str]]] = {}
     for (state, syms), (nstate, _, _) in machine.rules.items():
         per_state.setdefault(state, []).append((SYMBOL_CODES[syms[0]], nstate))
-    order = [machine.start]
-    seen = {machine.start}
-    queue = [machine.start]
-    while queue:
-        q = queue.pop(0)
-        for _, target in sorted(per_state.get(q, [])):
-            if target not in seen:
-                seen.add(target)
-                order.append(target)
-                queue.append(target)
+    order = _first_use_order(machine.start, per_state)
     for q in machine.states:
-        if q not in seen:
+        if q not in order:
             order.append(q)
     return order
 
@@ -324,17 +327,8 @@ def _numbering_canonical(
     per_state: dict[int, list[tuple[int, int]]] = {}
     for i, j, k, _, _ in rules:
         per_state.setdefault(i, []).append((j, k))
-    seen = {1}
-    order = [1]
-    queue = [1]
-    while queue:
-        s = queue.pop(0)
-        for _, target in sorted(per_state.get(s, [])):
-            if target not in seen:
-                seen.add(target)
-                order.append(target)
-                queue.append(target)
-    return all(s == idx + 1 for idx, s in enumerate(order))
+    order = _first_use_order(1, per_state)
+    return order == list(range(1, len(order) + 1))
 
 
 def descriptions_of_length(length: int) -> list[str]:

@@ -1,8 +1,9 @@
 """Machines whose result is the output word once it stops changing.
 
-A three-tape machine (input, working, output) is run under a step budget and
-every change of the trimmed output-tape content is logged.  The result is the
-current output word together with an honest epistemic status:
+A three-tape machine (input, working, output) is run under a step budget; the
+per-step hook that looks for certificates also logs each change of the
+trimmed output-tape content as its rule fires.  The result is the current
+output word together with an honest epistemic status:
 
 * ``CertifiedStable(Halted())``  - the run halted, nothing can change;
 * ``CertifiedStable(cert)``      - the run provably never halts and the
@@ -30,9 +31,9 @@ never yields a false or different certificate.
 
 On a single tape the engine calls the check only while the tape holds at
 most 128 cells, or when the rule about to fire could start a blank runaway.
-On every other step the check could only drop its hash, which it rebuilds
-once the tape holds at most 64 cells again, so the certificates are
-unchanged.
+No other step can repeat a tracked configuration or start a runaway; the
+check's hash misses those steps, so it rebuilds the hash once the tape holds
+at most 64 cells again, and the certificates are unchanged.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ from .codec import (
     word_index,
 )
 from .machine import (
-    _DELTA,
-    _HOOK_CELLS,
     _retrim,
     BudgetExhausted,
     HaltedWithResult,
@@ -134,6 +133,8 @@ class InductiveOutcome:
 #
 # Observation is a plain ``Run`` with a pre-step hook that looks for the two
 # certificate patterns; the hook returns the certificate, which stops the run.
+# When none fires, the multi-tape hook also logs the change that the rule
+# about to fire makes to the trimmed output, so the log ends where the run does.
 #
 # Cycles are found through a rolling hash of the translation-normalised
 # configuration.  Per tape it is the sum of v(symbol) * B**(cell - head) modulo
@@ -143,7 +144,7 @@ class InductiveOutcome:
 # hash is not kept for configurations far above that size.
 
 _CYCLE_CELL_CAP = 64  # configurations larger than this are not cycle-tracked
-_REHASH_CELLS = _HOOK_CELLS  # above this the hash is dropped, and a single-tape engine skips the hook
+_REHASH_CELLS = 128  # above this many cells the multi-tape hook drops its hash
 _HISTORY_STEPS = 1 << 16  # tracked configurations before this step are remembered
 _MODULUS = (1 << 61) - 1
 _BASE = 0x27895416BD6F612
@@ -278,14 +279,12 @@ def _single_tape_check(machine: Machine, input_word: str) -> Callable:
         if wblank and delta and nstate == state and head not in tape and _runaway_direction_ok(delta, tape, head):
             return BlankRunaway(state, ("R" if delta > 0 else "L",), steps)
         cells = len(tape)
-        # the hash is lost on a step that drops it and on the steps that the
-        # engine skips, all of which hold more than _REHASH_CELLS cells
+        # the hash misses the steps that the engine skips, all of which hold
+        # more than 128 cells, and is rebuilt here
         if at != steps:
             if cells > _CYCLE_CELL_CAP:
                 return None
             h = _tape_hash(tape, head, value, move, modulus)
-        elif cells > _REHASH_CELLS:
-            return None
         if cells <= _CYCLE_CELL_CAP:
             key = h + offsets[state]
             if key in seen:
@@ -302,7 +301,8 @@ def _single_tape_check(machine: Machine, input_word: str) -> Callable:
     return check
 
 
-def _multi_tape_check(machine: Machine, input_word: str) -> Callable:
+def _multi_tape_check(machine: Machine, input_word: str, changes: list[tuple[int, str]]) -> Callable:
+    """The multi-tape hook; it also appends each output change to ``changes``."""
     modulus = _MODULUS
     tape_count = machine.tape_count
     values, move, offsets = _hash_constants(modulus, machine.alphabet, machine.blank, tape_count, machine.states)
@@ -313,9 +313,10 @@ def _multi_tape_check(machine: Machine, input_word: str) -> Callable:
     hashes = None  # the tapes' hashes, None while they are not kept
     cycles = _Cycles(machine, input_word)
     seen = cycles.seen
+    word, lo = "", 0  # the trimmed output, empty at the start, and its leftmost cell
 
     def check(state, tapes, heads, steps, rule):
-        nonlocal hashes
+        nonlocal hashes, word, lo
         nstate, writes, deltas, _ = rule
         if (
             nstate == state
@@ -327,25 +328,29 @@ def _multi_tape_check(machine: Machine, input_word: str) -> Callable:
             return BlankRunaway(state, machine.rules[(state, blanks)][2], steps)
         cells = sum(map(len, tapes))
         if hashes is None:
-            if cells > _CYCLE_CELL_CAP:
-                return None
-            hashes = [_tape_hash(t, h, v, move, modulus) for t, h, v in zip(tapes, heads, values)]
+            if cells <= _CYCLE_CELL_CAP:
+                hashes = [_tape_hash(t, h, v, move, modulus) for t, h, v in zip(tapes, heads, values)]
         elif cells > _REHASH_CELLS:
             hashes = None
-            return None
-        if cells <= _CYCLE_CELL_CAP:
-            key = sum(hashes) % modulus + offsets[state]
-            if key in seen:
-                if found := cycles.visit(key, steps, state, tapes, heads):
-                    return found
-            elif steps < history:
-                seen[key] = steps
-            elif steps >= cycles.mark:
-                cycles.visit(key, steps, state, tapes, heads)
-        for i in span:
-            old = tapes[i].get(heads[i], blank)
-            if writes[i] != old or deltas[i]:
-                hashes[i] = (hashes[i] + values[i][writes[i]] - values[i][old]) * move[deltas[i]] % modulus
+        if hashes is not None:
+            if cells <= _CYCLE_CELL_CAP:
+                key = sum(hashes) % modulus + offsets[state]
+                if key in seen:
+                    if found := cycles.visit(key, steps, state, tapes, heads):
+                        return found
+                elif steps < history:
+                    seen[key] = steps
+                elif steps >= cycles.mark:
+                    cycles.visit(key, steps, state, tapes, heads)
+            for i in span:
+                old = tapes[i].get(heads[i], blank)
+                if writes[i] != old or deltas[i]:
+                    hashes[i] = (hashes[i] + values[i][writes[i]] - values[i][old]) * move[deltas[i]] % modulus
+        # the rule fires right after this, so a rewritten output cell is a change
+        sym, cell = writes[-1], heads[-1]
+        if sym != tapes[-1].get(cell, blank):
+            word, lo = _retrim(word, lo, cell, sym, blank)
+            changes.append((steps + 1, word))
         return None
 
     return check
@@ -357,38 +362,20 @@ def _runaway_direction_ok(delta: int, tape: dict, head: int) -> bool:
     return head > max(tape) if delta > 0 else head < min(tape)
 
 
-def _observe(machine: Machine, input_word: str, budget: int, track_output: bool) -> tuple[Run, list[tuple[int, str]]]:
+def _observe(machine: Machine, input_word: str, budget: int) -> tuple[Run, list[tuple[int, str]]]:
     """Run until a halt, a certificate (kept in ``run.checked``) or the
-    budget; with ``track_output``, also log every change of the trimmed
-    output tape."""
+    budget.  On a multi-tape machine the hook also logs every change of the
+    trimmed output tape as the rule that makes it fires; the log starts at
+    (0, "")."""
     if budget < 1:
         raise InputError(f"budget must be >= 1, got {budget}")
+    changes = [(0, "")]
     if machine.tape_count == 1:
-        if track_output:
-            raise UnsupportedMachineError("output tracking needs a 3-tape machine")
         hook = _single_tape_check(machine, input_word)
     else:
-        hook = _multi_tape_check(machine, input_word)
-    changes: list[tuple[int, str]] = []
-    breaks = None
-    if track_output:
-        changes.append((0, ""))
-        # only a rule that rewrites the scanned output cell can change the
-        # output; its break value is the output head's move plus 2, so truthy
-        breaks = {
-            key: _DELTA[moves[-1]] + 2
-            for key, (_, writes, moves) in machine.rules.items()
-            if writes[-1] != key[1][-1]
-        }
-    run = Run(machine, input_word, hook, breaks)
-    tape = run.tapes[-1]
-    blank = machine.blank
-    word, lo = "", 0  # the trimmed output and its leftmost cell
-    while moved := run.advance(budget):
-        cell = run.heads[-1] - (moved - 2)
-        word, lo = _retrim(word, lo, cell, tape.get(cell, blank), blank)
-        if word != changes[-1][1]:
-            changes.append((run.steps, word))
+        hook = _multi_tape_check(machine, input_word, changes)
+    run = Run(machine, input_word, hook)
+    run.advance(budget)
     return run, changes
 
 
@@ -400,7 +387,7 @@ def inductive_run(machine: Machine, input_word: str, budget: int) -> InductiveOu
     non-halting certificate fires, or the budget runs out."""
     if machine.tape_count != 3:
         raise UnsupportedMachineError("inductive runs need a 3-tape machine (input, working, output)")
-    run, changes = _observe(machine, input_word, budget, track_output=True)
+    run, changes = _observe(machine, input_word, budget)
     log = ObservationLog(tuple(changes))
     last_step, current = log.entries[-1]
     certificate = run.checked
@@ -440,7 +427,7 @@ UNKNOWN = Unknown()
 
 def certify_nonhalting(machine: Machine, input_word: str, budget: int) -> Certificate | HaltsAt | Unknown:
     """Sound, incomplete non-halting detection; never a false certificate."""
-    run, _ = _observe(machine, input_word, budget, track_output=False)
+    run, _ = _observe(machine, input_word, budget)
     if run.halted:
         return HaltsAt(run.steps)
     if run.checked:
@@ -452,7 +439,7 @@ def halting_limit_decider(description: Description, input_word: str, budget: int
     """Limit-style halting decision: output 0 while the simulated machine
     runs, flipping to 1 exactly when it halts within the budget."""
     machine = decode(description)
-    run, _ = _observe(machine, input_word, budget, track_output=False)
+    run, _ = _observe(machine, input_word, budget)
     if run.halted:
         entries = ((0, "1"),) if run.steps == 0 else ((0, "0"), (run.steps, "1"))
         status: CertifiedStable | Provisional = CertifiedStable(HALTED)

@@ -356,8 +356,9 @@ class Run:
     is kept in ``checked``.  On a single tape holding more than _HOOK_CELLS
     cells the hook is skipped, and ``steps`` jumps, unless the rule could
     start a blank runaway: it reads blank, writes blank, moves and keeps its
-    state.  A rule whose key has a truthy value in ``breaks`` stops the run
-    right after it fires, and ``advance`` returns that value.
+    state.  Break rules serve self-editing runs: a rule whose key has a
+    truthy value in ``breaks`` stops the run right after it fires, and
+    ``advance`` returns that value, the edit to patch in.
     """
 
     __slots__ = ("machine", "state", "tapes", "heads", "steps", "halted", "checked", "_hook", "_breaks", "_rows")

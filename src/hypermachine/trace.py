@@ -14,7 +14,7 @@ from .inductive import (
     Provisional,
     inductive_run,
 )
-from .machine import Configuration, InputError, Machine, Run, RunOutcome, _retrim, trimmed_word
+from .machine import InputError, Machine, Run, RunOutcome, _retrim, trimmed_word
 from .reflexive import EditLog, ReflexiveMachine, _run
 
 
@@ -96,19 +96,6 @@ def trace_run(machine: Machine | ReflexiveMachine, input_word: str, budget: int)
 def emit_trace(records: list[TraceRecord]) -> str:
     """Line-oriented rendering; an empty stream renders as empty output."""
     return "".join(record.render() + "\n" for record in records)
-
-
-def render_window(config: Configuration, tape_index: int = 0, blank: str = "_") -> str:
-    """Human-oriented tape window with the head cell bracketed."""
-    tape = config.tapes[tape_index]
-    head = config.heads[tape_index]
-    cells = set(tape) | {head}
-    lo, hi = min(cells), max(cells)
-    out = []
-    for i in range(lo, hi + 1):
-        sym = tape.get(i, blank)
-        out.append(f"[{sym}]" if i == head else sym)
-    return "".join(out)
 
 
 def describe_status(status: CertifiedStable | Provisional) -> str:

@@ -460,6 +460,12 @@ _INTERIOR_BLANK = _on_output_tape(
         ("f", "_"): ("g", "1", "S"),  # 1_0 -> 110
     },
 )
+# the cycle certificate fires on a step whose rule rewrites the output, so
+# that change must not be logged: the run stops before the rule fires
+_OUTPUT_TOGGLER = _on_output_tape(
+    "output-toggler",
+    {("a", "_"): ("b", "1", "S"), ("b", "1"): ("a", "0", "S"), ("a", "0"): ("b", "1", "S")},
+)
 
 
 @given(st.one_of(small_machines(), small_three_tape_machines()))
@@ -469,6 +475,7 @@ _INTERIOR_BLANK = _on_output_tape(
 @example(_ERASE_LEFTMOST)
 @example(_ERASE_RIGHTMOST)
 @example(_INTERIOR_BLANK)
+@example(_OUTPUT_TOGGLER)
 @settings(max_examples=80, deadline=None)
 def test_run_via_step_matches_fast_engine(machine):
     budget = 25

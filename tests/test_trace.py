@@ -4,8 +4,8 @@ import pytest
 
 from hypermachine.corpus import corpus_machine
 from hypermachine.inductive import CertifiedStable, Provisional
-from hypermachine.machine import Configuration, InputError
-from hypermachine.trace import emit_trace, render_window, trace_run, watch
+from hypermachine.machine import InputError
+from hypermachine.trace import emit_trace, trace_run, watch
 
 FLIP = corpus_machine("flip")
 
@@ -37,13 +37,6 @@ def test_three_tape_trace_carries_output_field():
     final = records[-1].render()
     assert "head2=" in final and "tape3=" in final
     assert final.endswith("out=10")
-
-
-def test_render_window_marks_the_head():
-    config = Configuration("q", ({0: "0", 1: "1"},), (1,), 0)
-    assert render_window(config) == "0[1]"
-    assert render_window(Configuration("q", ({},), (0,), 0)) == "[_]"
-    assert render_window(Configuration("q", ({0: "1"},), (3,), 0)) == "1__[_]"
 
 
 def test_watch_samples_and_summarizes():
