@@ -13,9 +13,12 @@ with states numbered from 1 (the start state), symbol codes blank=1, "0"=2,
 "1"=3, and move codes L=1, R=2, S=3.  Rules are listed in ascending
 (state, symbol) order.  State numbering is canonical: breadth-first order of
 first use from the start state, unreachable states appended in declaration
-order.  A description is valid exactly when decoding it and re-encoding the
-result reproduces the same bit string, so `encode O decode` is the identity
-on valid descriptions and encoding is constant on renaming classes.
+order.  Decoding decides validity on the parsed numbers: entries and rules
+in ascending order and the canonical numbering.  That holds exactly when
+re-encoding the result reproduces the same bit string, so `encode O decode`
+is the identity on valid descriptions and encoding is constant on renaming
+classes.  Re-encoding is done only to locate the first wrong bit of a
+description that is not canonical.
 """
 
 from __future__ import annotations
@@ -35,9 +38,7 @@ from .machine import (
 )
 
 SYMBOL_CODES = {BLANK: 1, "0": 2, "1": 3}
-CODE_SYMBOLS = {v: k for k, v in SYMBOL_CODES.items()}
 MOVE_CODES = {"L": 1, "R": 2, "S": 3}
-CODE_MOVES = {v: k for k, v in MOVE_CODES.items()}
 
 ENCODABLE_ALPHABET = {BLANK, "0", "1"}
 
@@ -93,25 +94,17 @@ def index_word(index: int) -> str:
 # --- encoding -------------------------------------------------------------
 
 
-def _first_use_order(start, per_state: dict) -> list:
-    """The states reachable from ``start`` in breadth-first first-use order;
-    ``per_state`` maps a state to the (symbol code, next state) of its rules,
-    which are taken by symbol code."""
-    order = [start]
+def canonical_state_order(machine: Machine) -> list[str]:
+    """Breadth-first first-use order from the start, a state's rules taken by
+    symbol code; unreachable states follow in declaration order."""
+    per_state: dict[str, list[tuple[int, str]]] = {}
+    for (state, syms), (nstate, _, _) in machine.rules.items():
+        per_state.setdefault(state, []).append((SYMBOL_CODES[syms[0]], nstate))
+    order = [machine.start]
     for q in order:  # grows while it is walked, so it is the queue as well
         for _, target in sorted(per_state.get(q, ())):
             if target not in order:
                 order.append(target)
-    return order
-
-
-def canonical_state_order(machine: Machine) -> list[str]:
-    """Breadth-first first-use order from the start; unreachable states follow
-    in declaration order."""
-    per_state: dict[str, list[tuple[int, str]]] = {}
-    for (state, syms), (nstate, _, _) in machine.rules.items():
-        per_state.setdefault(state, []).append((SYMBOL_CODES[syms[0]], nstate))
-    order = _first_use_order(machine.start, per_state)
     for q in machine.states:
         if q not in order:
             order.append(q)
@@ -153,95 +146,108 @@ def encode(machine: Machine) -> Description:
 # --- decoding -------------------------------------------------------------
 
 
-class _Cursor:
-    def __init__(self, bits: str):
-        self.bits = bits
-        self.pos = 0
-
-    def zeros(self) -> int:
-        start = self.pos
-        while self.pos < len(self.bits) and self.bits[self.pos] == "0":
-            self.pos += 1
-        return self.pos - start
-
-    def one(self, what: str) -> None:
-        if self.pos >= len(self.bits) or self.bits[self.pos] != "1":
-            raise InvalidEncoding(f"expected 1 terminating {what}", self.pos)
-        self.pos += 1
-
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.bits)
+_RULE_FIELDS = (("state", 0), ("symbol", 3), ("state", 0), ("symbol", 3))  # (name, largest value or 0)
 
 
 def _parse(bits: str) -> tuple[list[tuple[int, int]], list[tuple[int, int, int, int, int]]]:
-    cur = _Cursor(bits)
-    f = cur.zeros()
-    cur.one("final count")
-    cur.one("header")
+    """The final entries and rules of ``bits``, read in one pass over its runs
+    of zeros; each run but the last is ended by one 1, and ``pos`` is the bit
+    where the current run starts."""
+    runs = list(map(len, bits.split("1")))
+    last = len(runs) - 1
+    f = runs[0]
+    if not last:
+        raise InvalidEncoding("expected 1 terminating final count", f)
+    pos = f + 1
+    if runs[1] or last == 1:
+        raise InvalidEncoding("expected 1 terminating header", pos)
+    pos += 1
+    t = 2
     finals: list[tuple[int, int]] = []
     seen_finals: set[int] = set()
     for _ in range(f):
-        at = cur.pos
-        q = cur.zeros()
-        if q == 0:
-            raise InvalidEncoding("final state number must be positive", at)
-        cur.one("final state")
-        at = cur.pos
-        g = cur.zeros()
-        if g not in (1, 2):
-            raise InvalidEncoding("final flag must be 1 or 2", at)
-        cur.one("final flag")
+        q = runs[t]
+        if not q:
+            raise InvalidEncoding("final state number must be positive", pos)
+        if t == last:
+            raise InvalidEncoding("expected 1 terminating final state", pos + q)
+        pos += q + 1
+        t += 1
+        g = runs[t]
+        if g != 1 and g != 2:
+            raise InvalidEncoding("final flag must be 1 or 2", pos)
+        if t == last:
+            raise InvalidEncoding("expected 1 terminating final flag", pos + g)
         if q in seen_finals:
-            raise InvalidEncoding(f"state {q} declared final twice", at)
+            raise InvalidEncoding(f"state {q} declared final twice", pos)
         seen_finals.add(q)
         finals.append((q, g))
+        pos += g + 1
+        t += 1
     rules: list[tuple[int, int, int, int, int]] = []
     keys: set[tuple[int, int]] = set()
-    while not cur.exhausted():
-        if rules:
-            cur.one("rule joiner")
-            cur.one("rule joiner")
-            if cur.exhausted():
-                raise InvalidEncoding("trailing rule joiner", cur.pos - 1)
-        rule_at = cur.pos
+    if t == last and not runs[t]:
+        return finals, rules
+    while True:
+        rule_at = pos
         fields = []
-        for name, hi in (("state", None), ("symbol", 3), ("state", None), ("symbol", 3), ("move", 3)):
-            at = cur.pos
-            value = cur.zeros()
-            if value < 1 or (hi is not None and value > hi):
-                raise InvalidEncoding(f"rule {name} field out of range", at)
+        for name, hi in _RULE_FIELDS:
+            value = runs[t]
+            if value < 1 or (hi and value > hi):
+                raise InvalidEncoding(f"rule {name} field out of range", pos)
+            if t == last:
+                raise InvalidEncoding(f"expected 1 terminating rule {name}", pos + value)
             fields.append(value)
-            if name != "move":
-                cur.one(f"rule {name}")
-        i, j, k, l, m = fields
+            pos += value + 1
+            t += 1
+        i, j, k, l = fields
+        m = runs[t]
+        if m < 1 or m > 3:
+            raise InvalidEncoding("rule move field out of range", pos)
         if (i, j) in keys:
             raise InvalidEncoding(f"duplicate rule for state {i}, symbol code {j}", rule_at)
         if i in seen_finals:
             raise InvalidEncoding(f"rule declared for final state {i}", rule_at)
         keys.add((i, j))
         rules.append((i, j, k, l, m))
-    return finals, rules
+        if t == last:
+            return finals, rules
+        pos += m + 1  # the move's terminator is the joiner's first 1
+        t += 1
+        if runs[t] or t == last:
+            raise InvalidEncoding("expected 1 terminating rule joiner", pos)
+        pos += 1
+        t += 1
+        if t == last and not runs[t]:
+            raise InvalidEncoding("trailing rule joiner", pos - 1)
+
+
+# decoded machines share these tuples and their state names
+_SYMBOL_TUPLES = {code: (sym,) for sym, code in SYMBOL_CODES.items()}
+_MOVE_TUPLES = {code: (move,) for move, code in MOVE_CODES.items()}
+
+
+@lru_cache(maxsize=64)
+def _state_names(n: int) -> tuple[str, ...]:
+    """``q1..qn``, one shared tuple per state count."""
+    return tuple(f"q{i}" for i in range(1, n + 1))
 
 
 def _machine_from_structure(
-    finals: list[tuple[int, int]], rules: list[tuple[int, int, int, int, int]], name: str
+    finals: list[tuple[int, int]], rules: list[tuple[int, int, int, int, int]]
 ) -> Machine:
-    mentioned = [1]
-    mentioned += [q for q, _ in finals]
-    for i, _, k, _, _ in rules:
-        mentioned += [i, k]
-    n = max(mentioned)
-    states = tuple(f"q{i}" for i in range(1, n + 1))
+    n = max([1] + [q for q, _ in finals] + [max(i, k) for i, _, k, _, _ in rules])
+    states = _state_names(n)
     return Machine(
-        name=name,
+        name="decoded",
         tape_count=1,
         alphabet=(BLANK, "0", "1"),
         blank=BLANK,
         states=states,
-        start="q1",
-        finals={f"q{q}": g == 2 for q, g in finals},
+        start=states[0],
+        finals={states[q - 1]: g == 2 for q, g in finals},
         rules={
-            (f"q{i}", (CODE_SYMBOLS[j],)): (f"q{k}", (CODE_SYMBOLS[l],), (CODE_MOVES[m],))
+            (states[i - 1], _SYMBOL_TUPLES[j]): (states[k - 1], _SYMBOL_TUPLES[l], _MOVE_TUPLES[m])
             for i, j, k, l, m in rules
         },
     )
@@ -250,9 +256,11 @@ def _machine_from_structure(
 @lru_cache(maxsize=8192)
 def _decode_bits(bits: str) -> Machine:
     finals, rules = _parse(bits)
-    machine = _machine_from_structure(finals, rules, name="decoded")
-    rebuilt = encode(machine).bits
-    if rebuilt != bits:
+    machine = _machine_from_structure(finals, rules)
+    # _parse rejects repeated final states and rule keys, so sorted here is
+    # strictly ascending, the order encode renders
+    if not (finals == sorted(finals) and rules == sorted(rules) and _numbering_canonical(rules)):
+        rebuilt = encode(machine).bits
         at = next((i for i, (a, b) in enumerate(zip(bits, rebuilt)) if a != b), min(len(bits), len(rebuilt)))
         raise InvalidEncoding("description is not in canonical form", at)
     return machine
@@ -261,9 +269,12 @@ def _decode_bits(bits: str) -> Machine:
 def decode(description: Description) -> Machine:
     """The unique machine of a valid description, states named q1..qn.
 
-    Descriptions that parse but are not in canonical form (wrong rule order,
-    non-breadth-first state numbering, ...) are rejected, which keeps
-    decode a two-sided inverse of encode on its whole domain.
+    Validity is decided on the parsed numbers: final entries must ascend by
+    state, rules by (state, symbol), and the state numbering must be the
+    canonical one.  That holds exactly when re-encoding the machine
+    reproduces the description, so decode is a two-sided inverse of encode
+    on its whole domain.  A description that parses but is not canonical
+    is re-encoded only to report the first bit where it differs.
     """
     return _decode_bits(description.bits)
 
@@ -319,16 +330,24 @@ def _gen_rules(
                                 yield [rule] + tail
 
 
-def _numbering_canonical(
-    finals: list[tuple[int, int]], rules: list[tuple[int, int, int, int, int]]
-) -> bool:
-    """True when state numbers follow breadth-first first-use order with any
-    unreachable states occupying the tail in ascending order."""
-    per_state: dict[int, list[tuple[int, int]]] = {}
-    for i, j, k, _, _ in rules:
-        per_state.setdefault(i, []).append((j, k))
-    order = _first_use_order(1, per_state)
-    return order == list(range(1, len(order) + 1))
+def _numbering_canonical(rules: list[tuple[int, int, int, int, int]]) -> bool:
+    """True when the states reachable from state 1 are numbered 1..r in
+    breadth-first first-use order, for ``rules`` listed in ascending
+    (state, symbol) order as in a description.
+
+    In that order the rules of the reachable states come exactly as the
+    breadth-first walk takes them, so one pass checks that each state used
+    for the first time takes the next number; the walk ends at the first
+    rule of a state that was never reached."""
+    fresh = 2  # the number the next first use must take
+    for i, _, k, _, _ in rules:
+        if i >= fresh:
+            return True
+        if k >= fresh:
+            if k > fresh:
+                return False
+            fresh += 1
+    return True
 
 
 def descriptions_of_length(length: int) -> list[str]:
@@ -340,7 +359,7 @@ def descriptions_of_length(length: int) -> list[str]:
         for finals, fcost in _gen_finals(f, 1, body_budget):
             final_states = frozenset(q for q, _ in finals)
             for rules in _gen_rules(body_budget - fcost, (0, 0), final_states):
-                if _numbering_canonical(finals, rules):
+                if _numbering_canonical(rules):
                     found.append(_render(finals, rules))
         f += 1
     found.sort()

@@ -104,6 +104,25 @@ def test_encode_decode_pipeline(flip_spec, tmp_path, capsys):
     assert text2 == text
 
 
+@pytest.mark.parametrize(
+    "bits,message",
+    [
+        ("0110", "invalid encoding at bit 4: expected 1 terminating final state"),
+        # flip's description with its two rules swapped: the same machine,
+        # listed out of (state, symbol) order
+        (
+            "011" "001001" "010001001001000" "11" "010010010001000",
+            "invalid encoding at bit 13: description is not in canonical form",
+        ),
+    ],
+)
+def test_decode_rejects_invalid_description(capsys, bits, message):
+    code, out, err = run_cli(capsys, "decode", "--bits", bits)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_enumerate(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--count", "3")
     assert code == 0

@@ -1,11 +1,12 @@
 """Encoding layout, word numbering, enumeration, and universal simulation."""
 
+import functools
 import itertools
 import sys
 import threading
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypermachine.codec import (
     Description,
@@ -21,13 +22,15 @@ from hypermachine.codec import (
     universal_run,
     word_index,
 )
-from hypermachine.codec import _NTH_CACHE, _decode_bits
-from hypermachine.corpus import LOCATABLE, corpus_machine, encodable_corpus
+from hypermachine.codec import _NTH_CACHE, _decode_bits, _numbering_canonical
+from hypermachine.corpus import LOCATABLE, corpus_machine, encodable_corpus, two_state_family
 from hypermachine.machine import (
+    BLANK,
     BudgetExhausted,
     EquivalentUpTo,
     HaltedWithResult,
     InputError,
+    Machine,
     observational_equiv,
     run_bounded,
     single_tape_machine,
@@ -119,6 +122,107 @@ def test_encode_rejects_unencodable_machines():
 
 # --- decoding ----------------------------------------------------------------
 
+# The reference decoder: a cursor walk over the bits, machines built with
+# fresh state names, and validity decided by re-encoding.  decode must agree
+# with it on every bit string, in its machine or in its error.
+
+
+class _Cursor:
+    def __init__(self, bits):
+        self.bits = bits
+        self.pos = 0
+
+    def zeros(self):
+        start = self.pos
+        while self.pos < len(self.bits) and self.bits[self.pos] == "0":
+            self.pos += 1
+        return self.pos - start
+
+    def one(self, what):
+        if self.pos >= len(self.bits) or self.bits[self.pos] != "1":
+            raise InvalidEncoding(f"expected 1 terminating {what}", self.pos)
+        self.pos += 1
+
+    def exhausted(self):
+        return self.pos >= len(self.bits)
+
+
+def _reference_parse(bits):
+    cur = _Cursor(bits)
+    f = cur.zeros()
+    cur.one("final count")
+    cur.one("header")
+    finals = []
+    seen_finals = set()
+    for _ in range(f):
+        at = cur.pos
+        q = cur.zeros()
+        if q == 0:
+            raise InvalidEncoding("final state number must be positive", at)
+        cur.one("final state")
+        at = cur.pos
+        g = cur.zeros()
+        if g not in (1, 2):
+            raise InvalidEncoding("final flag must be 1 or 2", at)
+        cur.one("final flag")
+        if q in seen_finals:
+            raise InvalidEncoding(f"state {q} declared final twice", at)
+        seen_finals.add(q)
+        finals.append((q, g))
+    rules = []
+    keys = set()
+    while not cur.exhausted():
+        if rules:
+            cur.one("rule joiner")
+            cur.one("rule joiner")
+            if cur.exhausted():
+                raise InvalidEncoding("trailing rule joiner", cur.pos - 1)
+        rule_at = cur.pos
+        fields = []
+        for name, hi in (("state", None), ("symbol", 3), ("state", None), ("symbol", 3), ("move", 3)):
+            at = cur.pos
+            value = cur.zeros()
+            if value < 1 or (hi is not None and value > hi):
+                raise InvalidEncoding(f"rule {name} field out of range", at)
+            fields.append(value)
+            if name != "move":
+                cur.one(f"rule {name}")
+        i, j, k, l, m = fields
+        if (i, j) in keys:
+            raise InvalidEncoding(f"duplicate rule for state {i}, symbol code {j}", rule_at)
+        if i in seen_finals:
+            raise InvalidEncoding(f"rule declared for final state {i}", rule_at)
+        keys.add((i, j))
+        rules.append((i, j, k, l, m))
+    return finals, rules
+
+
+_SYMBOL_OF = {_BLANK: BLANK, _ZERO: "0", _ONE: "1"}
+_MOVE_OF = {_L: "L", _R: "R", _S: "S"}
+
+
+def _reference_decode(bits):
+    finals, rules = _reference_parse(bits)
+    n = max([1] + [q for q, _ in finals] + [q for i, _, k, _, _ in rules for q in (i, k)])
+    machine = Machine(
+        name="decoded",
+        tape_count=1,
+        alphabet=(BLANK, "0", "1"),
+        blank=BLANK,
+        states=tuple(f"q{i}" for i in range(1, n + 1)),
+        start="q1",
+        finals={f"q{q}": g == 2 for q, g in finals},
+        rules={
+            (f"q{i}", (_SYMBOL_OF[j],)): (f"q{k}", (_SYMBOL_OF[l],), (_MOVE_OF[m],))
+            for i, j, k, l, m in rules
+        },
+    )
+    rebuilt = encode(machine).bits
+    if rebuilt != bits:
+        at = next((i for i, (a, b) in enumerate(zip(bits, rebuilt)) if a != b), min(len(bits), len(rebuilt)))
+        raise InvalidEncoding("description is not in canonical form", at)
+    return machine
+
 
 def test_decode_roundtrips_every_encodable_corpus_machine():
     for name, machine in encodable_corpus().items():
@@ -183,18 +287,50 @@ def test_enumeration_prefix_decodes_and_is_canonical():
         previous = key
 
 
+def _same_verdict(bits):
+    """The decoder and the reference agree on ``bits``: the same machine, or
+    the same message at the same position; returns whether it is valid."""
+    try:
+        expected = _reference_decode(bits)
+    except InvalidEncoding as err:
+        with pytest.raises(InvalidEncoding) as got:
+            _decode_bits(bits)
+        assert (str(got.value), got.value.position) == (str(err), err.position), bits
+        return False
+    assert _decode_bits(bits) == expected, bits
+    return True
+
+
 def test_enumeration_matches_brute_force_filter():
-    # independent oracle: filter every bit string by the decoder
+    # independent oracle: filter every bit string by the reference decoder,
+    # which shares no parsing or canonical-form code with the enumerator
     for length in range(1, 15):
-        brute = []
-        for chars in itertools.product("01", repeat=length):
-            bits = "".join(chars)
-            try:
-                _decode_bits(bits)
-            except InvalidEncoding:
-                continue
-            brute.append(bits)
+        brute = [
+            bits
+            for bits in map("".join, itertools.product("01", repeat=length))
+            if _same_verdict(bits)
+        ]
         assert descriptions_of_length(length) == brute, length
+
+
+def test_numbering_check_matches_breadth_first_walk():
+    # every sorted rule list on states 1-3 with up to three rules: the
+    # one-pass check agrees with the walk it stands for
+    def first_use_order(rules):
+        order = [1]
+        for q in order:
+            for i, _, k, _, _ in rules:
+                if i == q and k not in order:
+                    order.append(k)
+        return order
+
+    keys = [(i, j) for i in (1, 2, 3) for j in (_BLANK, _ZERO, _ONE)]
+    for size in range(4):
+        for chosen in itertools.combinations(keys, size):
+            for targets in itertools.product((1, 2, 3, 4), repeat=size):
+                rules = [(i, j, k, _ZERO, _R) for (i, j), k in zip(chosen, targets)]
+                order = first_use_order(rules)
+                assert _numbering_canonical(rules) == (order == list(range(1, len(order) + 1))), rules
 
 
 def test_enumeration_of_two_rule_descriptions():
@@ -354,3 +490,70 @@ def test_random_machines_roundtrip_observationally(machine):
 def test_random_machine_descriptions_are_fixed_points(machine):
     description = encode(machine)
     assert encode(decode(description)).bits == description.bits
+
+
+# --- decode against the reference on damaged descriptions ------------------
+
+
+@functools.cache
+def _family_descriptions():
+    return [encode(machine).bits for machine in two_state_family()]
+
+
+def _swap_rules(bits, a, b):
+    try:
+        finals, rules = _reference_parse(bits)
+    except InvalidEncoding:
+        return bits
+    if len(rules) < 2:
+        return bits
+    a, b = a % len(rules), b % len(rules)
+    rules[a], rules[b] = rules[b], rules[a]
+    return "0" * len(finals) + "11" + "".join(_entry(q, g) for q, g in finals) + "11".join(_rule(*r) for r in rules)
+
+
+def _mutate(bits, edit):
+    kind, at, other = edit
+    if kind == "swap":
+        return _swap_rules(bits, at, other)
+    if kind == "insert":
+        at %= len(bits) + 1
+        return bits[:at] + "01"[other % 2] + bits[at:]
+    if not bits:
+        return bits
+    at %= len(bits)
+    if kind == "flip":
+        return bits[:at] + "10"[int(bits[at])] + bits[at + 1 :]
+    return bits[:at] + bits[at + 1 :]  # delete
+
+
+_FLIP_BITS = encode(FLIP).bits
+_EDITS = st.tuples(
+    st.sampled_from(["flip", "insert", "delete", "swap"]),
+    st.integers(min_value=0, max_value=63),
+    st.integers(min_value=0, max_value=63),
+)
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=0, max_value=499).map(lambda n: nth_description(n).bits),
+        st.integers(min_value=0, max_value=13717).map(lambda n: _family_descriptions()[n]),
+    ),
+    st.lists(_EDITS, min_size=1, max_size=3),
+)
+@example("0011010100101", [("insert", 4, 0)])  # state 2 declared final twice
+@example("01100101010101010", [("insert", 4, 1)])  # rule declared for final state 1
+@example(_FLIP_BITS, [("delete", 28, 0)])  # duplicate rule for state 1, symbol code 2
+@example("110101010100", [("insert", 12, 1), ("insert", 13, 1)])  # trailing rule joiner
+@example(_FLIP_BITS, [("swap", 0, 1)])  # not in canonical form
+@example("11", [("flip", 1, 0), ("delete", 0, 0)])  # no 1 ends the final count
+@example("0110101", [("delete", 6, 0), ("delete", 5, 0), ("delete", 4, 0)])  # no 1 ends the final state
+@settings(max_examples=300, deadline=None)
+def test_decode_matches_reference_on_damaged_descriptions(bits, edits):
+    # enumerated and family descriptions, up to 58 bits, with bits flipped,
+    # inserted or deleted and rules swapped: the same machine or the same error
+    assert _same_verdict(bits)
+    for edit in edits:
+        bits = _mutate(bits, edit)
+        _same_verdict(bits)
