@@ -275,7 +275,7 @@ def _single_tape_check(machine: Machine, input_word: str) -> Callable:
         nonlocal h, at
         # a runaway repeats a rule that reads blank (the head is off the
         # stored cells), writes blank, moves, and keeps the state
-        nstate, wsym, wblank, delta, _ = rule
+        nstate, wsym, wblank, delta = rule
         if wblank and delta and nstate == state and head not in tape and _runaway_direction_ok(delta, tape, head):
             return BlankRunaway(state, ("R" if delta > 0 else "L",), steps)
         cells = len(tape)
@@ -317,7 +317,7 @@ def _multi_tape_check(machine: Machine, input_word: str, changes: list[tuple[int
 
     def check(state, tapes, heads, steps, rule):
         nonlocal hashes, word, lo
-        nstate, writes, deltas, _ = rule
+        nstate, writes, deltas = rule
         if (
             nstate == state
             and writes == blanks

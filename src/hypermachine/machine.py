@@ -314,28 +314,20 @@ def _check_budget(budget: int) -> None:
         raise InputError(f"budget must be >= 1, got {budget}")
 
 
-def _compiled_rows(
-    machine: Machine,
-    breaks: Mapping[RuleKey, object] | None = None,
-    rules: Mapping[RuleKey, RuleBody] | None = None,
-) -> dict[str, dict]:
+def _compiled_rows(machine: Machine, rules: Mapping[RuleKey, RuleBody] | None = None) -> dict[str, dict]:
     """Per-state rule rows for non-final states; a final state has no row.
 
     A row maps the scanned symbol (single tape) or symbol tuple to a compiled
-    rule ending in ``brk``, the rule's value in ``breaks``: a truthy one stops
-    the run right after the rule fires.  ``rules`` defaults to the machine's
-    own table.
+    rule.  ``rules`` defaults to the machine's own table.
     """
     rows: dict[str, dict] = {q: {} for q in machine.states if q not in machine.finals}
     blank = machine.blank
     single = machine.tape_count == 1
-    breaks = breaks or {}
-    for key, (nstate, writes, moves) in (machine.rules if rules is None else rules).items():
-        state, syms = key
+    for (state, syms), (nstate, writes, moves) in (machine.rules if rules is None else rules).items():
         if single:
-            rows[state][syms[0]] = (nstate, writes[0], writes[0] == blank, _DELTA[moves[0]], breaks.get(key))
+            rows[state][syms[0]] = (nstate, writes[0], writes[0] == blank, _DELTA[moves[0]])
         else:
-            rows[state][syms] = (nstate, writes, tuple(_DELTA[m] for m in moves), breaks.get(key))
+            rows[state][syms] = (nstate, writes, tuple(_DELTA[m] for m in moves))
     return rows
 
 
@@ -356,42 +348,35 @@ class Run:
     is kept in ``checked``.  On a single tape holding more than _HOOK_CELLS
     cells the hook is skipped, and ``steps`` jumps, unless the rule could
     start a blank runaway: it reads blank, writes blank, moves and keeps its
-    state.  Break rules serve self-editing runs: a rule whose key has a
-    truthy value in ``breaks`` stops the run right after it fires, and
-    ``advance`` returns that value, the edit to patch in.
+    state.  A state with no row stops the run as a halt does, right after
+    the rule that enters it fires: a final state, or a next state that
+    ``patch`` gave a rule and that the table does not hold.
     """
 
-    __slots__ = ("machine", "state", "tapes", "heads", "steps", "halted", "checked", "_hook", "_breaks", "_rows")
+    __slots__ = ("machine", "state", "tapes", "heads", "steps", "halted", "checked", "_hook", "_rows")
 
-    def __init__(
-        self,
-        machine: Machine,
-        input_word: str,
-        hook: Callable[..., object] | None = None,
-        breaks: Mapping[RuleKey, object] | None = None,
-    ):
+    def __init__(self, machine: Machine, input_word: str, hook: Callable[..., object] | None = None):
         config = initial_configuration(machine, input_word)
         self.machine = machine
         self.state = config.state
         self.tapes = config.tapes
         self.heads = list(config.heads)
         self.steps = 0
-        self.halted = False  # a final state or a missing rule was reached
+        self.halted = False  # a state with no row or a missing rule was reached
         self.checked = None
         self._hook = hook
-        self._breaks = breaks
-        self._rows = _compiled_rows(machine, breaks)
+        self._rows = _compiled_rows(machine)
 
-    def advance(self, budget: int) -> object:
-        """Run until ``steps`` reaches ``budget``, the run halts, the hook
-        stops it or a break rule fires; returns the break value or None."""
+    def advance(self, budget: int) -> None:
+        """Run until ``steps`` reaches ``budget``, the run halts (it reaches a
+        state with no row or a missing rule) or the hook stops it."""
         rows = self._rows
         hook = self._hook
         blank = self.machine.blank
         state = self.state
         steps = self.steps
         row = rows.get(state)
-        found = brk = None
+        found = None
         if len(self.tapes) == 1:
             tape = self.tapes[0]
             get = tape.get
@@ -406,13 +391,12 @@ class Run:
                 if rule is None:
                     self.halted = True
                     break
-                nstate, wsym, wblank, delta, brk = rule
+                nstate, wsym, wblank, delta = rule
                 if (
                     hook is not None
                     and (len(tape) <= cap or (wblank and delta and nstate == state and head not in tape))
                     and (found := hook(state, tape, head, steps, rule))
                 ):
-                    brk = None
                     break
                 if wblank:
                     pop(head, None)
@@ -423,8 +407,6 @@ class Run:
                 if nstate is not state:
                     state = nstate
                     row = rows.get(state)
-                if brk:
-                    break
             self.heads[0] = head
         else:
             tapes = self.tapes
@@ -440,9 +422,8 @@ class Run:
                 if rule is None:
                     self.halted = True
                     break
-                nstate, writes, deltas, brk = rule
+                nstate, writes, deltas = rule
                 if hook is not None and (found := hook(state, tapes, heads, steps, rule)):
-                    brk = None
                     break
                 for i in span:
                     w = writes[i]
@@ -456,12 +437,9 @@ class Run:
                 if nstate is not state:
                     state = nstate
                     row = rows.get(state)
-                if brk:
-                    break
         self.state = state
         self.steps = steps
         self.checked = found
-        return brk
 
     def snapshot(self) -> Configuration:
         """A copy of the current configuration."""
@@ -478,10 +456,8 @@ class Run:
 
     def patch(self, key: RuleKey, body: RuleBody) -> None:
         """Install or replace one rule of this run's private table."""
-        state, syms = key
-        sym = syms[0] if len(self.tapes) == 1 else syms
-        compiled = _compiled_rows(self.machine, self._breaks, {key: body})
-        self._rows[state][sym] = compiled[state][sym]
+        state = key[0]
+        self._rows[state].update(_compiled_rows(self.machine, {key: body})[state])
 
 
 def run_bounded(machine: Machine, input_word: str, budget: int) -> RunOutcome:

@@ -7,12 +7,16 @@ Everything an action may do is validated at construction time, so runs never
 fail mid-flight and the table remains a deterministic partial function after
 every edit.  Each run owns a private copy of the table; the machine itself is
 immutable and shareable.
+
+An edit fires through that private table: its rule enters a pause, a state
+with no row, so the engine stops right after the rule fires; the run restores
+the real next state, patches in the edit's target and logs the edit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .machine import (
     Configuration,
@@ -90,6 +94,20 @@ def _action_rule(action: EditAction) -> tuple[RuleKey, RuleBody]:
     )
 
 
+class _Pause(NamedTuple):
+    """The next state, in a run's table, of a rule that carries an edit: a
+    pause has no row, so the run stops right after the rule fires."""
+
+    next_state: str
+    action: EditAction
+
+
+def _paused(rm: ReflexiveMachine, key: RuleKey, body: RuleBody) -> RuleBody:
+    """``body`` for the rule at ``key``, entering a pause if that rule carries an edit."""
+    nstate, writes, moves = body
+    return (_Pause(nstate, rm.edits[key]) if key in rm.edits else nstate), writes, moves
+
+
 def _run(
     rm: ReflexiveMachine, input_word: str, budget: int, visit: Callable[[Run], None] | None = None
 ) -> tuple[RunOutcome, EditLog]:
@@ -97,17 +115,23 @@ def _run(
     every visited configuration, the initial one included."""
     if budget < 1:
         raise InputError(f"budget must be >= 1, got {budget}")
-    # a rule with an attached edit breaks the run, which then patches the
-    # edit's target into its private table
-    run = Run(rm.base, input_word, breaks=rm.edits)
+    run = Run(rm.base, input_word)
+    for key in rm.edits:
+        run.patch(key, _paused(rm, key, rm.base.rules[key]))
     log: list[tuple[int, EditAction]] = []
     if visit is not None:
         visit(run)
     while run.steps < budget and not run.halted:
-        action = run.advance(budget if visit is None else run.steps + 1)
-        if action is not None:
-            run.patch(*_action_rule(action))
-            log.append((run.steps, action))
+        run.advance(budget if visit is None else run.steps + 1)
+        pause = run.state
+        if type(pause) is _Pause:
+            # the rule that fired last carries an edit: restore its next state,
+            # patch in the target (paused again if it carries an edit) and log
+            run.state = pause.next_state
+            run.halted = False
+            target, body = _action_rule(pause.action)
+            run.patch(target, _paused(rm, target, body))
+            log.append((run.steps, pause.action))
         if visit is not None and not run.halted:
             visit(run)
     return run.outcome(), EditLog(tuple(log))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .machine import HypermachineError, InputError
 
@@ -137,29 +137,6 @@ def _safety_cap() -> int:
         raise InputError(f"{SAFETY_CAP_ENV} must be an integer, got {raw!r}") from exc
 
 
-def _canonical_deltas(n: int) -> Iterator[tuple[int, ...]]:
-    """Transition tables (flat, cell 2*state+bit) in first-use canonical
-    numbering with every state mentioned, lexicographic order.  Renamings are
-    never revisited; every language over fewer live states already appears at
-    a smaller n.  ``_walk_tables`` visits them in this order; the generator
-    stays as the reference that tests compare the walk against."""
-    cells = 2 * n
-    table = [0] * cells
-
-    def rec(idx: int, max_seen: int) -> Iterator[tuple[int, ...]]:
-        if idx == cells:
-            if max_seen == n - 1:
-                yield tuple(table)
-            return
-        if (n - 1 - max_seen) > (cells - idx):
-            return
-        for target in range(min(max_seen + 1, n - 1) + 1):
-            table[idx] = target
-            yield from rec(idx + 1, max(max_seen, target))
-
-    yield from rec(0, 0)
-
-
 def _normalize_sample(sample: Mapping[str, int] | Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
     items = sample.items() if isinstance(sample, Mapping) else sample
     out = []
@@ -174,22 +151,6 @@ def _normalize_sample(sample: Mapping[str, int] | Iterable[tuple[str, int]]) -> 
         seen.add(word)
         out.append((word, bit))
     return tuple(sorted(out, key=lambda pair: (len(pair[0]), pair[0])))
-
-
-def _forced_accepting(delta: tuple[int, ...], sample: tuple[tuple[str, int], ...]) -> frozenset[int] | None:
-    """The accepting states a sample forces under this table, or None on
-    conflict.  Unconstrained states stay rejecting, which picks the first
-    matching DFA in canonical (ascending accepting-mask) order.  This whole
-    table check is the reference for ``_walk_tables``."""
-    forced: dict[int, int] = {}
-    for word, bit in sample:
-        state = 0
-        for ch in word:
-            state = delta[2 * state + (ch == "1")]
-        old = forced.setdefault(state, bit)
-        if old != bit:
-            return None
-    return frozenset(state for state, bit in forced.items() if bit == 1)
 
 
 def _build_dfa(n: int, delta: tuple[int, ...], accepting: frozenset[int]) -> Dfa:
@@ -209,7 +170,8 @@ def _build_dfa(n: int, delta: tuple[int, ...], accepting: frozenset[int]) -> Dfa
 def _completion_counts(n: int) -> list[list[int]]:
     """``counts[idx][top]``: how many canonical tables of n states extend a
     prefix that fixes the first ``idx`` cells with ``top`` the highest state
-    used so far.  ``counts[0][0]`` is the length of ``_canonical_deltas(n)``."""
+    used so far.  ``counts[0][0]`` is the number of canonical tables of n
+    states, the ones ``_walk_tables`` visits."""
     cells = 2 * n
     counts = [[0] * n for _ in range(cells + 1)]
     counts[cells][n - 1] = 1
@@ -243,15 +205,22 @@ def _sample_trie(sample: tuple[tuple[str, int], ...]) -> tuple[list[int], list[l
 def _walk_tables(
     n: int, labels: list[int], children: list[list[int]]
 ) -> tuple[int, tuple[tuple[int, ...], frozenset[int]] | None]:
-    """Depth-first over the canonical tables of n states, in the order of
-    ``_canonical_deltas``, fixing one cell at a time.
+    """Depth-first over the canonical tables of n states, fixing one cell at
+    a time.  A table is flat, cell 2*state+bit holding the target, and
+    canonical when states are numbered by first use (each target is at most
+    one above the highest state before it, state 0 included) and every state
+    occurs.  The walk takes these tables in lexicographic order.  Renamings
+    are never revisited, and every language over fewer live states already
+    appears at a smaller n.
 
     Each trie node whose path is fully fixed gets its state, and a sample
     word's label forces its state.  Once two words force one state both ways,
     every completion of the prefix conflicts, so the subtree is skipped and
     counted through ``_completion_counts``.  Returns the (table, accepting
     set) pairs covered up to and including the first match, and that match
-    (its accepting set as ``_forced_accepting`` gives it) or None.
+    or None.  A match's accepting set is the states that sample words force
+    to accept; an unconstrained state stays rejecting, which picks the first
+    matching DFA in canonical (ascending accepting-mask) order.
     """
     cells = 2 * n
     counts = _completion_counts(n)
@@ -323,7 +292,7 @@ def separation_search(
     canonical choice of witness.  Tables are built one cell at a time, and a
     prefix on which two sample words already conflict is skipped with all its
     completions, which are counted exactly, so the report equals that of
-    checking every table of ``_canonical_deltas`` with ``_forced_accepting``.
+    checking every canonical table, in ``_walk_tables``'s order, whole.
     """
     if max_states < 1:
         raise InputError("max_states must be >= 1")

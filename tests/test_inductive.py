@@ -29,7 +29,7 @@ from hypermachine.inductive import (
     halting_limit_decider,
     inductive_run,
 )
-from hypermachine.machine import BudgetExhausted, HaltedWithResult, InputError, run_bounded, single_tape_machine
+from hypermachine.machine import BudgetExhausted, HaltedWithResult, InputError, Machine, run_bounded, single_tape_machine
 
 FLIP = corpus_machine("flip")
 LOOP = corpus_machine("loop")
@@ -170,6 +170,36 @@ def test_the_brent_phase_alone_gives_the_same_certificates(monkeypatch):
     assert sum(isinstance(a, Certificate) and isinstance(a.certificate, ConfigurationCycle) for a in expected) > 50
     monkeypatch.setattr(inductive, "_HISTORY_STEPS", 0)  # no exact history at all
     assert [certify_nonhalting(m, w, 1000) for m, w in cases] == expected
+
+
+def _on_output_tape(machine):
+    """A 3-tape machine running the single-tape ``machine`` on its output
+    tape, whatever its input tape holds."""
+    blank = machine.blank
+    return Machine(
+        name=machine.name,
+        tape_count=3,
+        alphabet=machine.alphabet,
+        blank=blank,
+        states=machine.states,
+        start=machine.start,
+        finals=machine.finals,
+        rules={
+            (q, (s, blank, sym)): (nq, (s, blank, write), ("S", "S", move))
+            for (q, (sym,)), (nq, (write,), (move,)) in machine.rules.items()
+            for s in machine.alphabet
+        },
+    )
+
+
+def test_the_brent_phase_alone_gives_the_same_multi_tape_answers(monkeypatch):
+    cases = [(_on_output_tape(m), w) for m in islice(two_state_family(), 0, None, 97) for w in ("", "0110")]
+    certified = [certify_nonhalting(m, w, 1000) for m, w in cases]
+    observed = [inductive_run(m, w, 1000) for m, w in cases]
+    assert sum(isinstance(a, Certificate) and isinstance(a.certificate, ConfigurationCycle) for a in certified) > 25
+    monkeypatch.setattr(inductive, "_HISTORY_STEPS", 0)  # no exact history at all
+    assert [certify_nonhalting(m, w, 1000) for m, w in cases] == certified
+    assert [inductive_run(m, w, 1000) for m, w in cases] == observed
 
 
 # Over 1, x and y, the shared rules turn the input 1^k into x^k y^2k, one 1 per

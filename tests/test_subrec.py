@@ -1,5 +1,7 @@
 """DFA semantics, exact equivalence, and the exhaustive separation search."""
 
+from typing import Iterator
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -14,9 +16,7 @@ from hypermachine.subrec import (
     SearchSpaceError,
     SeparationReport,
     _build_dfa,
-    _canonical_deltas,
     _completion_counts,
-    _forced_accepting,
     _normalize_sample,
     dfa_equiv,
     dfa_run,
@@ -171,6 +171,43 @@ def test_safety_cap_env_override(monkeypatch):
     monkeypatch.setenv("HYPERMACHINE_SAFETY_CAP", "um")
     with pytest.raises(InputError):
         separation_search({}, 2)
+
+
+def _canonical_deltas(n: int) -> Iterator[tuple[int, ...]]:
+    """The reference order of ``_walk_tables``: every canonical transition
+    table of n states (flat, cell 2*state+bit) in first-use numbering with
+    every state mentioned, in lexicographic order, generated outright."""
+    cells = 2 * n
+    table = [0] * cells
+
+    def rec(idx: int, max_seen: int) -> Iterator[tuple[int, ...]]:
+        if idx == cells:
+            if max_seen == n - 1:
+                yield tuple(table)
+            return
+        if (n - 1 - max_seen) > (cells - idx):
+            return
+        for target in range(min(max_seen + 1, n - 1) + 1):
+            table[idx] = target
+            yield from rec(idx + 1, max(max_seen, target))
+
+    yield from rec(0, 0)
+
+
+def _forced_accepting(delta: tuple[int, ...], sample: tuple[tuple[str, int], ...]) -> frozenset[int] | None:
+    """The accepting states a sample forces under this table, or None on
+    conflict.  Unconstrained states stay rejecting, which picks the first
+    matching DFA in canonical (ascending accepting-mask) order.  This whole
+    table check is the reference for ``_walk_tables``."""
+    forced: dict[int, int] = {}
+    for word, bit in sample:
+        state = 0
+        for ch in word:
+            state = delta[2 * state + (ch == "1")]
+        old = forced.setdefault(state, bit)
+        if old != bit:
+            return None
+    return frozenset(state for state, bit in forced.items() if bit == 1)
 
 
 def _brute_force_search(sample, max_states):
