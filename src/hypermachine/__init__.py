@@ -17,7 +17,7 @@ from .codec import (
     universal_run,
     word_index,
 )
-from .corpus import corpus_machine, corpus_names, delay_machine, two_state_family
+from .corpus import corpus_machine, delay_machine, two_state_family
 from .dsl import ParseError, SpecDocument, parse_machine_spec, unparse
 from .inductive import (
     AuditReport,

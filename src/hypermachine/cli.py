@@ -182,11 +182,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_separate(args) -> int:
-    try:
-        sample_fn = BUILTIN_SAMPLES[args.lang]
-    except KeyError:
-        raise InputError(f"unknown sample language {args.lang!r}") from None
-    report = separation_search(sample_fn(args.max_len), args.max_states)
+    report = separation_search(BUILTIN_SAMPLES[args.lang](args.max_len), args.max_states)
     print(f"lang={args.lang}\tmax_states={report.max_states}\tsearched={report.dfas_searched}")
     if isinstance(report.witness, DfaFound):
         dfa = report.witness.dfa
@@ -277,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("separate", help="exhaustive DFA search against a built-in sample")
-    p.add_argument("--lang", required=True)
+    p.add_argument("--lang", required=True, choices=sorted(BUILTIN_SAMPLES))
     p.add_argument("--max-states", type=int, required=True)
     p.add_argument("--max-len", type=int, default=6)
     p.set_defaults(func=cmd_separate)

@@ -23,9 +23,9 @@ description that is not canonical.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator
 
 from .machine import (
@@ -379,28 +379,28 @@ def enumerate_machines(count: int) -> list[Description]:
     """The first ``count`` valid descriptions in length-lexicographic order."""
     if count < 1:
         raise InputError("count must be >= 1")
-    out = []
-    for desc in iter_descriptions():
-        out.append(desc)
-        if len(out) == count:
-            return out
-    raise AssertionError("unreachable")
+    return list(islice(iter_descriptions(), count))
 
 
-_NTH_CACHE: list[Description] = []
-_NTH_SOURCE = iter_descriptions()
-_NTH_LOCK = threading.Lock()  # guards the shared generator and its cache
+@lru_cache(maxsize=None)
+def _descriptions_of(length: int) -> tuple[Description, ...]:
+    return tuple(map(Description, descriptions_of_length(length)))
 
 
 def nth_description(n: int) -> Description:
-    """Element n (0-based) of the enumeration, cached across calls; safe to
-    call from several threads."""
+    """Element n (0-based) of the enumeration.
+
+    The lengths are walked from 2 bits up, skipping each length's whole
+    list until n falls inside one.  A length's list is built once per
+    process and then shared by every call and thread; two threads may build
+    the same list at once, and both get the same answer."""
     if n < 0:
         raise InputError("enumeration indices are non-negative")
-    with _NTH_LOCK:
-        while len(_NTH_CACHE) <= n:
-            _NTH_CACHE.append(next(_NTH_SOURCE))
-        return _NTH_CACHE[n]
+    length = 2
+    while n >= len(batch := _descriptions_of(length)):
+        n -= len(batch)
+        length += 1
+    return batch[n]
 
 
 # --- universal simulation -------------------------------------------------

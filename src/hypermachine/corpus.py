@@ -13,7 +13,7 @@ from itertools import product
 from typing import Iterator
 
 from .dsl import parse_machine_spec
-from .machine import Machine, single_tape_machine
+from .machine import InputError, Machine, single_tape_machine
 from .reflexive import ReflexiveMachine
 
 CORPUS_SPECS: dict[str, str] = {
@@ -203,14 +203,8 @@ def corpus_machine(name: str) -> Machine | ReflexiveMachine:
     try:
         text = CORPUS_SPECS[name]
     except KeyError:
-        from .machine import InputError
-
         raise InputError(f"no corpus machine named {name!r}") from None
     return parse_machine_spec(text).machine
-
-
-def corpus_names() -> tuple[str, ...]:
-    return tuple(CORPUS_SPECS)
 
 
 def encodable_corpus() -> dict[str, Machine]:
@@ -226,8 +220,6 @@ def encodable_corpus() -> dict[str, Machine]:
 def delay_machine(steps: int) -> Machine:
     """Halts with an empty result at exactly the given step on blank input."""
     if steps < 1:
-        from .machine import InputError
-
         raise InputError("delay must be >= 1 step")
     rules = {}
     for i in range(1, steps):

@@ -36,13 +36,12 @@ class ParseError(HypermachineError):
 
 @dataclass(frozen=True)
 class SpecDocument:
-    source: str
     machine: Machine | ReflexiveMachine
     positions: dict[tuple, tuple[int, int]]
 
 
-def _col(raw: str, token: str, start: int = 0) -> int:
-    at = raw.find(token, start)
+def _col(raw: str, token: str) -> int:
+    at = raw.find(token)
     return at + 1 if at >= 0 else 1
 
 
@@ -231,7 +230,7 @@ def parse_machine_spec(text: str) -> SpecDocument:
         parsed: Machine | ReflexiveMachine = ReflexiveMachine(machine, builder.edits) if builder.edits else machine
     except StructureError as exc:
         raise ParseError(str(exc), *builder.positions[("rule", *exc.key)]) from exc
-    return SpecDocument(source=text, machine=parsed, positions=builder.positions)
+    return SpecDocument(machine=parsed, positions=builder.positions)
 
 
 def _edit_clause(action: EditAction) -> str:

@@ -52,6 +52,7 @@ from .codec import (
     word_index,
 )
 from .machine import (
+    _check_budget,
     _retrim,
     BudgetExhausted,
     HaltedWithResult,
@@ -367,8 +368,7 @@ def _observe(machine: Machine, input_word: str, budget: int) -> tuple[Run, list[
     budget.  On a multi-tape machine the hook also logs every change of the
     trimmed output tape as the rule that makes it fires; the log starts at
     (0, "")."""
-    if budget < 1:
-        raise InputError(f"budget must be >= 1, got {budget}")
+    _check_budget(budget)
     changes = [(0, "")]
     if machine.tape_count == 1:
         hook = _single_tape_check(machine, input_word)
@@ -382,29 +382,33 @@ def _observe(machine: Machine, input_word: str, budget: int) -> tuple[Run, list[
 # --- public operations ------------------------------------------------------
 
 
+def _status(run: Run, last_change_step: int) -> CertifiedStable | Provisional:
+    """The status of an observed run whose output last changed at
+    ``last_change_step``.
+
+    A halt is certified.  A blank runaway is certified, and so is a cycle
+    with no output change in its window, one whose output last changed at
+    or before its first repeat step; a change inside the window recurs
+    forever.  Anything else, a cycle with a change in its window or a run
+    out of budget, is provisional."""
+    if run.halted:
+        return CertifiedStable(HALTED)
+    certificate = run.checked
+    if isinstance(certificate, BlankRunaway) or (
+        isinstance(certificate, ConfigurationCycle) and last_change_step <= certificate.first_repeat_step
+    ):
+        return CertifiedStable(certificate)
+    return PROVISIONAL
+
+
 def inductive_run(machine: Machine, input_word: str, budget: int) -> InductiveOutcome:
     """Run a three-tape machine, logging output changes, until it halts, a
     non-halting certificate fires, or the budget runs out."""
     if machine.tape_count != 3:
         raise UnsupportedMachineError("inductive runs need a 3-tape machine (input, working, output)")
     run, changes = _observe(machine, input_word, budget)
-    log = ObservationLog(tuple(changes))
-    last_step, current = log.entries[-1]
-    certificate = run.checked
-    if run.halted:
-        status: CertifiedStable | Provisional = CertifiedStable(HALTED)
-    elif isinstance(certificate, BlankRunaway):
-        status = CertifiedStable(certificate)
-    elif isinstance(certificate, ConfigurationCycle):
-        # Output changes inside the repeating window recur forever; only a
-        # change-free window certifies stability.
-        if last_step <= certificate.first_repeat_step:
-            status = CertifiedStable(certificate)
-        else:
-            status = PROVISIONAL
-    else:
-        status = PROVISIONAL
-    return InductiveOutcome(current, last_step, run.steps, status, log)
+    last_step, current = changes[-1]
+    return InductiveOutcome(current, last_step, run.steps, _status(run, last_step), ObservationLog(tuple(changes)))
 
 
 @dataclass(frozen=True)
@@ -438,20 +442,13 @@ def certify_nonhalting(machine: Machine, input_word: str, budget: int) -> Certif
 def halting_limit_decider(description: Description, input_word: str, budget: int) -> InductiveOutcome:
     """Limit-style halting decision: output 0 while the simulated machine
     runs, flipping to 1 exactly when it halts within the budget."""
-    machine = decode(description)
-    run, _ = _observe(machine, input_word, budget)
+    run, _ = _observe(decode(description), input_word, budget)
     if run.halted:
         entries = ((0, "1"),) if run.steps == 0 else ((0, "0"), (run.steps, "1"))
-        status: CertifiedStable | Provisional = CertifiedStable(HALTED)
     else:
         entries = ((0, "0"),)
-        if run.checked:
-            status = CertifiedStable(run.checked)
-        else:
-            status = PROVISIONAL
-    log = ObservationLog(entries)
-    last_step, current = log.entries[-1]
-    return InductiveOutcome(current, last_step, run.steps, status, log)
+    last_step, current = entries[-1]
+    return InductiveOutcome(current, last_step, run.steps, _status(run, last_step), ObservationLog(entries))
 
 
 # --- diagonalization --------------------------------------------------------

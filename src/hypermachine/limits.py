@@ -54,7 +54,6 @@ def limit_eval(f: LimitFunction, x: int, stage_budget: int, quiescence_window: i
     if stage_budget < quiescence_window:
         raise InputError("stage_budget must be at least quiescence_window")
     log: list[tuple[int, str]] = []
-    changes = 0
     last: str | None = None
     for t in range(stage_budget + 1):
         try:
@@ -63,9 +62,7 @@ def limit_eval(f: LimitFunction, x: int, stage_budget: int, quiescence_window: i
             raise
         except Exception as exc:
             raise GuessEvaluationError(f.name, x, t) from exc
-        if last is None or g != last:
-            if last is not None:
-                changes += 1
+        if g != last:
             log.append((t, g))
             last = g
     return LimitReport(
@@ -73,7 +70,7 @@ def limit_eval(f: LimitFunction, x: int, stage_budget: int, quiescence_window: i
         stages_evaluated=stage_budget + 1,
         guesses_log=tuple(log),
         final_guess=log[-1][1],
-        changes=changes,
+        changes=len(log) - 1,
         converged_within_budget=log[-1][0] <= stage_budget - quiescence_window + 1,
     )
 

@@ -29,6 +29,7 @@ from .machine import (
     RunOutcome,
     StructureError,
     Symbols,
+    _check_budget,
     _check_rules,
     run_bounded,
 )
@@ -113,8 +114,7 @@ def _run(
 ) -> tuple[RunOutcome, EditLog]:
     """The bounded self-editing run; ``visit(run)``, when given, is called at
     every visited configuration, the initial one included."""
-    if budget < 1:
-        raise InputError(f"budget must be >= 1, got {budget}")
+    _check_budget(budget)
     run = Run(rm.base, input_word)
     for key in rm.edits:
         run.patch(key, _paused(rm, key, rm.base.rules[key]))

@@ -15,10 +15,11 @@ theorem; every claim is checked by exhaustion at desk scale.
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .machine import HypermachineError, InputError
+from .machine import HypermachineError, InputError, words_over
 
 ALPHABET = ("0", "1")
 
@@ -85,8 +86,6 @@ def dfa_equiv(d1: Dfa, d2: Dfa) -> Equivalent | Counterexample:
     """
     if d1.alphabet != d2.alphabet:
         raise InputError("DFAs do not share an alphabet")
-    from collections import deque
-
     queue = deque([(d1.start, d2.start, "")])
     visited = {(d1.start, d2.start)}
     while queue:
@@ -317,8 +316,6 @@ def separation_search(
 
 def sample_anbn(max_length: int, max_n: int | None = None) -> dict[str, int]:
     """Every word up to max_length labelled by membership in {0^n 1^n}."""
-    from .machine import words_over
-
     def member(word: str) -> int:
         half = len(word) // 2
         return int(len(word) % 2 == 0 and word == "0" * half + "1" * half and (max_n is None or half <= max_n))
@@ -328,14 +325,10 @@ def sample_anbn(max_length: int, max_n: int | None = None) -> dict[str, int]:
 
 def sample_parity(max_length: int) -> dict[str, int]:
     """Every word up to max_length labelled 1 iff it has an even count of 1s."""
-    from .machine import words_over
-
     return {word: int(word.count("1") % 2 == 0) for word in words_over(ALPHABET, max_length)}
 
 
 def sample_palindrome(max_length: int) -> dict[str, int]:
-    from .machine import words_over
-
     return {word: int(word == word[::-1]) for word in words_over(ALPHABET, max_length)}
 
 

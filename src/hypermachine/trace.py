@@ -42,7 +42,6 @@ def record_of(
     tapes: Sequence[dict[int, str]],
     heads: Sequence[int],
     step: int,
-    with_output: bool = False,
 ) -> TraceRecord:
     """The record of one configuration, every tape trimmed again in full: the
     reference that the tests compare ``traced_run``'s incremental records
@@ -53,7 +52,7 @@ def record_of(
         state=state,
         heads=tuple(heads),
         tapes=trimmed,
-        out=trimmed[-1] if with_output and machine.tape_count > 1 else None,
+        out=trimmed[-1] if machine.tape_count == 3 else None,
     )
 
 

@@ -207,3 +207,38 @@ def test_bench_command(capsys):
     assert code == 0
     assert out.startswith("steps=100000\t")
     assert "rate=" in out
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["audit", "--machines", "3", "--decider", "certified:50", "--truth-budget", "100"], 0),
+        (["diagonal", "--index", "1", "--decider", "budget:abc"], 1),
+        (["diagonal", "--index", "1", "--decider", "budget:0"], 1),
+        (["watch", "{specializer}"], 1),  # a self-editing document
+        (["encode", "{specializer}"], 1),
+        (["equiv", "{specializer}", "{specializer}"], 1),
+        (["decode"], 1),  # neither a file nor --bits
+        (["run", "{missing}"], 1),
+        (["separate", "--lang", "nope", "--max-states", "2"], 2),
+        (["limit-eval", "--fn", "nope", "--x", "0", "--stages", "5", "--window", "2"], 2),
+    ],
+)
+def test_exit_codes(tmp_path, capsys, argv, code):
+    specializer = tmp_path / "specializer.tm"
+    specializer.write_text(CORPUS_SPECS["specializer"])
+    paths = {"specializer": specializer, "missing": tmp_path / "missing.tm"}
+    argv = [arg.format(**paths) for arg in argv]
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse rejects a usage error this way
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code
+    if code == 0:
+        assert out.count("\n") == 4  # a header and one row per machine
+    elif code == 1:
+        assert out == ""
+        assert err.startswith("error: ")
+    else:
+        assert "invalid choice: 'nope'" in err

@@ -22,7 +22,7 @@ from hypermachine.codec import (
     universal_run,
     word_index,
 )
-from hypermachine.codec import _NTH_CACHE, _decode_bits, _numbering_canonical
+from hypermachine.codec import _decode_bits, _descriptions_of, _numbering_canonical
 from hypermachine.corpus import LOCATABLE, corpus_machine, encodable_corpus, two_state_family
 from hypermachine.machine import (
     BLANK,
@@ -385,15 +385,17 @@ def test_nth_description_matches_enumerate():
 
 
 def test_nth_description_is_safe_under_threads():
-    # more threads than cores, each walking past the cached prefix so that
-    # they contend for the shared enumeration source
-    start = len(_NTH_CACHE)
+    # more threads than cores, each walking an emptied cache so that they
+    # contend for building the same lengths
+    expected = enumerate_machines(3000)
+    _descriptions_of.cache_clear()
     errors = []
 
     def walk():
         try:
-            for n in range(start, start + 3000):
-                nth_description(n)
+            for n in range(3000):
+                if nth_description(n) != expected[n]:
+                    errors.append(n)
         except Exception as exc:  # reported below
             errors.append(exc)
 
@@ -409,7 +411,6 @@ def test_nth_description_is_safe_under_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert _NTH_CACHE == enumerate_machines(len(_NTH_CACHE))
 
 
 def test_first_enumerated_description_decodes():

@@ -2,13 +2,14 @@
 and the diagonal construction."""
 
 import tracemalloc
-from itertools import islice
+from collections import Counter
+from itertools import islice, takewhile
 
 import pytest
 
 from hypermachine import inductive
 from hypermachine import machine as engine
-from hypermachine.codec import Description, InvalidEncoding, encode, index_word, nth_description
+from hypermachine.codec import Description, InvalidEncoding, decode, encode, index_word, iter_descriptions, nth_description
 from hypermachine.codec import UnsupportedMachineError
 from hypermachine.corpus import corpus_machine, delay_machine, two_state_family
 from hypermachine.dsl import parse_machine_spec
@@ -141,22 +142,36 @@ def test_certify_validates_budget():
         certify_nonhalting(LOOP, "", 0)
 
 
+# By hand: the machine erases its input left to right, one cell per step, so
+# at step n = len(word) it sits in state a on a blank tape; then a _ -> b moves
+# right and b _ -> a moves back, and the configuration of step n recurs at step
+# n + 2.  Every earlier configuration still holds input cells, their count
+# falling by one per step, so none repeats.
+ERASE_THEN_BOUNCE = single_tape_machine(
+    "erase_then_bounce",
+    {("a", "1"): ("a", "_", "R"), ("a", "_"): ("b", "_", "R"), ("b", "_"): ("a", "_", "L")},
+    start="a",
+    alphabet=("1",),
+)
+
+
 def test_a_cycle_that_starts_late_is_found_by_the_brent_phase():
-    # By hand: the machine erases its input left to right, one cell per step,
-    # so at step n = len(word) it sits in state a on a blank tape; then
-    # a _ -> b moves right and b _ -> a moves back, and the configuration of
-    # step n recurs at step n + 2.  Every earlier configuration still holds
-    # input cells, their count falling by one per step, so none repeats.
-    machine = single_tape_machine(
-        "erase_then_bounce",
-        {("a", "1"): ("a", "_", "R"), ("a", "_"): ("b", "_", "R"), ("b", "_"): ("a", "_", "L")},
-        start="a",
-        alphabet=("1",),
-    )
     n = 2**16 + 1000  # the cycle starts after the exact history ends
     expected = Certificate(ConfigurationCycle(period=2, first_repeat_step=n))
     for budget in (10**5, 10**5 + 1, 3 * 10**5):
-        assert certify_nonhalting(machine, "1" * n, budget) == expected
+        assert certify_nonhalting(ERASE_THEN_BOUNCE, "1" * n, budget) == expected
+
+
+def test_the_exact_history_reports_a_cycle_at_its_first_repeat():
+    # the cycle starts at step len(word) and first repeats two steps later;
+    # Brent's checkpoints alone would see it only at a later repeat
+    cycle = Certificate(ConfigurationCycle(period=2, first_repeat_step=900))
+    assert certify_nonhalting(ERASE_THEN_BOUNCE, "1" * 900, 903) == cycle
+    assert certify_nonhalting(ERASE_THEN_BOUNCE, "1" * 900, 902) == Unknown()
+    assert certify_nonhalting(ERASE_THEN_BOUNCE, "1" * 40, 50) == Certificate(ConfigurationCycle(2, 40))
+    outcome = halting_limit_decider(encode(ERASE_THEN_BOUNCE), "1" * 900, 1000)
+    assert outcome.steps_executed == 902
+    assert outcome.status == CertifiedStable(cycle.certificate)
 
 
 def test_the_brent_phase_alone_gives_the_same_certificates(monkeypatch):
@@ -358,6 +373,35 @@ def test_cycle_detection_memory_is_bounded():
     assert _traced_peak_mb(inductive_run, counter3, "", 50_000) < 20
 
 
+def _census(machines):
+    counts = Counter()
+    for machine in machines:
+        answer = certify_nonhalting(machine, "", 1000)
+        counts[type(answer.certificate).__name__ if isinstance(answer, Certificate) else type(answer).__name__] += 1
+    return counts
+
+
+def test_the_certificate_census_on_the_empty_word():
+    """The answers at budget 1000 on "", pinned so that any change in what
+    the certifier finds shows here.  New certificate kinds and statuses
+    (ROADMAP items 2 and 3) move these counts on purpose; the change that
+    moves them updates them here and explains the move in its CHANGES.md
+    entry."""
+    assert _census(two_state_family()) == {
+        "HaltsAt": 8020,
+        "ConfigurationCycle": 1046,
+        "BlankRunaway": 1444,
+        "Unknown": 3208,
+    }
+    short = takewhile(lambda description: len(description.bits) <= 31, iter_descriptions())
+    assert _census(map(decode, short)) == {
+        "HaltsAt": 41_054,
+        "ConfigurationCycle": 425,
+        "BlankRunaway": 1_327,
+        "Unknown": 1_676,
+    }
+
+
 # --- halting limit-decider ------------------------------------------------------
 
 
@@ -446,8 +490,6 @@ def test_diagonal_flips_an_observed_result():
 
 
 def decode_t(n):
-    from hypermachine.codec import decode
-
     return decode(nth_description(n))
 
 

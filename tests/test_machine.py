@@ -516,7 +516,7 @@ def test_run_via_step_matches_fast_engine(machine):
                 ]
 
         traced = trace_run(machine, word, budget)
-        assert traced == [record_of(machine, c.state, c.tapes, c.heads, c.step, three_tape) for c in seq]
+        assert traced == [record_of(machine, c.state, c.tapes, c.heads, c.step) for c in seq]
         assert trace_run(ReflexiveMachine(machine, {}), word, budget) == traced
         assert reflexive_config_sequence(ReflexiveMachine(machine, {}), word, budget) == (seq, EditLog(()))
 

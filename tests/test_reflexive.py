@@ -299,8 +299,7 @@ def test_self_editing_runs_match_the_step_reference(rm, word, budget):
     seq, log = _reference_run(rm, word, budget)
     assert reflexive_run(rm, word, budget) == (_reference_outcome(rm.base, seq, budget), log)
     assert reflexive_config_sequence(rm, word, budget) == (seq, log)
-    three = rm.base.tape_count == 3
-    assert trace_run(rm, word, budget) == [record_of(rm.base, c.state, c.tapes, c.heads, c.step, three) for c in seq]
+    assert trace_run(rm, word, budget) == [record_of(rm.base, c.state, c.tapes, c.heads, c.step) for c in seq]
 
 
 def test_shared_corpus_machines_are_safe_under_threads():
