@@ -46,6 +46,10 @@ EXIT_PARSE = 2
 EXIT_PROVISIONAL = 3
 
 
+class UsageError(HypermachineError):
+    """A command line that names no input or gives an option a malformed value."""
+
+
 def _load_spec(path: str):
     return parse_machine_spec(Path(path).read_text())
 
@@ -55,7 +59,7 @@ def _load_description(args) -> Description:
         return Description(args.bits)
     if getattr(args, "description", None):
         return Description(Path(args.description).read_text().strip())
-    raise InputError("provide a description file or --bits")
+    raise UsageError("provide a description file or --bits")
 
 
 def _outcome_fields(outcome: RunOutcome) -> str:
@@ -133,12 +137,12 @@ def _decider(spec: str):
     except ValueError:
         budget = 0
     if budget < 1:
-        raise InputError(f"bad decider spec {spec!r}: want budget:<steps> or certified:<steps>")
+        raise UsageError(f"bad decider spec {spec!r}: want budget:<steps> or certified:<steps>")
     if kind == "budget":
         return budget_decider(budget)
     if kind == "certified":
         return certified_decider(budget)
-    raise InputError(f"unknown decider kind {kind!r}")
+    raise UsageError(f"unknown decider kind {kind!r}")
 
 
 def cmd_diagonal(args) -> int:
@@ -196,7 +200,7 @@ def cmd_separate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    machine = corpus_machine("loop")
+    machine = corpus_machine("ping_pong")  # no sweep, so every step is stepped
     started = time.perf_counter()
     outcome = run_bounded(machine, "", args.steps)
     elapsed = time.perf_counter() - started
@@ -278,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=6)
     p.set_defaults(func=cmd_separate)
 
-    p = sub.add_parser("bench", help="measure engine speed on the loop machine")
+    p = sub.add_parser("bench", help="measure engine speed on the ping_pong machine")
     p.add_argument("--steps", type=int, default=10_000_000)
     p.set_defaults(func=cmd_bench)
 
@@ -291,6 +295,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except HypermachineError as exc:
         print(f"error: {exc}", file=sys.stderr)

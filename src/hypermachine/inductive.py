@@ -52,6 +52,7 @@ from .codec import (
     word_index,
 )
 from .machine import (
+    _beyond_extent,
     _check_budget,
     _retrim,
     BudgetExhausted,
@@ -274,10 +275,10 @@ def _single_tape_check(machine: Machine, input_word: str) -> Callable:
 
     def check(state, tape, head, steps, rule):
         nonlocal h, at
-        # a runaway repeats a rule that reads blank (the head is off the
-        # stored cells), writes blank, moves, and keeps the state
-        nstate, wsym, wblank, delta = rule
-        if wblank and delta and nstate == state and head not in tape and _runaway_direction_ok(delta, tape, head):
+        # a runaway repeats a sweep (a rule that reads blank, moves and keeps
+        # the state) that writes blank
+        _, wsym, wblank, delta, _, sweep = rule
+        if sweep and wblank and _beyond_extent(delta, tape, head):
             return BlankRunaway(state, ("R" if delta > 0 else "L",), steps)
         cells = len(tape)
         # the hash misses the steps that the engine skips, all of which hold
@@ -318,13 +319,13 @@ def _multi_tape_check(machine: Machine, input_word: str, changes: list[tuple[int
 
     def check(state, tapes, heads, steps, rule):
         nonlocal hashes, word, lo
-        nstate, writes, deltas = rule
+        nstate, writes, deltas, _ = rule
         if (
             nstate == state
             and writes == blanks
             and any(deltas)
             and all(h not in t for t, h in zip(tapes, heads))
-            and all(_runaway_direction_ok(d, t, h) for d, t, h in zip(deltas, tapes, heads))
+            and all(_beyond_extent(d, t, h) for d, t, h in zip(deltas, tapes, heads))
         ):
             return BlankRunaway(state, machine.rules[(state, blanks)][2], steps)
         cells = sum(map(len, tapes))
@@ -355,12 +356,6 @@ def _multi_tape_check(machine: Machine, input_word: str, changes: list[tuple[int
         return None
 
     return check
-
-
-def _runaway_direction_ok(delta: int, tape: dict, head: int) -> bool:
-    if not delta or not tape:
-        return True
-    return head > max(tape) if delta > 0 else head < min(tape)
 
 
 def _observe(machine: Machine, input_word: str, budget: int) -> tuple[Run, list[tuple[int, str]]]:

@@ -12,14 +12,22 @@ reachable configuration is finite and cheap to copy, compare, and replay.
 
 ``Run`` is the one engine: a resumable cursor over a machine compiled once
 per run, behind ``run_bounded``, ``HaltProbe`` and every client in the other
-modules.  ``step`` and ``config_sequence`` are the reference semantics: small,
-pure and slow, kept for tests to compare the engine against.
+modules.  Each compiled rule carries its next state's row, so a step never
+looks a state up; a state with no row shares one empty, read-only row.  A
+one-state run that keeps reading blank as it moves outward is finished in
+one jump (the macro-step of busy-beaver simulators, Marxen and Buntrock
+1990): the rest of the budget moves the head that many cells and fills them
+as the steps would.  The jump is never taken where an observing hook would
+have seen one of the steps it covers.  ``step`` and ``config_sequence`` are
+the reference semantics: small, pure and slow, kept for tests to compare
+the engine against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
 LEFT = "L"
@@ -30,6 +38,7 @@ BLANK = "_"
 
 _DELTA = {LEFT: -1, RIGHT: 1, STAY: 0}
 _HOOK_CELLS = 128  # above this many cells a single-tape hook sees only possible runaway starts
+_NO_ROW: Mapping = MappingProxyType({})  # the row of every state that has none: it holds no rule
 
 Symbols = tuple[str, ...]
 RuleKey = tuple[str, Symbols]
@@ -258,15 +267,20 @@ def _retrim(word: str, lo: int, cell: int, sym: str, blank: str) -> tuple[str, i
 
 def initial_configuration(machine: Machine, input_word: str) -> Configuration:
     """Input on tape 0 starting at cell 0, all heads at 0."""
-    symbols = set(machine.alphabet)
+    return Configuration(machine.start, _input_tapes(machine, input_word), (0,) * machine.tape_count)
+
+
+def _input_tapes(machine: Machine, input_word: str) -> tuple[dict[int, str], ...]:
+    """The initial tapes: the input on tape 0 from cell 0, the others blank."""
     for ch in input_word:
         if ch == machine.blank:
             raise InputError("input words may not contain the blank symbol")
-        if ch not in symbols:
+        if ch not in machine.alphabet:
             raise InputError(f"input symbol {ch!r} is not in the alphabet")
-    tape0 = {i: ch for i, ch in enumerate(input_word)}
-    tapes = (tape0,) + tuple({} for _ in range(machine.tape_count - 1))
-    return Configuration(state=machine.start, tapes=tapes, heads=(0,) * machine.tape_count, step=0)
+    tape0 = dict(enumerate(input_word))
+    if machine.tape_count == 1:
+        return (tape0,)
+    return (tape0,) + tuple({} for _ in range(machine.tape_count - 1))
 
 
 def step(machine: Machine, config: Configuration) -> NextConfig | NoRule | AtFinal:
@@ -314,20 +328,38 @@ def _check_budget(budget: int) -> None:
         raise InputError(f"budget must be >= 1, got {budget}")
 
 
-def _compiled_rows(machine: Machine, rules: Mapping[RuleKey, RuleBody] | None = None) -> dict[str, dict]:
+def _beyond_extent(delta: int, tape: Mapping[int, str], head: int) -> bool:
+    """True when no stored cell lies at or past ``head`` in the direction
+    ``delta``, and always for a head that stays."""
+    if not delta or not tape:
+        return True
+    return head > max(tape) if delta > 0 else head < min(tape)
+
+
+def _compiled_rows(
+    machine: Machine, rules: Mapping[RuleKey, RuleBody] | None = None, rows: dict[str, dict] | None = None
+) -> dict[str, dict]:
     """Per-state rule rows for non-final states; a final state has no row.
 
     A row maps the scanned symbol (single tape) or symbol tuple to a compiled
-    rule.  ``rules`` defaults to the machine's own table.
+    rule, which ends in its next state's row: _NO_ROW when that state has
+    none.  A single-tape rule ends in one more flag, set for a sweep: a rule
+    that reads blank, keeps its state and moves.  ``rules`` defaults to the
+    machine's own table; given ``rows``, they are compiled into those.
     """
-    rows: dict[str, dict] = {q: {} for q in machine.states if q not in machine.finals}
+    if rows is None:
+        rows = {q: {} for q in machine.states if q not in machine.finals}
+    row_of = rows.get
     blank = machine.blank
-    single = machine.tape_count == 1
-    for (state, syms), (nstate, writes, moves) in (machine.rules if rules is None else rules).items():
-        if single:
-            rows[state][syms[0]] = (nstate, writes[0], writes[0] == blank, _DELTA[moves[0]])
-        else:
-            rows[state][syms] = (nstate, writes, tuple(_DELTA[m] for m in moves))
+    items = (machine.rules if rules is None else rules).items()
+    if machine.tape_count == 1:
+        for (state, (sym,)), (nstate, (wsym,), (move,)) in items:
+            delta = _DELTA[move]
+            sweep = sym == blank and nstate == state and delta != 0
+            rows[state][sym] = (nstate, wsym, wsym == blank, delta, row_of(nstate, _NO_ROW), sweep)
+    else:
+        for (state, syms), (nstate, writes, moves) in items:
+            rows[state][syms] = (nstate, writes, tuple(_DELTA[m] for m in moves), row_of(nstate, _NO_ROW))
     return rows
 
 
@@ -342,30 +374,50 @@ class Run:
     This is the one engine: every bounded run, probe, observation, trace and
     self-editing run advances a ``Run``, while ``step`` stays the reference
     semantics that tests compare against.  The machine is compiled once, into
-    rows private to this run.  ``hook(state, tapes, heads, steps, rule)`` is
-    called before every rule fires when given (on a single tape it receives
-    the tape and the head instead); a truthy result stops the run unfired and
-    is kept in ``checked``.  On a single tape holding more than _HOOK_CELLS
-    cells the hook is skipped, and ``steps`` jumps, unless the rule could
-    start a blank runaway: it reads blank, writes blank, moves and keeps its
-    state.  A state with no row stops the run as a halt does, right after
-    the rule that enters it fires: a final state, or a next state that
-    ``patch`` gave a rule and that the table does not hold.
+    rows private to this run, and each compiled rule carries its next state's
+    row.  ``hook(state, tapes, heads, steps, rule)`` is called before every
+    rule fires when given (on a single tape it receives the tape and the head
+    instead); a truthy result stops the run unfired and is kept in
+    ``checked``.  On a single tape holding more than _HOOK_CELLS cells the
+    hook is skipped, and ``steps`` jumps, unless the rule could start a blank
+    runaway: it is a sweep that writes blank.  A state with no row stops the
+    run as a halt does, right after the rule that enters it fires: a final
+    state, or a next state that ``patch`` gave a rule and that the table does
+    not hold.  Such a rule carries _NO_ROW, the one shared row that holds no
+    rule.
+
+    A sweep (a single-tape rule that reads blank, keeps its state and moves)
+    that fires with the head beyond the tape's extent in its direction would
+    fire on a fresh blank at every step left, so the run ends the budget in
+    one jump: the head moves that many cells and the cells it passes are
+    written as the steps would write them.  The jump is tried from an
+    advance's second step on, when the cell past the head is blank and the
+    steps left outnumber the tape's cells, which the scan for the extent
+    costs; after a try that fails, not again within that many steps.  Under
+    a hook it is taken only when the hook would skip every step it covers:
+    the sweep writes a non-blank symbol, so the tape only grows, and the
+    tape already holds more than _HOOK_CELLS cells.
     """
 
     __slots__ = ("machine", "state", "tapes", "heads", "steps", "halted", "checked", "_hook", "_rows")
 
     def __init__(self, machine: Machine, input_word: str, hook: Callable[..., object] | None = None):
-        config = initial_configuration(machine, input_word)
+        self._rows = _compiled_rows(machine)
+        self.tapes = _input_tapes(machine, input_word)
         self.machine = machine
-        self.state = config.state
-        self.tapes = config.tapes
-        self.heads = list(config.heads)
+        self.state = machine.start
+        self.heads = [0] * machine.tape_count
         self.steps = 0
         self.halted = False  # a state with no row or a missing rule was reached
         self.checked = None
         self._hook = hook
-        self._rows = _compiled_rows(machine)
+
+    def __del__(self) -> None:
+        # the rows refer to one another through their rules; emptying them
+        # lets reference counting free them, which spares every run the
+        # cycle collector's passes
+        for row in self._rows.values():
+            row.clear()
 
     def advance(self, budget: int) -> None:
         """Run until ``steps`` reaches ``budget``, the run halts (it reaches a
@@ -375,38 +427,43 @@ class Run:
         blank = self.machine.blank
         state = self.state
         steps = self.steps
-        row = rows.get(state)
+        row = rows.get(state, _NO_ROW)
         found = None
         if len(self.tapes) == 1:
             tape = self.tapes[0]
             get = tape.get
-            pop = tape.pop
             head = self.heads[0]
             cap = _HOOK_CELLS
+            retry = steps + 1  # the first step that may try a jump: never an advance's first
             while steps < budget:
-                if row is None:
-                    self.halted = True
-                    break
                 rule = row.get(get(head, blank))
                 if rule is None:
                     self.halted = True
                     break
-                nstate, wsym, wblank, delta = rule
-                if (
-                    hook is not None
-                    and (len(tape) <= cap or (wblank and delta and nstate == state and head not in tape))
-                    and (found := hook(state, tape, head, steps, rule))
-                ):
-                    break
+                nstate, wsym, wblank, delta, nrow, sweep = rule
+                if hook is not None and (len(tape) <= cap or (sweep and wblank)):
+                    if found := hook(state, tape, head, steps, rule):
+                        break
+                elif sweep and steps >= retry:
+                    # beyond the extent every step left fires this sweep on a
+                    # fresh blank, and a hook that skips this step skips them
+                    # too (the tape only grows), so the run jumps to the budget
+                    if head + delta not in tape and budget - steps > len(tape) and _beyond_extent(delta, tape, head):
+                        end = head + (budget - steps) * delta
+                        if not wblank:
+                            tape.update(zip(range(head, end, delta), repeat(wsym)))
+                        head = end
+                        steps = budget
+                        break
+                    retry = steps + len(tape)
                 if wblank:
-                    pop(head, None)
+                    tape.pop(head, None)
                 else:
                     tape[head] = wsym
                 head += delta
                 steps += 1
-                if nstate is not state:
-                    state = nstate
-                    row = rows.get(state)
+                state = nstate
+                row = nrow
             self.heads[0] = head
         else:
             tapes = self.tapes
@@ -415,14 +472,11 @@ class Run:
             get = dict.get
             span = range(len(tapes))
             while steps < budget:
-                if row is None:
-                    self.halted = True
-                    break
                 rule = row.get(tuple(map(get, tapes, heads, blanks)))
                 if rule is None:
                     self.halted = True
                     break
-                nstate, writes, deltas = rule
+                nstate, writes, deltas, nrow = rule
                 if hook is not None and (found := hook(state, tapes, heads, steps, rule)):
                     break
                 for i in span:
@@ -434,9 +488,8 @@ class Run:
                         tapes[i][h] = w
                     heads[i] = h + deltas[i]
                 steps += 1
-                if nstate is not state:
-                    state = nstate
-                    row = rows.get(state)
+                state = nstate
+                row = nrow
         self.state = state
         self.steps = steps
         self.checked = found
@@ -456,8 +509,7 @@ class Run:
 
     def patch(self, key: RuleKey, body: RuleBody) -> None:
         """Install or replace one rule of this run's private table."""
-        state = key[0]
-        self._rows[state].update(_compiled_rows(self.machine, {key: body})[state])
+        _compiled_rows(self.machine, {key: body}, self._rows)
 
 
 def run_bounded(machine: Machine, input_word: str, budget: int) -> RunOutcome:

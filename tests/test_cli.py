@@ -168,7 +168,7 @@ def test_audit_command(capsys):
 
 def test_bad_decider_spec(capsys):
     code, _, err = run_cli(capsys, "diagonal", "--index", "1", "--decider", "psychic:9")
-    assert code == 1
+    assert code == 2
     assert "decider" in err
 
 
@@ -213,15 +213,17 @@ def test_bench_command(capsys):
     "argv,code",
     [
         (["audit", "--machines", "3", "--decider", "certified:50", "--truth-budget", "100"], 0),
-        (["diagonal", "--index", "1", "--decider", "budget:abc"], 1),
-        (["diagonal", "--index", "1", "--decider", "budget:0"], 1),
+        (["diagonal", "--index", "1", "--decider", "budget:abc"], 2),
+        (["diagonal", "--index", "1", "--decider", "budget:0"], 2),
         (["watch", "{specializer}"], 1),  # a self-editing document
         (["encode", "{specializer}"], 1),
         (["equiv", "{specializer}", "{specializer}"], 1),
-        (["decode"], 1),  # neither a file nor --bits
+        (["decode"], 2),  # neither a file nor --bits
         (["run", "{missing}"], 1),
         (["separate", "--lang", "nope", "--max-states", "2"], 2),
         (["limit-eval", "--fn", "nope", "--x", "0", "--stages", "5", "--window", "2"], 2),
+        (["audit", "--machines", "3", "--decider", "psychic:9", "--truth-budget", "100"], 2),
+        (["halts", "--input", "0"], 2),  # neither a file nor --bits
     ],
 )
 def test_exit_codes(tmp_path, capsys, argv, code):
@@ -240,5 +242,8 @@ def test_exit_codes(tmp_path, capsys, argv, code):
     elif code == 1:
         assert out == ""
         assert err.startswith("error: ")
-    else:
+    elif "nope" in argv:  # argparse rejects an unknown choice itself
         assert "invalid choice: 'nope'" in err
+    else:
+        assert out == ""
+        assert err.startswith("usage error: ")

@@ -10,7 +10,9 @@ from hypermachine.inductive import (
     BlankRunaway,
     Certificate,
     ConfigurationCycle,
+    UNKNOWN,
     HaltsAt,
+    _observe,
     certify_nonhalting,
     inductive_run,
 )
@@ -28,6 +30,7 @@ from hypermachine.machine import (
     Machine,
     NextConfig,
     NoRule,
+    Run,
     StructureError,
     _retrim,
     config_sequence,
@@ -534,3 +537,71 @@ def test_halt_probe_answers_out_of_order_queries():
     assert not probe.halted_by(4)  # asked after the probe advanced past it
     assert probe.halted_by(5)
     assert probe.halt_step == 4
+
+
+# --- the sweep jump ---------------------------------------------------------
+
+TRAIL = corpus_machine("trail")
+# writes 1s leftwards from the left end of its input
+_LEFT_SWEEP = single_tape_machine("left-sweep", {("q0", "0"): ("q0", "1", "L"), ("q0", "_"): ("q0", "1", "L")})
+# erases the 0s of 1001, walks back left through the gap (a sweep that finds
+# the tape's extent beyond it), then fills the gap rightwards with 0s (a
+# sweep over an interior blank) and trails 0s off the right end
+_GAP_SWEEP = single_tape_machine(
+    "gap-sweep",
+    {
+        ("e", "1"): ("e0", "1", "R"),
+        ("e0", "0"): ("e0", "_", "R"),
+        ("e0", "1"): ("b", "1", "L"),
+        ("b", "_"): ("b", "_", "L"),
+        ("b", "1"): ("r", "1", "R"),
+        ("r", "_"): ("r", "0", "R"),
+        ("r", "1"): ("r", "1", "R"),
+    },
+    start="e",
+)
+
+
+def _last_config(machine, word, budget):
+    """The reference configuration after ``budget`` steps (or at the halt),
+    stepped one at a time without keeping the sequence."""
+    config = initial_configuration(machine, word)
+    while config.step < budget and isinstance(nxt := step(machine, config), NextConfig):
+        config = nxt.config
+    return config
+
+
+def _run_to(machine, word, *budgets):
+    run = Run(machine, word)
+    for budget in budgets:
+        run.advance(budget)
+    return run.snapshot()
+
+
+def test_blank_sweep_runs_a_trillion_steps_at_once():
+    steps = 10**12
+    assert run_bounded(LOOP, "", steps) == BudgetExhausted(steps, Configuration("q0", ({},), (steps,), steps))
+
+
+@pytest.mark.parametrize("machine,word", [(TRAIL, ""), (_LEFT_SWEEP, "00"), (_GAP_SWEEP, "1001")])
+def test_sweep_jump_matches_the_reference(machine, word):
+    expected = _last_config(machine, word, 2000)
+    assert _run_to(machine, word, 2000) == expected
+    assert _run_to(machine, word, 50, 2000) == expected
+    assert _run_to(machine, word, 1, 2, 3, 2000) == expected
+    assert run_bounded(machine, word, 2000) == BudgetExhausted(2000, expected)
+
+
+def test_sweep_jump_never_hides_a_hooked_step():
+    # the hook sees every step taken with at most 128 cells on the tape; above
+    # that it is skipped on trail's steps, so the jump ends the run there
+    seen = []
+    run = Run(TRAIL, "", lambda state, tape, head, steps, rule: seen.append(steps))
+    run.advance(400)
+    assert seen == list(range(129)) and run.snapshot() == _last_config(TRAIL, "", 400)
+    run, _ = _observe(TRAIL, "", 400)
+    assert run.checked is None and run.snapshot() == _last_config(TRAIL, "", 400)
+    assert certify_nonhalting(TRAIL, "", 400) == UNKNOWN
+    # a sweep that writes blank can start a runaway, so the hook sees it
+    runaway = single_tape_machine("runaway", {("q0", "1"): ("q0", "1", "R"), ("q0", "_"): ("q0", "_", "R")})
+    assert certify_nonhalting(runaway, "1" * 200, 1000) == Certificate(BlankRunaway("q0", ("R",), 200))
