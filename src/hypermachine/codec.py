@@ -40,8 +40,6 @@ from .machine import (
 SYMBOL_CODES = {BLANK: 1, "0": 2, "1": 3}
 MOVE_CODES = {"L": 1, "R": 2, "S": 3}
 
-ENCODABLE_ALPHABET = {BLANK, "0", "1"}
-
 
 class InvalidEncoding(HypermachineError):
     """A bit string is not a valid machine description.
@@ -126,7 +124,7 @@ def encode(machine: Machine) -> Description:
     """Canonical description of a single-tape machine over {0, 1, blank}."""
     if machine.tape_count != 1:
         raise UnsupportedMachineError("only single-tape machines are encodable")
-    if not set(machine.alphabet) <= ENCODABLE_ALPHABET or machine.blank != BLANK:
+    if not set(machine.alphabet) <= SYMBOL_CODES.keys() or machine.blank != BLANK:
         raise UnsupportedMachineError("only machines over the {0,1,_} alphabet are encodable")
     number = {q: n for n, q in enumerate(canonical_state_order(machine), start=1)}
     finals = sorted((number[q], 2 if bearing else 1) for q, bearing in machine.finals.items())

@@ -13,7 +13,7 @@ from itertools import product
 from typing import Iterator
 
 from .dsl import parse_machine_spec
-from .machine import InputError, Machine, single_tape_machine
+from .machine import MOVES, InputError, Machine, single_tape_machine
 from .reflexive import ReflexiveMachine
 
 CORPUS_SPECS: dict[str, str] = {
@@ -230,10 +230,9 @@ def delay_machine(steps: int) -> Machine:
 
 _SYMS = ("_", "0", "1")
 _TARGETS = ("q1", "q2")
-_MOVES = ("L", "R", "S")
 
 # per-symbol rule options: absent, or (target, write, move)
-_RULE_OPTIONS = (None,) + tuple(product(_TARGETS, _SYMS, _MOVES))
+_RULE_OPTIONS = (None,) + tuple(product(_TARGETS, _SYMS, MOVES))
 
 
 def two_state_family() -> Iterator[Machine]:

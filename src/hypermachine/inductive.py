@@ -54,6 +54,7 @@ from .codec import (
 from .machine import (
     _beyond_extent,
     _check_budget,
+    _input_tapes,
     _retrim,
     BudgetExhausted,
     HaltedWithResult,
@@ -142,11 +143,11 @@ class InductiveOutcome:
 # configuration.  Per tape it is the sum of v(symbol) * B**(cell - head) modulo
 # a prime, with v(blank) = 0, so the rule about to fire updates it with one
 # addition for the write and one multiplication, by B**-1 or B, for the move.
-# Only configurations of at most _CYCLE_CELL_CAP cells are tracked, and the
-# hash is not kept for configurations far above that size.
+# Only configurations of at most _CYCLE_CELL_CAP cells are tracked.  The
+# multi-tape hook sees every step, so it keeps its hashes from the initial
+# tapes on; the single-tape hook rebuilds its hash after steps it did not see.
 
 _CYCLE_CELL_CAP = 64  # configurations larger than this are not cycle-tracked
-_REHASH_CELLS = 128  # above this many cells the multi-tape hook drops its hash
 _HISTORY_STEPS = 1 << 16  # tracked configurations before this step are remembered
 _MODULUS = (1 << 61) - 1
 _BASE = 0x27895416BD6F612
@@ -312,13 +313,14 @@ def _multi_tape_check(machine: Machine, input_word: str, changes: list[tuple[int
     blanks = (blank,) * tape_count
     span = range(tape_count)
     history = _HISTORY_STEPS
-    hashes = None  # the tapes' hashes, None while they are not kept
+    # the tapes' hashes, from the initial tapes on; the hook sees every step
+    hashes = [_tape_hash(t, 0, v, move, modulus) for t, v in zip(_input_tapes(machine, input_word), values)]
     cycles = _Cycles(machine, input_word)
     seen = cycles.seen
     word, lo = "", 0  # the trimmed output, empty at the start, and its leftmost cell
 
     def check(state, tapes, heads, steps, rule):
-        nonlocal hashes, word, lo
+        nonlocal word, lo
         nstate, writes, deltas, _ = rule
         if (
             nstate == state
@@ -328,26 +330,19 @@ def _multi_tape_check(machine: Machine, input_word: str, changes: list[tuple[int
             and all(_beyond_extent(d, t, h) for d, t, h in zip(deltas, tapes, heads))
         ):
             return BlankRunaway(state, machine.rules[(state, blanks)][2], steps)
-        cells = sum(map(len, tapes))
-        if hashes is None:
-            if cells <= _CYCLE_CELL_CAP:
-                hashes = [_tape_hash(t, h, v, move, modulus) for t, h, v in zip(tapes, heads, values)]
-        elif cells > _REHASH_CELLS:
-            hashes = None
-        if hashes is not None:
-            if cells <= _CYCLE_CELL_CAP:
-                key = sum(hashes) % modulus + offsets[state]
-                if key in seen:
-                    if found := cycles.visit(key, steps, state, tapes, heads):
-                        return found
-                elif steps < history:
-                    seen[key] = steps
-                elif steps >= cycles.mark:
-                    cycles.visit(key, steps, state, tapes, heads)
-            for i in span:
-                old = tapes[i].get(heads[i], blank)
-                if writes[i] != old or deltas[i]:
-                    hashes[i] = (hashes[i] + values[i][writes[i]] - values[i][old]) * move[deltas[i]] % modulus
+        if sum(map(len, tapes)) <= _CYCLE_CELL_CAP:
+            key = sum(hashes) % modulus + offsets[state]
+            if key in seen:
+                if found := cycles.visit(key, steps, state, tapes, heads):
+                    return found
+            elif steps < history:
+                seen[key] = steps
+            elif steps >= cycles.mark:
+                cycles.visit(key, steps, state, tapes, heads)
+        for i in span:
+            old = tapes[i].get(heads[i], blank)
+            if writes[i] != old or deltas[i]:
+                hashes[i] = (hashes[i] + values[i][writes[i]] - values[i][old]) * move[deltas[i]] % modulus
         # the rule fires right after this, so a rewritten output cell is a change
         sym, cell = writes[-1], heads[-1]
         if sym != tapes[-1].get(cell, blank):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .codec import Description, decode, index_word, nth_description
-from .machine import HaltProbe, HypermachineError, InputError
+from .machine import HypermachineError, InputError, Run
 
 
 class GuessEvaluationError(HypermachineError):
@@ -75,45 +75,52 @@ def limit_eval(f: LimitFunction, x: int, stage_budget: int, quiescence_window: i
     )
 
 
-def halting_as_limit(description: Description, input_word: str) -> LimitFunction:
-    """Guess 1 as soon as the described machine has halted within t+1 steps.
+def _halting_guess(run_of: Callable[[int], Run], halting: bool) -> Callable[[int, int], str]:
+    """Guess 1 at (x, t) when the run ``run_of(x)`` has halted within t+1
+    steps, or when it has not, if ``halting`` is false.
 
-    The guess is monotone (it changes 0 -> 1 at most once), so its limit is 1
-    exactly on halting pairs.  A persistent simulation backs all stages, so a
-    full stage sweep costs one bounded run, not one per stage.
+    The guess changes at most once as t grows, so its limit is 1 exactly on
+    the halting (or, if not ``halting``, the diverging) x.  One run per x
+    backs all its stages, so a full stage sweep costs one bounded run, not
+    one per stage.
     """
-    probe = HaltProbe(decode(description), input_word)
+    runs: dict[int, Run] = {}
 
-    def guess(_x: int, stage: int) -> str:
-        return "1" if probe.halted_by(stage + 1) else "0"
+    def guess(x: int, stage: int) -> str:
+        run = runs.get(x)
+        if run is None:
+            run = runs[x] = run_of(x)
+        return "1" if run.halted_by(stage + 1) == halting else "0"
 
-    return LimitFunction(name="halting", guess=guess, hierarchy_tag="Σ1")
+    return guess
+
+
+def halting_as_limit(description: Description, input_word: str) -> LimitFunction:
+    """Guess 1 as soon as the described machine has halted within t+1 steps,
+    whatever x; changes 0 -> 1 at most once."""
+    run = Run(decode(description), input_word)
+    return LimitFunction("halting", _halting_guess(lambda _x: run, True), "Σ1")
 
 
 def divergence_as_limit(description: Description, input_word: str) -> LimitFunction:
     """Pointwise complement of halting_as_limit; changes 1 -> 0 at most once."""
-    probe = HaltProbe(decode(description), input_word)
-
-    def guess(_x: int, stage: int) -> str:
-        return "0" if probe.halted_by(stage + 1) else "1"
-
-    return LimitFunction(name="divergence", guess=guess, hierarchy_tag="Π1")
+    run = Run(decode(description), input_word)
+    return LimitFunction("divergence", _halting_guess(lambda _x: run, False), "Π1")
 
 
-def _indexed_probe_guess(halting: bool) -> Callable[[int, int], str]:
-    """Guess for the x-indexed built-ins: x names the x-th enumerated machine
-    run on the x-th word."""
-    probes: dict[int, HaltProbe] = {}
+def _indexed_run(x: int) -> Run:
+    """The x-th enumerated machine run on the x-th word."""
+    return Run(decode(nth_description(x)), index_word(x))
 
-    def guess(x: int, stage: int) -> str:
-        probe = probes.get(x)
-        if probe is None:
-            probe = HaltProbe(decode(nth_description(x)), index_word(x))
-            probes[x] = probe
-        halted = probe.halted_by(stage + 1)
-        return "1" if halted == halting else "0"
 
-    return guess
+_BUILTINS: dict[str, Callable[[], LimitFunction]] = {
+    "constant": lambda: LimitFunction("constant", lambda x, t: "1"),
+    "oscillator": lambda: LimitFunction("oscillator", lambda x, t: str(t % 2)),
+    "halting": lambda: LimitFunction("halting", _halting_guess(_indexed_run, True), "Σ1"),
+    "divergence": lambda: LimitFunction("divergence", _halting_guess(_indexed_run, False), "Π1"),
+}
+
+BUILTIN_LIMIT_FUNCTIONS = tuple(_BUILTINS)
 
 
 def builtin_limit_function(name: str) -> LimitFunction:
@@ -122,15 +129,7 @@ def builtin_limit_function(name: str) -> LimitFunction:
     The halting/divergence entries take x to the halting behaviour of the
     x-th enumerated machine on the x-th word.
     """
-    if name == "constant":
-        return LimitFunction("constant", lambda x, t: "1")
-    if name == "oscillator":
-        return LimitFunction("oscillator", lambda x, t: str(t % 2))
-    if name == "halting":
-        return LimitFunction("halting", _indexed_probe_guess(True), "Σ1")
-    if name == "divergence":
-        return LimitFunction("divergence", _indexed_probe_guess(False), "Π1")
-    raise InputError(f"unknown limit function {name!r}")
-
-
-BUILTIN_LIMIT_FUNCTIONS = ("constant", "oscillator", "halting", "divergence")
+    make = _BUILTINS.get(name)
+    if make is None:
+        raise InputError(f"unknown limit function {name!r}")
+    return make()

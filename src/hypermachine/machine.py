@@ -11,16 +11,16 @@ Tapes are stored sparsely as {cell: symbol} with blank cells absent, so every
 reachable configuration is finite and cheap to copy, compare, and replay.
 
 ``Run`` is the one engine: a resumable cursor over a machine compiled once
-per run, behind ``run_bounded``, ``HaltProbe`` and every client in the other
-modules.  Each compiled rule carries its next state's row, so a step never
-looks a state up; a state with no row shares one empty, read-only row.  A
-one-state run that keeps reading blank as it moves outward is finished in
-one jump (the macro-step of busy-beaver simulators, Marxen and Buntrock
-1990): the rest of the budget moves the head that many cells and fills them
-as the steps would.  The jump is never taken where an observing hook would
-have seen one of the steps it covers.  ``step`` and ``config_sequence`` are
-the reference semantics: small, pure and slow, kept for tests to compare
-the engine against.
+per run, behind ``run_bounded``, the halting probes of ``Run.halted_by``
+and every client in the other modules.  Each compiled rule carries its next
+state's row, so a step never looks a state up; a state with no row shares
+one empty, read-only row.  A one-state run that keeps reading blank as it
+moves outward is finished in one jump (the macro-step of busy-beaver
+simulators, Marxen and Buntrock 1990): the rest of the budget moves the head
+that many cells and fills them as the steps would.  The jump is never taken
+where an observing hook would have seen one of the steps it covers.
+``step`` and ``config_sequence`` are the reference semantics: small, pure
+and slow, kept for tests to compare the engine against.
 """
 
 from __future__ import annotations
@@ -67,12 +67,13 @@ class InputError(HypermachineError):
 
 @dataclass(frozen=True, eq=True)
 class Machine:
-    """An immutable deterministic machine.
+    """A deterministic machine.
 
     ``rules`` maps (state, scanned-symbol tuple) to (next state, written
     symbols, moves); the tuple arity always equals ``tape_count``.  ``finals``
     maps each final state to True (result-bearing) or False (resultless).
-    Machines are never mutated after construction and are safe to share.
+    Both are plain dicts that callers must not mutate: cached machines are
+    shared.
     """
 
     name: str
@@ -494,6 +495,17 @@ class Run:
         self.steps = steps
         self.checked = found
 
+    def halted_by(self, budget: int) -> bool:
+        """Answer exactly as ``run_bounded(machine, word, budget)`` would,
+        advancing only as far as needed, so a sweep over growing budgets
+        costs one pass instead of one run per budget."""
+        _check_budget(budget)
+        if not self.halted:
+            self.advance(budget)
+        # Halting is discovered by attempting the next step, so it needs a
+        # budget strictly beyond the halt step.
+        return self.halted and self.steps < budget
+
     def snapshot(self) -> Configuration:
         """A copy of the current configuration."""
         return Configuration(self.state, tuple(dict(t) for t in self.tapes), tuple(self.heads), self.steps)
@@ -525,32 +537,6 @@ def run_bounded(machine: Machine, input_word: str, budget: int) -> RunOutcome:
     run = Run(machine, input_word)
     run.advance(budget)
     return run.outcome()
-
-
-class HaltProbe:
-    """Incremental halting queries against a single machine run.
-
-    ``halted_by(b)`` answers exactly as ``run_bounded(machine, word, b)``
-    would, advancing a persistent run only as far as needed, so a sweep over
-    growing budgets costs one pass instead of one run per budget.
-    """
-
-    def __init__(self, machine: Machine, input_word: str):
-        self.machine = machine
-        self._run = Run(machine, input_word)
-
-    def halted_by(self, budget: int) -> bool:
-        _check_budget(budget)
-        run = self._run
-        if not run.halted:
-            run.advance(budget)
-        # Halting is discovered by attempting the next step, so it needs a
-        # budget strictly beyond the halt step.
-        return run.halted and run.steps < budget
-
-    @property
-    def halt_step(self) -> int | None:
-        return self._run.steps if self._run.halted else None
 
 
 def words_over(alphabet: Symbols, max_length: int) -> Iterator[str]:

@@ -24,15 +24,14 @@ class TraceRecord:
     state: str
     heads: tuple[int, ...]
     tapes: tuple[str, ...]  # trimmed contents
-    out: str | None = None  # output snapshot for inductive runs
 
     def render(self) -> str:
         parts = [f"step={self.step}", f"state={self.state}", f"head={self.heads[0]}", f"tape={self.tapes[0]}"]
         for i in range(1, len(self.heads)):
             parts.append(f"head{i + 1}={self.heads[i]}")
             parts.append(f"tape{i + 1}={self.tapes[i]}")
-        if self.out is not None:
-            parts.append(f"out={self.out}")
+        if len(self.tapes) == 3:  # an inductive run's output tape
+            parts.append(f"out={self.tapes[2]}")
         return "\t".join(parts)
 
 
@@ -46,14 +45,7 @@ def record_of(
     """The record of one configuration, every tape trimmed again in full: the
     reference that the tests compare ``traced_run``'s incremental records
     against."""
-    trimmed = tuple(trimmed_word(t, machine.blank) for t in tapes)
-    return TraceRecord(
-        step=step,
-        state=state,
-        heads=tuple(heads),
-        tapes=trimmed,
-        out=trimmed[-1] if machine.tape_count == 3 else None,
-    )
+    return TraceRecord(step, state, tuple(heads), tuple(trimmed_word(t, machine.blank) for t in tapes))
 
 
 def traced_run(
@@ -69,7 +61,6 @@ def traced_run(
     rm = machine if isinstance(machine, ReflexiveMachine) else ReflexiveMachine(machine, {})
     base = rm.base
     blank = base.blank
-    with_output = base.tape_count == 3
     records: list[TraceRecord] = []
     words = [input_word] + [""] * (base.tape_count - 1)  # the initial tapes, trimmed
     los = [0] * base.tape_count
@@ -80,8 +71,7 @@ def traced_run(
         for i, cell in enumerate(written):
             words[i], los[i] = _retrim(words[i], los[i], cell, run.tapes[i].get(cell, blank), blank)
         written = tuple(run.heads)
-        tapes = tuple(words)
-        records.append(TraceRecord(run.steps, run.state, written, tapes, tapes[-1] if with_output else None))
+        records.append(TraceRecord(run.steps, run.state, written, tuple(words)))
 
     outcome, log = _run(rm, input_word, budget, visit)
     return records, outcome, log

@@ -278,18 +278,48 @@ FAR_RUNAWAY = _grown(
 )
 
 
+def _on_input_tape(machine):
+    """A 3-tape machine running the single-tape ``machine`` on its input
+    tape, with the other two heads parked on blank."""
+    blank = machine.blank
+    return Machine(
+        name=machine.name,
+        tape_count=3,
+        alphabet=machine.alphabet,
+        blank=blank,
+        states=machine.states,
+        start=machine.start,
+        finals=machine.finals,
+        rules={
+            (q, (sym, blank, blank)): (nq, (write, blank, blank), (move, "S", "S"))
+            for (q, (sym,)), (nq, (write,), (move,)) in machine.rules.items()
+        },
+    )
+
+
 def test_cycles_through_a_large_tape_are_found_once_it_shrinks():
     # expected values as the hook gave them on every step: the excursion's
     # start configuration recurs only after 150 cells, so its repeat is seen
     # only if the hash is rebuilt after the steps the engine skipped
-    assert certify_nonhalting(EXCURSION, "1" * 50, 10**5) == Certificate(ConfigurationCycle(17751, 0))
+    excursion = ConfigurationCycle(17751, 0)
     # the bounce repeats on the 50 x cells, after 100 y were erased
-    assert certify_nonhalting(BOUNCE, "1" * 50, 10**5) == Certificate(ConfigurationCycle(2, 7802))
+    bounce = ConfigurationCycle(2, 7802)
+    assert certify_nonhalting(EXCURSION, "1" * 50, 10**5) == Certificate(excursion)
+    assert certify_nonhalting(BOUNCE, "1" * 50, 10**5) == Certificate(bounce)
+    # on three tapes the hook sees every step and keeps its hashes throughout
+    for machine, cycle in ((EXCURSION, excursion), (BOUNCE, bounce)):
+        three = _on_input_tape(machine)
+        assert certify_nonhalting(three, "1" * 50, 10**5) == Certificate(cycle)
+        assert inductive_run(three, "1" * 50, 10**5).status == CertifiedStable(cycle)
 
 
 def test_a_runaway_on_a_large_tape_is_found():
     expected = Certificate(BlankRunaway("e", ("R",), 7700))
     assert certify_nonhalting(FAR_RUNAWAY, "1" * 50, 10**5) == expected
+    runaway = BlankRunaway("e", ("R", "S", "S"), 7700)
+    three = _on_input_tape(FAR_RUNAWAY)
+    assert certify_nonhalting(three, "1" * 50, 10**5) == Certificate(runaway)
+    assert inductive_run(three, "1" * 50, 10**5).status == CertifiedStable(runaway)
 
 
 def test_the_hook_on_every_step_gives_the_same_certificates(monkeypatch):

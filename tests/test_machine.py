@@ -23,7 +23,6 @@ from hypermachine.machine import (
     Configuration,
     Counterexample,
     EquivalentUpTo,
-    HaltProbe,
     HaltedResultless,
     HaltedWithResult,
     InputError,
@@ -307,9 +306,9 @@ def test_budget_monotonicity(machine, word, b1, extra):
 
 @given(small_machines(), st.sampled_from(["", "0", "01"]), st.integers(1, 10))
 @settings(max_examples=60, deadline=None)
-def test_halt_probe_agrees_with_run_bounded(machine, word, budget):
-    probe = HaltProbe(machine, word)
-    assert probe.halted_by(budget) == (not isinstance(run_bounded(machine, word, budget), BudgetExhausted))
+def test_halted_by_agrees_with_run_bounded(machine, word, budget):
+    run = Run(machine, word)
+    assert run.halted_by(budget) == (not isinstance(run_bounded(machine, word, budget), BudgetExhausted))
 
 
 @st.composite
@@ -493,7 +492,7 @@ def test_run_via_step_matches_fast_engine(machine):
         assert outcome == _reference_outcome(machine, seq, budget)
 
         halt = None if last.step == budget else last.step
-        probe = HaltProbe(machine, word)
+        probe = Run(machine, word)
         for b in [*range(1, budget + 1), *range(budget, 0, -1)]:
             assert probe.halted_by(b) == (halt is not None and halt < b)
 
@@ -531,12 +530,12 @@ def test_delay_machine_halts_exactly_on_time():
         assert isinstance(run_bounded(machine, "", k), BudgetExhausted)
 
 
-def test_halt_probe_answers_out_of_order_queries():
-    probe = HaltProbe(delay_machine(4), "")
-    assert probe.halted_by(50)
-    assert not probe.halted_by(4)  # asked after the probe advanced past it
-    assert probe.halted_by(5)
-    assert probe.halt_step == 4
+def test_halted_by_answers_out_of_order_queries():
+    run = Run(delay_machine(4), "")
+    assert run.halted_by(50)
+    assert not run.halted_by(4)  # asked after the run advanced past it
+    assert run.halted_by(5)
+    assert run.halted and run.steps == 4
 
 
 # --- the sweep jump ---------------------------------------------------------
