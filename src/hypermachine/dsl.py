@@ -40,9 +40,10 @@ class SpecDocument:
     positions: dict[tuple, tuple[int, int]]
 
 
-def _col(raw: str, token: str) -> int:
-    at = raw.find(token)
-    return at + 1 if at >= 0 else 1
+def _split(line: str) -> tuple[list[str], list[int]]:
+    """``line.split()`` and the 1-based column at which each token starts."""
+    starts = [i + 1 for i, ch in enumerate(line) if not ch.isspace() and (i == 0 or line[i - 1].isspace())]
+    return line.split(), starts
 
 
 class _Builder:
@@ -62,11 +63,11 @@ class _Builder:
             self.states.append(q)
 
 
-def _symbols(builder: _Builder, tokens: list[str], lineno: int, raw: str) -> list[str]:
+def _symbols(builder: _Builder, tokens: list[str], cols: list[int], lineno: int) -> list[str]:
     known = set(builder.alphabet) | {BLANK}
-    for tok in tokens:
+    for tok, col in zip(tokens, cols):
         if tok not in known:
-            raise ParseError(f"unknown symbol {tok!r}", lineno, _col(raw, tok))
+            raise ParseError(f"unknown symbol {tok!r}", lineno, col)
     return tokens
 
 
@@ -77,8 +78,7 @@ def _edit_side(text: str, what: str, lineno: int, col: int) -> list[str]:
     return parts
 
 
-def _parse_edit(clause: str, lineno: int, raw: str) -> tuple[str, str, Symbols, str, Symbols, Symbols]:
-    col = _col(raw, "!")
+def _parse_edit(clause: str, lineno: int, col: int) -> tuple[str, str, Symbols, str, Symbols, Symbols]:
     clause = clause.strip()
     kind = None
     for prefix in ("install", "replace"):
@@ -103,35 +103,37 @@ def _parse_edit(clause: str, lineno: int, raw: str) -> tuple[str, str, Symbols, 
     return kind, target_state, tuple(target_syms), next_state, tuple(writes), tuple(moves)
 
 
-def _parse_rule(builder: _Builder, rest: str, lineno: int, raw: str) -> None:
-    rule_text, _, edit_text = rest.partition("!")
-    tokens = rule_text.split()
+def _parse_rule(builder: _Builder, line: str, line_cols: list[int], lineno: int) -> None:
+    rule_text, _, edit_text = line.partition("!")
+    # the tokens before the edit clause's "!" start where the line's do
+    tokens, cols = rule_text.split()[1:], line_cols[1:]
     k = builder.tapes
     expected = 1 + k + 1 + 1 + k + k
     if len(tokens) != expected or tokens[1 + k] != "->":
         raise ParseError(
             f"malformed rule: expected 'rule <q> <{k} symbols> -> <q'> <{k} symbols> <{k} moves>'",
             lineno,
-            _col(raw, "rule"),
+            line_cols[0],
         )
     state = tokens[0]
-    syms = tuple(_symbols(builder, tokens[1 : 1 + k], lineno, raw))
+    syms = tuple(_symbols(builder, tokens[1 : 1 + k], cols[1 : 1 + k], lineno))
     nstate = tokens[2 + k]
-    writes = tuple(_symbols(builder, tokens[3 + k : 3 + 2 * k], lineno, raw))
+    writes = tuple(_symbols(builder, tokens[3 + k : 3 + 2 * k], cols[3 + k : 3 + 2 * k], lineno))
     moves = tuple(tokens[3 + 2 * k : 3 + 3 * k])
-    for move in moves:
+    for move, col in zip(moves, cols[3 + 2 * k :]):
         if move not in MOVES:
-            raise ParseError(f"invalid move {move!r}", lineno, _col(raw, move))
+            raise ParseError(f"invalid move {move!r}", lineno, col)
     key = (state, syms)
     if key in builder.rules:
-        raise ParseError(f"nondeterministic rule: ({state}, {' '.join(syms)}) already defined", lineno, _col(raw, state))
+        raise ParseError(f"nondeterministic rule: ({state}, {' '.join(syms)}) already defined", lineno, cols[0])
     builder.rules[key] = (nstate, writes, moves)
-    builder.positions[("rule", state, syms)] = (lineno, _col(raw, state))
+    builder.positions[("rule", state, syms)] = (lineno, cols[0])
     builder.note_state(state)
     builder.note_state(nstate)
     if edit_text.strip():
-        kind, tq, tsyms, nq, ews, ems = _parse_edit(edit_text, lineno, raw)
-        _symbols(builder, list(tsyms) + list(ews), lineno, raw)
+        col = len(rule_text) + 1  # the "!", where an edit clause's faults are reported
+        kind, tq, tsyms, nq, ews, ems = _parse_edit(edit_text, lineno, col)
+        _symbols(builder, list(tsyms + ews), [col] * len(tsyms + ews), lineno)
         action: EditAction
         if kind == "install":
             action = InstallRule(tq, tsyms, nq, ews, ems)
@@ -151,58 +153,58 @@ def parse_machine_spec(text: str) -> SpecDocument:
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        tokens = line.split()
-        head = tokens[0]
+        tokens, cols = _split(line)
+        head, at = tokens[0], cols[0]
         if head == "machine":
             if len(tokens) != 2:
-                raise ParseError("expected 'machine <name>'", lineno, _col(raw, head))
+                raise ParseError("expected 'machine <name>'", lineno, at)
             builder.name = tokens[1]
-            builder.positions[("machine",)] = (lineno, _col(raw, head))
+            builder.positions[("machine",)] = (lineno, at)
         elif head == "tapes:":
             if builder.rules:
-                raise ParseError("tapes: must precede rules", lineno, _col(raw, head))
+                raise ParseError("tapes: must precede rules", lineno, at)
             try:
                 builder.tapes = int(tokens[1]) if len(tokens) == 2 else -1
             except ValueError:
                 builder.tapes = -1
             if builder.tapes < 1:
-                raise ParseError("expected 'tapes: <positive count>'", lineno, _col(raw, head))
-            builder.positions[("tapes",)] = (lineno, _col(raw, head))
+                raise ParseError("expected 'tapes: <positive count>'", lineno, at)
+            builder.positions[("tapes",)] = (lineno, at)
         elif head == "alphabet:":
             if builder.rules:
-                raise ParseError("alphabet: must precede rules", lineno, _col(raw, head))
+                raise ParseError("alphabet: must precede rules", lineno, at)
             symbols = tokens[1:]
-            for sym in symbols:
+            for sym, col in zip(symbols, cols[1:]):
                 if len(sym) != 1:
-                    raise ParseError(f"symbols are single characters, got {sym!r}", lineno, _col(raw, sym))
+                    raise ParseError(f"symbols are single characters, got {sym!r}", lineno, col)
                 if sym == BLANK:
-                    raise ParseError("the blank symbol is implicit", lineno, _col(raw, sym))
+                    raise ParseError("the blank symbol is implicit", lineno, col)
             if len(set(symbols)) != len(symbols):
-                raise ParseError("duplicate alphabet symbol", lineno, _col(raw, head))
+                raise ParseError("duplicate alphabet symbol", lineno, at)
             builder.alphabet = symbols
-            builder.positions[("alphabet",)] = (lineno, _col(raw, head))
+            builder.positions[("alphabet",)] = (lineno, at)
         elif head == "start:":
             if "start" in directives_seen:
-                raise ParseError("duplicate start: directive", lineno, _col(raw, head))
+                raise ParseError("duplicate start: directive", lineno, at)
             if len(tokens) != 2:
-                raise ParseError("expected 'start: <state>'", lineno, _col(raw, head))
+                raise ParseError("expected 'start: <state>'", lineno, at)
             directives_seen.add("start")
             builder.start = tokens[1]
-            builder.positions[("start",)] = (lineno, _col(raw, head))
+            builder.positions[("start",)] = (lineno, at)
         elif head == "final:":
-            for tok in tokens[1:]:
+            for tok, col in zip(tokens[1:], cols[1:]):
                 bearing = tok.endswith("*")
                 q = tok[:-1] if bearing else tok
                 if not q:
-                    raise ParseError("empty final state name", lineno, _col(raw, tok))
+                    raise ParseError("empty final state name", lineno, col)
                 if q in builder.finals:
-                    raise ParseError(f"state {q!r} declared final twice", lineno, _col(raw, tok))
+                    raise ParseError(f"state {q!r} declared final twice", lineno, col)
                 builder.finals[q] = bearing
-                builder.positions[("final", q)] = (lineno, _col(raw, tok))
+                builder.positions[("final", q)] = (lineno, col)
         elif head == "rule":
-            _parse_rule(builder, line.split(None, 1)[1] if len(tokens) > 1 else "", lineno, raw)
+            _parse_rule(builder, line, cols, lineno)
         else:
-            raise ParseError(f"unknown directive {head!r}", lineno, _col(raw, head))
+            raise ParseError(f"unknown directive {head!r}", lineno, at)
 
     if builder.name is None:
         raise ParseError("missing machine name", max(1, text.count("\n") + 1))

@@ -29,11 +29,12 @@ recovered by replay.  Every hash match is confirmed by replaying a fresh run
 and comparing configurations exactly, so a hash collision costs time but
 never yields a false or different certificate.
 
-On a single tape the engine calls the check only while the tape holds at
-most 128 cells, or when the rule about to fire could start a blank runaway.
-No other step can repeat a tracked configuration or start a runaway; the
-check's hash misses those steps, so it rebuilds the hash once the tape holds
-at most 64 cells again, and the certificates are unchanged.
+The 64 cells are ``machine._HOOK_CELLS``, the engine's hook gate.  On a
+single tape the engine calls the check only on tracked configurations or
+where a blank runaway can start; on several tapes on every step, as the
+check logs the output.  Either check hashes only tracked steps and rebuilds
+its hash on the first one after a gap, so the certificates are those of a
+check that hashes every step.
 """
 
 from __future__ import annotations
@@ -52,9 +53,9 @@ from .codec import (
     word_index,
 )
 from .machine import (
+    _HOOK_CELLS,
     _beyond_extent,
     _check_budget,
-    _input_tapes,
     _retrim,
     BudgetExhausted,
     HaltedWithResult,
@@ -143,11 +144,10 @@ class InductiveOutcome:
 # configuration.  Per tape it is the sum of v(symbol) * B**(cell - head) modulo
 # a prime, with v(blank) = 0, so the rule about to fire updates it with one
 # addition for the write and one multiplication, by B**-1 or B, for the move.
-# Only configurations of at most _CYCLE_CELL_CAP cells are tracked.  The
-# multi-tape hook sees every step, so it keeps its hashes from the initial
-# tapes on; the single-tape hook rebuilds its hash after steps it did not see.
+# Only configurations of at most _HOOK_CELLS cells are tracked, and a hook
+# updates its hash on tracked steps alone: the first tracked step after a
+# gap (``at != steps``) rebuilds it in full.
 
-_CYCLE_CELL_CAP = 64  # configurations larger than this are not cycle-tracked
 _HISTORY_STEPS = 1 << 16  # tracked configurations before this step are remembered
 _MODULUS = (1 << 61) - 1
 _BASE = 0x27895416BD6F612
@@ -260,7 +260,7 @@ class _Cycles:
             else:
                 lo = mid + 1
         run = self._replay(lo)
-        while sum(map(len, run.tapes)) > _CYCLE_CELL_CAP:
+        while sum(map(len, run.tapes)) > _HOOK_CELLS:
             run.advance(run.steps + 1)
         return run.steps
 
@@ -276,27 +276,22 @@ def _single_tape_check(machine: Machine, input_word: str) -> Callable:
 
     def check(state, tape, head, steps, rule):
         nonlocal h, at
-        # a runaway repeats a sweep (a rule that reads blank, moves and keeps
-        # the state) that writes blank
+        # a runaway repeats a sweep that writes blank
         _, wsym, wblank, delta, _, sweep = rule
         if sweep and wblank and _beyond_extent(delta, tape, head):
-            return BlankRunaway(state, ("R" if delta > 0 else "L",), steps)
-        cells = len(tape)
-        # the hash misses the steps that the engine skips, all of which hold
-        # more than 128 cells, and is rebuilt here
+            return BlankRunaway(state, machine.rules[(state, (blank,))][2], steps)
+        if len(tape) > _HOOK_CELLS:
+            return None
         if at != steps:
-            if cells > _CYCLE_CELL_CAP:
-                return None
             h = _tape_hash(tape, head, value, move, modulus)
-        if cells <= _CYCLE_CELL_CAP:
-            key = h + offsets[state]
-            if key in seen:
-                if found := cycles.visit(key, steps, state, (tape,), (head,)):
-                    return found
-            elif steps < history:
-                seen[key] = steps
-            elif steps >= cycles.mark:
-                cycles.visit(key, steps, state, (tape,), (head,))
+        key = h + offsets[state]
+        if key in seen:
+            if found := cycles.visit(key, steps, state, (tape,), (head,)):
+                return found
+        elif steps < history:
+            seen[key] = steps
+        elif steps >= cycles.mark:
+            cycles.visit(key, steps, state, (tape,), (head,))
         h = (h + value[wsym] - value[tape.get(head, blank)]) * move[delta] % modulus
         at = steps + 1
         return None
@@ -313,24 +308,20 @@ def _multi_tape_check(machine: Machine, input_word: str, changes: list[tuple[int
     blanks = (blank,) * tape_count
     span = range(tape_count)
     history = _HISTORY_STEPS
-    # the tapes' hashes, from the initial tapes on; the hook sees every step
-    hashes = [_tape_hash(t, 0, v, move, modulus) for t, v in zip(_input_tapes(machine, input_word), values)]
+    hashes, at = [], -1  # the tapes' hashes, kept for the configuration of step ``at`` only
     cycles = _Cycles(machine, input_word)
     seen = cycles.seen
     word, lo = "", 0  # the trimmed output, empty at the start, and its leftmost cell
 
     def check(state, tapes, heads, steps, rule):
-        nonlocal word, lo
-        nstate, writes, deltas, _ = rule
-        if (
-            nstate == state
-            and writes == blanks
-            and any(deltas)
-            and all(h not in t for t, h in zip(tapes, heads))
-            and all(_beyond_extent(d, t, h) for d, t, h in zip(deltas, tapes, heads))
-        ):
+        nonlocal hashes, at, word, lo
+        # a runaway repeats a sweep that writes blank on every tape
+        _, writes, deltas, _, sweep = rule
+        if sweep and writes == blanks and all(map(_beyond_extent, deltas, tapes, heads)):
             return BlankRunaway(state, machine.rules[(state, blanks)][2], steps)
-        if sum(map(len, tapes)) <= _CYCLE_CELL_CAP:
+        if sum(map(len, tapes)) <= _HOOK_CELLS:
+            if at != steps:
+                hashes = [_tape_hash(t, h, v, move, modulus) for t, h, v in zip(tapes, heads, values)]
             key = sum(hashes) % modulus + offsets[state]
             if key in seen:
                 if found := cycles.visit(key, steps, state, tapes, heads):
@@ -339,10 +330,11 @@ def _multi_tape_check(machine: Machine, input_word: str, changes: list[tuple[int
                 seen[key] = steps
             elif steps >= cycles.mark:
                 cycles.visit(key, steps, state, tapes, heads)
-        for i in span:
-            old = tapes[i].get(heads[i], blank)
-            if writes[i] != old or deltas[i]:
-                hashes[i] = (hashes[i] + values[i][writes[i]] - values[i][old]) * move[deltas[i]] % modulus
+            for i in span:
+                old = tapes[i].get(heads[i], blank)
+                if writes[i] != old or deltas[i]:
+                    hashes[i] = (hashes[i] + values[i][writes[i]] - values[i][old]) * move[deltas[i]] % modulus
+            at = steps + 1
         # the rule fires right after this, so a rewritten output cell is a change
         sym, cell = writes[-1], heads[-1]
         if sym != tapes[-1].get(cell, blank):

@@ -37,7 +37,7 @@ MOVES = (LEFT, RIGHT, STAY)
 BLANK = "_"
 
 _DELTA = {LEFT: -1, RIGHT: 1, STAY: 0}
-_HOOK_CELLS = 128  # above this many cells a single-tape hook sees only possible runaway starts
+_HOOK_CELLS = 64  # certificate hooks track configurations of at most this many cells
 _NO_ROW: Mapping = MappingProxyType({})  # the row of every state that has none: it holds no rule
 
 Symbols = tuple[str, ...]
@@ -344,9 +344,9 @@ def _compiled_rows(
 
     A row maps the scanned symbol (single tape) or symbol tuple to a compiled
     rule, which ends in its next state's row: _NO_ROW when that state has
-    none.  A single-tape rule ends in one more flag, set for a sweep: a rule
-    that reads blank, keeps its state and moves.  ``rules`` defaults to the
-    machine's own table; given ``rows``, they are compiled into those.
+    none, and then in a flag set for a sweep: a rule under which every head
+    reads blank, the state is kept and some head moves.  ``rules`` defaults
+    to the machine's own table; given ``rows``, they are compiled into those.
     """
     if rows is None:
         rows = {q: {} for q in machine.states if q not in machine.finals}
@@ -360,7 +360,9 @@ def _compiled_rows(
             rows[state][sym] = (nstate, wsym, wsym == blank, delta, row_of(nstate, _NO_ROW), sweep)
     else:
         for (state, syms), (nstate, writes, moves) in items:
-            rows[state][syms] = (nstate, writes, tuple(_DELTA[m] for m in moves), row_of(nstate, _NO_ROW))
+            deltas = tuple(_DELTA[m] for m in moves)
+            sweep = syms == (blank,) * len(syms) and nstate == state and any(deltas)
+            rows[state][syms] = (nstate, writes, deltas, row_of(nstate, _NO_ROW), sweep)
     return rows
 
 
@@ -378,14 +380,14 @@ class Run:
     rows private to this run, and each compiled rule carries its next state's
     row.  ``hook(state, tapes, heads, steps, rule)`` is called before every
     rule fires when given (on a single tape it receives the tape and the head
-    instead); a truthy result stops the run unfired and is kept in
-    ``checked``.  On a single tape holding more than _HOOK_CELLS cells the
-    hook is skipped, and ``steps`` jumps, unless the rule could start a blank
-    runaway: it is a sweep that writes blank.  A state with no row stops the
-    run as a halt does, right after the rule that enters it fires: a final
-    state, or a next state that ``patch`` gave a rule and that the table does
-    not hold.  Such a rule carries _NO_ROW, the one shared row that holds no
-    rule.
+    instead); a truthy result stops the run unfired and is kept in ``checked``.
+    On a single tape holding more than _HOOK_CELLS cells, more than any hook
+    tracks, the hook is skipped, and ``steps`` jumps, unless the rule could
+    start a blank runaway: it is a sweep that writes blank.  A state with no
+    row stops the run as a halt does, right after the rule that enters it
+    fires: a final state, or a next state that ``patch`` gave a rule and that
+    the table does not hold.  Such a rule carries _NO_ROW, the one shared row
+    that holds no rule.
 
     A sweep (a single-tape rule that reads blank, keeps its state and moves)
     that fires with the head beyond the tape's extent in its direction would
@@ -477,7 +479,7 @@ class Run:
                 if rule is None:
                     self.halted = True
                     break
-                nstate, writes, deltas, nrow = rule
+                nstate, writes, deltas, nrow, _ = rule
                 if hook is not None and (found := hook(state, tapes, heads, steps, rule)):
                     break
                 for i in span:

@@ -5,8 +5,8 @@ rule for (state, symbols) fires, its attached action installs or replaces one
 rule in the live table, after the write/move/state-change of the same step.
 Everything an action may do is validated at construction time, so runs never
 fail mid-flight and the table remains a deterministic partial function after
-every edit.  Each run owns a private copy of the table; the machine itself is
-immutable and shareable.
+every edit.  Each run owns a private copy of the table; the machine's own
+tables are plain dicts, shared like the machine, that callers must not mutate.
 
 An edit fires through that private table: its rule enters a pause, a state
 with no row, so the engine stops right after the rule fires; the run restores

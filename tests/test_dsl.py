@@ -72,6 +72,25 @@ def test_unknown_symbol_carries_position():
     assert err.value.col == 9
 
 
+@pytest.mark.parametrize(
+    "text,col",
+    [
+        # the symbol x, not the x of the state qx
+        ("machine m\nstart: qx\nrule qx 0 -> qx x R\n", 17),
+        # the second q, not the first
+        ("machine m\nstart: q0\nfinal: q q\n", 10),
+        # the state e, not the e of "rule"; this column is the rule's position
+        ("machine m\nstart: q0\nfinal: e\nrule e 0 -> e 0 R\n", 6),
+        # a fault in an edit clause is reported at its "!"
+        ("machine m\nstart: q2\nrule q2 0 -> q2 0 R ! install(q2, 2 -> q2, 0, R)\n", 21),
+    ],
+)
+def test_error_columns_point_at_the_token(text, col):
+    with pytest.raises(ParseError) as err:
+        parse_machine_spec(text)
+    assert err.value.col == col
+
+
 def test_rule_from_final_state_is_rejected():
     text = "machine m\nstart: q0\nfinal: q0\nrule q0 0 -> q0 0 R\n"
     with pytest.raises(ParseError) as err:

@@ -1,6 +1,7 @@
 """Stabilizing runs, non-halting certificates, the halting limit-decider,
 and the diagonal construction."""
 
+import hashlib
 import tracemalloc
 from collections import Counter
 from itertools import islice, takewhile
@@ -313,6 +314,34 @@ def test_cycles_through_a_large_tape_are_found_once_it_shrinks():
         assert inductive_run(three, "1" * 50, 10**5).status == CertifiedStable(cycle)
 
 
+# walks right over its input, then from the blank past it writes a 1 (one
+# cell more than the input), steps onto the blank beyond, comes back and
+# erases the 1: every period leaves the tracked configurations and returns
+CROSSER = single_tape_machine(
+    "crosser",
+    {
+        ("s0", "1"): ("s0", "1", "R"),
+        ("s0", "_"): ("s", "_", "S"),
+        ("s", "_"): ("t", "1", "R"),
+        ("t", "_"): ("u", "_", "L"),
+        ("u", "1"): ("s", "_", "S"),
+    },
+    start="s0",
+)
+
+
+def test_a_cycle_that_crosses_the_cell_bound_on_every_period_is_found():
+    # on 64 input cells the cycle's start holds 64 cells, the most that is
+    # tracked, and its other two steps one more, so each repeat is seen only
+    # if the hash is rebuilt on the first tracked step after untracked ones
+    cycle = ConfigurationCycle(3, 65)
+    word = "1" * 64
+    assert certify_nonhalting(CROSSER, word, 1000) == Certificate(cycle)
+    three = _on_input_tape(CROSSER)
+    assert certify_nonhalting(three, word, 1000) == Certificate(cycle)
+    assert inductive_run(three, word, 1000).status == CertifiedStable(cycle)
+
+
 def test_a_runaway_on_a_large_tape_is_found():
     expected = Certificate(BlankRunaway("e", ("R",), 7700))
     assert certify_nonhalting(FAR_RUNAWAY, "1" * 50, 10**5) == expected
@@ -430,6 +459,18 @@ def test_the_certificate_census_on_the_empty_word():
         "BlankRunaway": 1_327,
         "Unknown": 1_676,
     }
+
+
+def test_the_certificate_digest_on_five_words():
+    """The sha256 over ``str(answer) + "\n"`` of every certify_nonhalting
+    answer at budget 1000 on the family x "" 0 1 01 110 (68,590 runs, machine
+    by machine).  Like the census above, a change that moves it explains the
+    move in its CHANGES.md entry."""
+    digest = hashlib.sha256()
+    for machine in two_state_family():
+        for word in ("", "0", "1", "01", "110"):
+            digest.update((str(certify_nonhalting(machine, word, 1000)) + "\n").encode())
+    assert digest.hexdigest() == "cd1d0b859d8875672ed25511ffafe4f600dc474c38eccacb313e34151b24c2de"
 
 
 # --- halting limit-decider ------------------------------------------------------

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hypermachine import machine as engine
 from hypermachine.corpus import corpus_machine, delay_machine
 from hypermachine.inductive import (
     BlankRunaway,
@@ -592,12 +593,13 @@ def test_sweep_jump_matches_the_reference(machine, word):
 
 
 def test_sweep_jump_never_hides_a_hooked_step():
-    # the hook sees every step taken with at most 128 cells on the tape; above
-    # that it is skipped on trail's steps, so the jump ends the run there
+    # the hook sees every step taken with at most _HOOK_CELLS cells on the
+    # tape; above that it is skipped on trail's steps, so the jump ends the
+    # run there
     seen = []
     run = Run(TRAIL, "", lambda state, tape, head, steps, rule: seen.append(steps))
     run.advance(400)
-    assert seen == list(range(129)) and run.snapshot() == _last_config(TRAIL, "", 400)
+    assert seen == list(range(engine._HOOK_CELLS + 1)) and run.snapshot() == _last_config(TRAIL, "", 400)
     run, _ = _observe(TRAIL, "", 400)
     assert run.checked is None and run.snapshot() == _last_config(TRAIL, "", 400)
     assert certify_nonhalting(TRAIL, "", 400) == UNKNOWN
