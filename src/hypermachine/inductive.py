@@ -31,8 +31,10 @@ never yields a false or different certificate.
 
 The 64 cells are ``machine._HOOK_CELLS``, the engine's hook gate.  On a
 single tape the engine calls the check only on tracked configurations or
-where a blank runaway can start; on several tapes on every step, as the
-check logs the output.  Either check hashes only tracked steps and rebuilds
+where a blank runaway can start, and it jumps over a sweep that writes a
+non-blank symbol beyond the tape's extent, where no configuration repeats
+and no runaway starts; on several tapes on every step, as the check logs
+the output.  Either check hashes only tracked steps and rebuilds
 its hash on the first one after a gap, so the certificates are those of a
 check that hashes every step.
 """

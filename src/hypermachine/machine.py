@@ -17,8 +17,9 @@ state's row, so a step never looks a state up; a state with no row shares
 one empty, read-only row.  A one-state run that keeps reading blank as it
 moves outward is finished in one jump (the macro-step of busy-beaver
 simulators, Marxen and Buntrock 1990): the rest of the budget moves the head
-that many cells and fills them as the steps would.  The jump is never taken
-where an observing hook would have seen one of the steps it covers.
+that many cells and fills them as the steps would, when the tapes are next
+read.  Under an observing hook it is taken only where the tape grows at
+every step, so no certificate can fire on the steps it covers.
 ``step`` and ``config_sequence`` are the reference semantics: small, pure
 and slow, kept for tests to compare the engine against.
 """
@@ -382,12 +383,12 @@ class Run:
     rule fires when given (on a single tape it receives the tape and the head
     instead); a truthy result stops the run unfired and is kept in ``checked``.
     On a single tape holding more than _HOOK_CELLS cells, more than any hook
-    tracks, the hook is skipped, and ``steps`` jumps, unless the rule could
-    start a blank runaway: it is a sweep that writes blank.  A state with no
-    row stops the run as a halt does, right after the rule that enters it
-    fires: a final state, or a next state that ``patch`` gave a rule and that
-    the table does not hold.  Such a rule carries _NO_ROW, the one shared row
-    that holds no rule.
+    tracks, the hook is skipped unless the rule could start a blank runaway:
+    it is a sweep that writes blank.  Nor does the hook see the steps that a
+    jump covers (below).  A state with no row stops the run as a halt does,
+    right after the rule that enters it fires: a final state, or a next state
+    that ``patch`` gave a rule and that the table does not hold.  Such a rule
+    carries _NO_ROW, the one shared row that holds no rule.
 
     A sweep (a single-tape rule that reads blank, keeps its state and moves)
     that fires with the head beyond the tape's extent in its direction would
@@ -397,16 +398,21 @@ class Run:
     advance's second step on, when the cell past the head is blank and the
     steps left outnumber the tape's cells, which the scan for the extent
     costs; after a try that fails, not again within that many steps.  Under
-    a hook it is taken only when the hook would skip every step it covers:
-    the sweep writes a non-blank symbol, so the tape only grows, and the
-    tape already holds more than _HOOK_CELLS cells.
+    a hook it is taken only on a sweep that writes a non-blank symbol.  Such
+    a sweep adds a cell at every step forever, so none of its configurations
+    equals an earlier one, which would start the same endless sweep with
+    fewer cells, and no runaway or halt starts in it: no certificate can
+    fire on the steps it covers.  The jump leaves its cells in ``_fill``;
+    reading ``tapes``, ``snapshot``, ``outcome`` or the next ``advance``
+    writes them first, so a run that is only observed never holds them.
     """
 
-    __slots__ = ("machine", "state", "tapes", "heads", "steps", "halted", "checked", "_hook", "_rows")
+    __slots__ = ("machine", "state", "_tapes", "_fill", "heads", "steps", "halted", "checked", "_hook", "_rows")
 
     def __init__(self, machine: Machine, input_word: str, hook: Callable[..., object] | None = None):
         self._rows = _compiled_rows(machine)
-        self.tapes = _input_tapes(machine, input_word)
+        self._tapes = _input_tapes(machine, input_word)
+        self._fill = None  # the cells and symbol of a jumped sweep, not yet written
         self.machine = machine
         self.state = machine.start
         self.heads = [0] * machine.tape_count
@@ -422,6 +428,15 @@ class Run:
         for row in self._rows.values():
             row.clear()
 
+    @property
+    def tapes(self) -> tuple[dict[int, str], ...]:
+        """The tapes, once the cells of a jumped sweep are written."""
+        if self._fill is not None:
+            cells, wsym = self._fill
+            self._tapes[0].update(zip(cells, repeat(wsym)))
+            self._fill = None
+        return self._tapes
+
     def advance(self, budget: int) -> None:
         """Run until ``steps`` reaches ``budget``, the run halts (it reaches a
         state with no row or a missing rule) or the hook stops it."""
@@ -432,8 +447,9 @@ class Run:
         steps = self.steps
         row = rows.get(state, _NO_ROW)
         found = None
-        if len(self.tapes) == 1:
-            tape = self.tapes[0]
+        tapes = self._tapes if self._fill is None else self.tapes
+        if len(tapes) == 1:
+            tape = tapes[0]
             get = tape.get
             head = self.heads[0]
             cap = _HOOK_CELLS
@@ -444,21 +460,21 @@ class Run:
                     self.halted = True
                     break
                 nstate, wsym, wblank, delta, nrow, sweep = rule
-                if hook is not None and (len(tape) <= cap or (sweep and wblank)):
-                    if found := hook(state, tape, head, steps, rule):
-                        break
-                elif sweep and steps >= retry:
+                if sweep and steps >= retry and (hook is None or not wblank):
                     # beyond the extent every step left fires this sweep on a
-                    # fresh blank, and a hook that skips this step skips them
-                    # too (the tape only grows), so the run jumps to the budget
+                    # fresh blank, where no hook can find a certificate, so
+                    # the run jumps to the budget and leaves the cells to fill
                     if head + delta not in tape and budget - steps > len(tape) and _beyond_extent(delta, tape, head):
                         end = head + (budget - steps) * delta
                         if not wblank:
-                            tape.update(zip(range(head, end, delta), repeat(wsym)))
+                            self._fill = (range(head, end, delta), wsym)
                         head = end
                         steps = budget
                         break
                     retry = steps + len(tape)
+                if hook is not None and (len(tape) <= cap or (sweep and wblank)):
+                    if found := hook(state, tape, head, steps, rule):
+                        break
                 if wblank:
                     tape.pop(head, None)
                 else:
@@ -469,7 +485,6 @@ class Run:
                 row = nrow
             self.heads[0] = head
         else:
-            tapes = self.tapes
             heads = self.heads
             blanks = (blank,) * len(tapes)
             get = dict.get

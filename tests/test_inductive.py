@@ -432,6 +432,21 @@ def test_cycle_detection_memory_is_bounded():
     assert _traced_peak_mb(inductive_run, counter3, "", 50_000) < 20
 
 
+def test_an_observed_sweeper_runs_in_constant_memory():
+    # it writes a 0 on a fresh blank at every step, so a run that wrote out
+    # every cell it passes would hold as many cells as the budget has steps
+    sweeper = single_tape_machine("sweeper", {("q1", "_"): ("q1", "0", "L")}, finals={"q2": False}, start="q1")
+    assert encode(sweeper) == Description("011001010101010010")
+    budget = 200_000
+    answers = []
+    assert _traced_peak_mb(lambda: answers.append(certify_nonhalting(sweeper, "", budget))) < 1
+    assert _traced_peak_mb(lambda: answers.append(halting_limit_decider(encode(sweeper), "", budget))) < 1
+    certified, decided = answers
+    assert certified == Unknown()
+    assert isinstance(decided.status, Provisional) and decided.steps_executed == budget
+    assert (decided.current_output, decided.last_change_step) == ("0", 0)
+
+
 def _census(machines):
     counts = Counter()
     for machine in machines:

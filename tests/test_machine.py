@@ -5,7 +5,6 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypermachine import machine as engine
 from hypermachine.corpus import corpus_machine, delay_machine
 from hypermachine.inductive import (
     BlankRunaway,
@@ -13,6 +12,7 @@ from hypermachine.inductive import (
     ConfigurationCycle,
     UNKNOWN,
     HaltsAt,
+    _Cycles,
     _observe,
     certify_nonhalting,
     inductive_run,
@@ -592,17 +592,46 @@ def test_sweep_jump_matches_the_reference(machine, word):
     assert run_bounded(machine, word, 2000) == BudgetExhausted(2000, expected)
 
 
-def test_sweep_jump_never_hides_a_hooked_step():
-    # the hook sees every step taken with at most _HOOK_CELLS cells on the
-    # tape; above that it is skipped on trail's steps, so the jump ends the
-    # run there
+def _recording_run(machine, word):
     seen = []
-    run = Run(TRAIL, "", lambda state, tape, head, steps, rule: seen.append(steps))
+    return Run(machine, word, lambda state, tape, head, steps, rule: seen.append(steps)), seen
+
+
+def test_a_hook_sees_every_step_where_a_certificate_can_fire():
+    # a sweep that writes a non-blank symbol beyond the extent grows the tape
+    # at every step, so no configuration in it repeats an earlier one and
+    # none starts a runaway: the jump ends the run there, hook or not.  The
+    # hook sees every step before that: on trail only the first, which no
+    # advance jumps from
+    run, seen = _recording_run(TRAIL, "")
     run.advance(400)
-    assert seen == list(range(engine._HOOK_CELLS + 1)) and run.snapshot() == _last_config(TRAIL, "", 400)
+    assert seen == [0] and run.snapshot() == _last_config(TRAIL, "", 400)
     run, _ = _observe(TRAIL, "", 400)
     assert run.checked is None and run.snapshot() == _last_config(TRAIL, "", 400)
     assert certify_nonhalting(TRAIL, "", 400) == UNKNOWN
+    # gap-sweep starts its last sweep at step 10, on the blank right of 1001's
+    # last 1; its earlier sweeps lie inside the extent and are hooked
+    run, seen = _recording_run(_GAP_SWEEP, "1001")
+    run.advance(400)
+    last = _last_config(_GAP_SWEEP, "1001", 10)
+    assert (last.state, last.heads, max(last.tapes[0])) == ("r", (4,), 3)
+    assert seen == list(range(10)) and run.snapshot() == _last_config(_GAP_SWEEP, "1001", 400)
     # a sweep that writes blank can start a runaway, so the hook sees it
     runaway = single_tape_machine("runaway", {("q0", "1"): ("q0", "1", "R"), ("q0", "_"): ("q0", "_", "R")})
     assert certify_nonhalting(runaway, "1" * 200, 1000) == Certificate(BlankRunaway("q0", ("R",), 200))
+
+
+@pytest.mark.parametrize("machine,word", [(TRAIL, ""), (_LEFT_SWEEP, "00"), (_GAP_SWEEP, "1001")])
+def test_a_jumped_sweep_is_written_when_the_tapes_are_read(machine, word):
+    expected = _last_config(machine, word, 2000)
+    run, _ = _recording_run(machine, word)
+    run.advance(400)
+    run.advance(2000)
+    assert run.snapshot() == expected
+    run, _ = _recording_run(machine, word)
+    run.advance(2000)
+    assert len(run._tapes[0]) < len(expected.tapes[0])  # the jump left its cells unwritten
+    assert run.tapes == expected.tapes and run.heads == list(expected.heads)
+    # a cycle check replays hookless runs, which jump too, and compares their tapes
+    reference = _last_config(machine, word, 400)
+    assert _Cycles(machine, word)._same(400, reference.state, reference.tapes, reference.heads)
