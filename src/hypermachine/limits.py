@@ -6,6 +6,13 @@ certified at a finite stage, so reports only state whether the trailing
 ``quiescence_window`` guesses were identical - an observation, not a limit
 claim.  Guesses are words, sharing the comparison and logging conventions of
 output tapes.
+
+A limit function also names the next stage at which its guess may change
+(``next_change``), and ``limit_eval`` calls the guess only at stage 0 and at
+those stages.  By default that is every stage; the constant guess never
+changes, and the halting and divergence guesses change at most once, at the
+step where their run halts, so their reports cost O(changes) guess calls
+whatever the stage budget.
 """
 
 from __future__ import annotations
@@ -26,17 +33,30 @@ class GuessEvaluationError(HypermachineError):
         self.stage = stage
 
 
+def _every_stage(x: int, t: int, horizon: int) -> int | None:
+    """The change-point rule of an opaque guess: any stage may change it."""
+    return t + 1 if t < horizon else None
+
+
 @dataclass(frozen=True)
 class LimitFunction:
+    """A total guess g(x, t) with a change-point rule.
+
+    ``next_change(x, t, horizon)`` is the least stage in (t, horizon] at
+    which ``guess(x, ·)`` may differ from ``guess(x, t)``, or ``None`` when
+    the guess equals ``guess(x, t)`` all the way to ``horizon``.
+    """
+
     name: str
     guess: Callable[[int, int], str] = field(compare=False)
     hierarchy_tag: str = "none"  # descriptive metadata, never verified
+    next_change: Callable[[int, int, int], int | None] = field(default=_every_stage, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class LimitReport:
     x: int
-    stages_evaluated: int
+    stages_evaluated: int  # the stages 0..stage_budget the report covers, not the guess calls
     guesses_log: tuple[tuple[int, str], ...]
     final_guess: str
     changes: int
@@ -44,10 +64,12 @@ class LimitReport:
 
 
 def limit_eval(f: LimitFunction, x: int, stage_budget: int, quiescence_window: int) -> LimitReport:
-    """Evaluate g(x, t) for t = 0..stage_budget and report the change points.
+    """Report the change points of g(x, t) for t = 0..stage_budget.
 
-    converged_within_budget holds exactly when the last quiescence_window
-    guesses are identical.
+    The guess is called at stage 0 and then only at the stages that
+    ``f.next_change`` names, so the report equals one built from every
+    stage.  converged_within_budget holds exactly when the last
+    quiescence_window guesses are identical.
     """
     if quiescence_window < 1:
         raise InputError("quiescence_window must be >= 1")
@@ -55,16 +77,21 @@ def limit_eval(f: LimitFunction, x: int, stage_budget: int, quiescence_window: i
         raise InputError("stage_budget must be at least quiescence_window")
     log: list[tuple[int, str]] = []
     last: str | None = None
-    for t in range(stage_budget + 1):
+    t: int | None = 0
+    while t is not None:
         try:
             g = f.guess(x, t)
+            after = f.next_change(x, t, stage_budget)
         except HypermachineError:
             raise
         except Exception as exc:
             raise GuessEvaluationError(f.name, x, t) from exc
+        if after is not None and not t < after <= stage_budget:
+            raise GuessEvaluationError(f.name, x, t)  # the rule does not move forward within the budget
         if g != last:
             log.append((t, g))
             last = g
+        t = after
     return LimitReport(
         x=x,
         stages_evaluated=stage_budget + 1,
@@ -75,37 +102,46 @@ def limit_eval(f: LimitFunction, x: int, stage_budget: int, quiescence_window: i
     )
 
 
-def _halting_guess(run_of: Callable[[int], Run], halting: bool) -> Callable[[int, int], str]:
+def _halting_guess(name: str, run_of: Callable[[int], Run], halting: bool, tag: str) -> LimitFunction:
     """Guess 1 at (x, t) when the run ``run_of(x)`` has halted within t+1
     steps, or when it has not, if ``halting`` is false.
 
-    The guess changes at most once as t grows, so its limit is 1 exactly on
-    the halting (or, if not ``halting``, the diverging) x.  One run per x
-    backs all its stages, so a full stage sweep costs one bounded run, not
-    one per stage.
+    The guess changes at most once as t grows, at the step where the run
+    halts, so its limit is 1 exactly on the halting (or, if not ``halting``,
+    the diverging) x.  One run per x backs all its stages, so a full stage
+    sweep costs one advance to the last stage, with guess calls only at
+    stage 0 and at the change.  The run has no hook, so a sweep past its
+    written cells ends in one jump and its cells are never written.
     """
     runs: dict[int, Run] = {}
 
-    def guess(x: int, stage: int) -> str:
+    def run_at(x: int) -> Run:
         run = runs.get(x)
         if run is None:
             run = runs[x] = run_of(x)
-        return "1" if run.halted_by(stage + 1) == halting else "0"
+        return run
 
-    return guess
+    def guess(x: int, stage: int) -> str:
+        return "1" if run_at(x).halted_by(stage + 1) == halting else "0"
+
+    def next_change(x: int, t: int, horizon: int) -> int | None:
+        run = run_at(x)
+        return run.steps if run.halted_by(horizon + 1) and run.steps > t else None
+
+    return LimitFunction(name, guess, tag, next_change)
 
 
 def halting_as_limit(description: Description, input_word: str) -> LimitFunction:
     """Guess 1 as soon as the described machine has halted within t+1 steps,
     whatever x; changes 0 -> 1 at most once."""
     run = Run(decode(description), input_word)
-    return LimitFunction("halting", _halting_guess(lambda _x: run, True), "Σ1")
+    return _halting_guess("halting", lambda _x: run, True, "Σ1")
 
 
 def divergence_as_limit(description: Description, input_word: str) -> LimitFunction:
     """Pointwise complement of halting_as_limit; changes 1 -> 0 at most once."""
     run = Run(decode(description), input_word)
-    return LimitFunction("divergence", _halting_guess(lambda _x: run, False), "Π1")
+    return _halting_guess("divergence", lambda _x: run, False, "Π1")
 
 
 def _indexed_run(x: int) -> Run:
@@ -114,10 +150,10 @@ def _indexed_run(x: int) -> Run:
 
 
 _BUILTINS: dict[str, Callable[[], LimitFunction]] = {
-    "constant": lambda: LimitFunction("constant", lambda x, t: "1"),
+    "constant": lambda: LimitFunction("constant", lambda x, t: "1", next_change=lambda x, t, horizon: None),
     "oscillator": lambda: LimitFunction("oscillator", lambda x, t: str(t % 2)),
-    "halting": lambda: LimitFunction("halting", _halting_guess(_indexed_run, True), "Σ1"),
-    "divergence": lambda: LimitFunction("divergence", _halting_guess(_indexed_run, False), "Π1"),
+    "halting": lambda: _halting_guess("halting", _indexed_run, True, "Σ1"),
+    "divergence": lambda: _halting_guess("divergence", _indexed_run, False, "Π1"),
 }
 
 BUILTIN_LIMIT_FUNCTIONS = tuple(_BUILTINS)

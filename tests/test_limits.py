@@ -1,18 +1,23 @@
 """Limit-function evaluation and the halting/divergence pair."""
 
+import dataclasses
+import tracemalloc
+from itertools import islice
+
 import pytest
 
 from hypermachine.codec import encode
-from hypermachine.corpus import corpus_machine, encodable_corpus
+from hypermachine.corpus import corpus_machine, encodable_corpus, two_state_family
 from hypermachine.limits import (
     GuessEvaluationError,
     LimitFunction,
+    _every_stage,
     builtin_limit_function,
     divergence_as_limit,
     halting_as_limit,
     limit_eval,
 )
-from hypermachine.machine import InputError, words_over
+from hypermachine.machine import InputError, single_tape_machine, words_over
 
 FLIP_D = encode(corpus_machine("flip"))
 LOOP_D = encode(corpus_machine("loop"))
@@ -134,3 +139,97 @@ def test_hierarchy_tags_are_descriptive_metadata():
     assert halting_as_limit(FLIP_D, "").hierarchy_tag == "Σ1"
     assert divergence_as_limit(FLIP_D, "").hierarchy_tag == "Π1"
     assert builtin_limit_function("constant").hierarchy_tag == "none"
+
+
+# Change-point evaluation: the per-stage rule is the reference.
+
+
+def _per_stage(f):
+    return dataclasses.replace(f, next_change=_every_stage)
+
+
+def _agree(make, x, stages, window):
+    """limit_eval over change points equals per-stage evaluation, each on a
+    limit function of its own, so no run is shared between the two."""
+    fast = limit_eval(make(), x, stages, window)
+    assert fast == limit_eval(_per_stage(make()), x, stages, window)
+    return fast
+
+
+def test_change_points_match_per_stage_on_the_corpus():
+    for machine in encodable_corpus().values():
+        description = encode(machine)
+        for word in words_over(("0", "1"), 3):
+            for as_limit in (halting_as_limit, divergence_as_limit):
+                for stages in (40, 300):
+                    _agree(lambda: as_limit(description, word), 0, stages, 5)
+
+
+def test_change_points_match_per_stage_on_a_family_sample():
+    for machine in islice(two_state_family(), 0, None, 8):
+        description = encode(machine)
+        for word in words_over(("0", "1"), 2):
+            _agree(lambda: halting_as_limit(description, word), 0, 40, 3)
+
+
+def test_change_points_match_per_stage_on_the_indexed_builtins():
+    for name in ("halting", "divergence"):
+        for x in (*range(301), 1024):
+            _agree(lambda: builtin_limit_function(name), x, 200, 10)
+
+
+def _counting(f):
+    calls = []
+
+    def guess(x, t):
+        calls.append(t)
+        return f.guess(x, t)
+
+    return dataclasses.replace(f, guess=guess), calls
+
+
+def test_a_halting_limit_costs_its_changes_not_its_stages():
+    halting, calls = _counting(builtin_limit_function("halting"))
+    report = limit_eval(halting, 3, 10**12, 10)
+    assert len(calls) <= 2
+    assert report.guesses_log == ((0, "1"),)
+    assert report.stages_evaluated == 10**12 + 1
+    assert report.converged_within_budget
+
+    constant, calls = _counting(builtin_limit_function("constant"))
+    assert limit_eval(constant, 0, 10**12, 10).guesses_log == ((0, "1"),)
+    assert calls == [0]
+
+    oscillator, calls = _counting(builtin_limit_function("oscillator"))
+    limit_eval(oscillator, 0, 60, 2)
+    assert calls == list(range(61))
+
+
+def test_a_sweeper_limit_runs_in_constant_memory():
+    # it writes a 0 on a fresh blank at every step; the unhooked run ends the
+    # trillion steps in one jump and never writes the cells out
+    sweeper = single_tape_machine("sweeper", {("q1", "_"): ("q1", "0", "L")}, finals={"q2": False}, start="q1")
+    reports = []
+    tracemalloc.start()
+    try:
+        reports.append(limit_eval(halting_as_limit(encode(sweeper), ""), 0, 10**12, 10))
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 1
+    assert reports[0].guesses_log == ((0, "0"),)
+
+
+def test_a_change_point_rule_that_stalls_or_fails_names_the_stage():
+    def stalls(x, t, horizon):
+        return 5 if t < 5 else t
+
+    def fails(x, t, horizon):
+        if t == 4:
+            raise ValueError("boom")
+        return t + 1
+
+    for rule, stage in ((stalls, 5), (fails, 4)):
+        with pytest.raises(GuessEvaluationError) as err:
+            limit_eval(LimitFunction("bad", lambda x, t: "0", next_change=rule), 7, 10, 2)
+        assert (err.value.x, err.value.stage) == (7, stage)
