@@ -148,7 +148,6 @@ def parse_machine_spec(text: str) -> SpecDocument:
     """Parse a document into a Machine, or a ReflexiveMachine when any rule
     carries an edit clause."""
     builder = _Builder()
-    directives_seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -184,11 +183,10 @@ def parse_machine_spec(text: str) -> SpecDocument:
             builder.alphabet = symbols
             builder.positions[("alphabet",)] = (lineno, at)
         elif head == "start:":
-            if "start" in directives_seen:
+            if builder.start is not None:
                 raise ParseError("duplicate start: directive", lineno, at)
             if len(tokens) != 2:
                 raise ParseError("expected 'start: <state>'", lineno, at)
-            directives_seen.add("start")
             builder.start = tokens[1]
             builder.positions[("start",)] = (lineno, at)
         elif head == "final:":

@@ -30,13 +30,17 @@ and comparing configurations exactly, so a hash collision costs time but
 never yields a false or different certificate.
 
 The 64 cells are ``machine._HOOK_CELLS``, the engine's hook gate.  On a
-single tape the engine calls the check only on tracked configurations or
-where a blank runaway can start, and it jumps over a sweep that writes a
-non-blank symbol beyond the tape's extent, where no configuration repeats
-and no runaway starts; on several tapes on every step, as the check logs
-the output.  Either check hashes only tracked steps and rebuilds
-its hash on the first one after a gap, so the certificates are those of a
-check that hashes every step.
+single tape the engine calls the check on tracked configurations and on
+every sweep, and ends a sweep that the check passes beyond the tape's
+extent in one jump; on several tapes it calls the check on every step, as
+the check logs the output.  Passing such a sweep is sound.  One that writes
+blank is a runaway, which the check reports.  One that writes a non-blank
+symbol adds a cell at every step forever, so none of its configurations
+equals an earlier one, which would start the same endless sweep with fewer
+cells, and no runaway or halt starts in it: no certificate can fire on the
+steps that the jump covers.  Either check hashes only tracked steps and
+rebuilds its hash on the first one after a gap, so the certificates are
+those of a check that hashes every step.
 """
 
 from __future__ import annotations

@@ -18,8 +18,7 @@ one empty, read-only row.  A one-state run that keeps reading blank as it
 moves outward is finished in one jump (the macro-step of busy-beaver
 simulators, Marxen and Buntrock 1990): the rest of the budget moves the head
 that many cells and fills them as the steps would, when the tapes are next
-read.  Under an observing hook it is taken only where the tape grows at
-every step, so no certificate can fire on the steps it covers.
+read, observed or not: a hook sees the step it starts from.
 ``step`` and ``config_sequence`` are the reference semantics: small, pure
 and slow, kept for tests to compare the engine against.
 """
@@ -332,9 +331,12 @@ def _check_budget(budget: int) -> None:
 
 def _beyond_extent(delta: int, tape: Mapping[int, str], head: int) -> bool:
     """True when no stored cell lies at or past ``head`` in the direction
-    ``delta``, and always for a head that stays."""
+    ``delta``, and always for a head that stays.  A stored cell next to the
+    head answers without a scan of the tape."""
     if not delta or not tape:
         return True
+    if head + delta in tape:
+        return False
     return head > max(tape) if delta > 0 else head < min(tape)
 
 
@@ -382,27 +384,22 @@ class Run:
     row.  ``hook(state, tapes, heads, steps, rule)`` is called before every
     rule fires when given (on a single tape it receives the tape and the head
     instead); a truthy result stops the run unfired and is kept in ``checked``.
-    On a single tape holding more than _HOOK_CELLS cells, more than any hook
-    tracks, the hook is skipped unless the rule could start a blank runaway:
-    it is a sweep that writes blank.  Nor does the hook see the steps that a
-    jump covers (below).  A state with no row stops the run as a halt does,
-    right after the rule that enters it fires: a final state, or a next state
-    that ``patch`` gave a rule and that the table does not hold.  Such a rule
-    carries _NO_ROW, the one shared row that holds no rule.
+    On a single tape the hook sees every tracked step, one whose tape holds
+    at most _HOOK_CELLS cells, the most any hook tracks, and every sweep
+    (below); a sweep that it passes beyond the tape's extent ends in one
+    jump, whose steps it does not see.  A state with no row stops the run as
+    a halt does, right after the rule that enters it fires: a final state, or
+    a next state that ``patch`` gave a rule and that the table does not hold.
+    Such a rule carries _NO_ROW, the one shared row that holds no rule.
 
     A sweep (a single-tape rule that reads blank, keeps its state and moves)
     that fires with the head beyond the tape's extent in its direction would
     fire on a fresh blank at every step left, so the run ends the budget in
     one jump: the head moves that many cells and the cells it passes are
     written as the steps would write them.  The jump is tried from an
-    advance's second step on, when the cell past the head is blank and the
-    steps left outnumber the tape's cells, which the scan for the extent
-    costs; after a try that fails, not again within that many steps.  Under
-    a hook it is taken only on a sweep that writes a non-blank symbol.  Such
-    a sweep adds a cell at every step forever, so none of its configurations
-    equals an earlier one, which would start the same endless sweep with
-    fewer cells, and no runaway or halt starts in it: no certificate can
-    fire on the steps it covers.  The jump leaves its cells in ``_fill``;
+    advance's second step on, when the steps left outnumber the tape's
+    cells, which the scan for the extent costs; after a try that fails, not
+    again within that many steps.  The jump leaves its cells in ``_fill``;
     reading ``tapes``, ``snapshot``, ``outcome`` or the next ``advance``
     writes them first, so a run that is only observed never holds them.
     """
@@ -460,11 +457,14 @@ class Run:
                     self.halted = True
                     break
                 nstate, wsym, wblank, delta, nrow, sweep = rule
-                if sweep and steps >= retry and (hook is None or not wblank):
+                if hook is not None and (len(tape) <= cap or sweep):
+                    if found := hook(state, tape, head, steps, rule):
+                        break
+                if sweep and steps >= retry:
                     # beyond the extent every step left fires this sweep on a
-                    # fresh blank, where no hook can find a certificate, so
-                    # the run jumps to the budget and leaves the cells to fill
-                    if head + delta not in tape and budget - steps > len(tape) and _beyond_extent(delta, tape, head):
+                    # fresh blank, so the run jumps to the budget and leaves
+                    # the cells to fill
+                    if budget - steps > len(tape) and _beyond_extent(delta, tape, head):
                         end = head + (budget - steps) * delta
                         if not wblank:
                             self._fill = (range(head, end, delta), wsym)
@@ -472,9 +472,6 @@ class Run:
                         steps = budget
                         break
                     retry = steps + len(tape)
-                if hook is not None and (len(tape) <= cap or (sweep and wblank)):
-                    if found := hook(state, tape, head, steps, rule):
-                        break
                 if wblank:
                     tape.pop(head, None)
                 else:

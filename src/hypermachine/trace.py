@@ -67,11 +67,9 @@ def traced_run(
     written: tuple[int, ...] = ()  # the head cells of the last record
 
     def visit(run: Run) -> None:
-        # the run advances one step at a time, which never jumps, so its raw
-        # tapes hold every cell and the per-step read skips the settling
         nonlocal written
         for i, cell in enumerate(written):
-            words[i], los[i] = _retrim(words[i], los[i], cell, run._tapes[i].get(cell, blank), blank)
+            words[i], los[i] = _retrim(words[i], los[i], cell, run.tapes[i].get(cell, blank), blank)
         written = tuple(run.heads)
         records.append(TraceRecord(run.steps, run.state, written, tuple(words)))
 

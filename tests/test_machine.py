@@ -5,7 +5,8 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypermachine.corpus import corpus_machine, delay_machine
+from hypermachine import machine as engine
+from hypermachine.corpus import corpus_machine, delay_machine, encodable_corpus
 from hypermachine.inductive import (
     BlankRunaway,
     Certificate,
@@ -598,27 +599,64 @@ def _recording_run(machine, word):
 
 
 def test_a_hook_sees_every_step_where_a_certificate_can_fire():
-    # a sweep that writes a non-blank symbol beyond the extent grows the tape
-    # at every step, so no configuration in it repeats an earlier one and
-    # none starts a runaway: the jump ends the run there, hook or not.  The
-    # hook sees every step before that: on trail only the first, which no
-    # advance jumps from
-    run, seen = _recording_run(TRAIL, "")
-    run.advance(400)
-    assert seen == [0] and run.snapshot() == _last_config(TRAIL, "", 400)
+    # the hook sees every tracked step and every sweep, and a sweep that it
+    # passes beyond the extent ends in a jump from the step it saw: on trail
+    # and left-sweep that is step 1, the first step an advance may jump from
+    for machine, word in ((TRAIL, ""), (_LEFT_SWEEP, "00")):
+        run, seen = _recording_run(machine, word)
+        run.advance(400)
+        assert seen == [0, 1] and run.snapshot() == _last_config(machine, word, 400)
     run, _ = _observe(TRAIL, "", 400)
     assert run.checked is None and run.snapshot() == _last_config(TRAIL, "", 400)
     assert certify_nonhalting(TRAIL, "", 400) == UNKNOWN
     # gap-sweep starts its last sweep at step 10, on the blank right of 1001's
-    # last 1; its earlier sweeps lie inside the extent and are hooked
+    # last 1, and jumps from there; its earlier sweeps lie inside the extent
     run, seen = _recording_run(_GAP_SWEEP, "1001")
     run.advance(400)
     last = _last_config(_GAP_SWEEP, "1001", 10)
     assert (last.state, last.heads, max(last.tapes[0])) == ("r", (4,), 3)
-    assert seen == list(range(10)) and run.snapshot() == _last_config(_GAP_SWEEP, "1001", 400)
-    # a sweep that writes blank can start a runaway, so the hook sees it
+    assert seen == list(range(11)) and run.snapshot() == _last_config(_GAP_SWEEP, "1001", 400)
+    # a sweep that writes blank beyond the extent is a runaway, which the
+    # check reports before the engine tries a jump
     runaway = single_tape_machine("runaway", {("q0", "1"): ("q0", "1", "R"), ("q0", "_"): ("q0", "_", "R")})
     assert certify_nonhalting(runaway, "1" * 200, 1000) == Certificate(BlankRunaway("q0", ("R",), 200))
+
+
+def test_a_hook_that_never_stops_a_run_leaves_it_advancing_as_it_would():
+    # loop sweeps blank rightwards from step 0: the hook sees the first step
+    # and the one that the jump starts from, and no more
+    calls = []
+    run = Run(LOOP, "", lambda *args: calls.append(args[3]))
+    run.advance(10**5)
+    assert len(calls) <= 2 and run.steps == 10**5
+    for name, machine in encodable_corpus().items():
+        for word in words_over(machine.input_alphabet, 3):
+            for budget in (1, 7, 100, 5000):
+                hooked = Run(machine, word, lambda *args: None)
+                hooked.advance(budget)
+                plain = Run(machine, word)
+                plain.advance(budget)
+                assert (hooked.halted, hooked.snapshot()) == (plain.halted, plain.snapshot()), (name, word, budget)
+
+
+def test_a_bounce_off_the_tape_end_never_scans_the_tape(monkeypatch):
+    # the head walks right over 1s and bounces off the blank past them, a
+    # sweep that writes blank with a stored cell right behind it: the check's
+    # runaway test and the engine's jump test both answer from that cell
+    bouncer = single_tape_machine("bouncer", {("q0", "1"): ("q0", "1", "R"), ("q0", "_"): ("q0", "_", "L")})
+    scans = []
+
+    def counted(scan):
+        def counting(*args, **kwargs):
+            scans.append(scan.__name__)
+            return scan(*args, **kwargs)
+
+        return counting
+
+    monkeypatch.setitem(vars(engine), "min", counted(min))
+    monkeypatch.setitem(vars(engine), "max", counted(max))
+    assert certify_nonhalting(bouncer, "1" * 200, 10**4) == UNKNOWN
+    assert scans == []
 
 
 @pytest.mark.parametrize("machine,word", [(TRAIL, ""), (_LEFT_SWEEP, "00"), (_GAP_SWEEP, "1001")])
