@@ -251,7 +251,9 @@ def _machine_from_structure(
     )
 
 
-@lru_cache(maxsize=8192)
+# a caller decodes one description at most three times in a row and does
+# not come back to it soon, so a few entries keep every hit there is
+@lru_cache(maxsize=64)
 def _decode_bits(bits: str) -> Machine:
     finals, rules = _parse(bits)
     machine = _machine_from_structure(finals, rules)

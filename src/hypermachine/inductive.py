@@ -41,6 +41,13 @@ cells, and no runaway or halt starts in it: no certificate can fire on the
 steps that the jump covers.  Either check hashes only tracked steps and
 rebuilds its hash on the first one after a gap, so the certificates are
 those of a check that hashes every step.
+
+Either check tests a sweep for a runaway once, at its first step.  A sweep
+writes only the cell under each moving head and then leaves it behind, and
+it ends at the first stored cell that a head reaches.  So the cells ahead of
+each moving head do not change while it lasts, and whether it is past the
+tape's end is settled at its first step.  On several tapes this holds for
+each moving head, and a head that stays is past the end throughout.
 """
 
 from __future__ import annotations
@@ -277,15 +284,18 @@ def _single_tape_check(machine: Machine, input_word: str) -> Callable:
     blank = machine.blank
     history = _HISTORY_STEPS
     h, at = 0, -1  # the tape's hash, kept for the configuration of step ``at`` only
+    swept = -1  # the step after the last sweep step seen
     cycles = _Cycles(machine, input_word)
     seen = cycles.seen
 
     def check(state, tape, head, steps, rule):
-        nonlocal h, at
-        # a runaway repeats a sweep that writes blank
+        nonlocal h, at, swept
+        # a runaway repeats a sweep that writes blank, tested at its first step
         _, wsym, wblank, delta, _, sweep = rule
-        if sweep and wblank and _beyond_extent(delta, tape, head):
-            return BlankRunaway(state, machine.rules[(state, (blank,))][2], steps)
+        if sweep:
+            if steps != swept and wblank and _beyond_extent(delta, tape, head):
+                return BlankRunaway(state, machine.rules[(state, (blank,))][2], steps)
+            swept = steps + 1
         if len(tape) > _HOOK_CELLS:
             return None
         if at != steps:
@@ -315,16 +325,20 @@ def _multi_tape_check(machine: Machine, input_word: str, changes: list[tuple[int
     span = range(tape_count)
     history = _HISTORY_STEPS
     hashes, at = [], -1  # the tapes' hashes, kept for the configuration of step ``at`` only
+    swept = -1  # the step after the last sweep step seen
     cycles = _Cycles(machine, input_word)
     seen = cycles.seen
     word, lo = "", 0  # the trimmed output, empty at the start, and its leftmost cell
 
     def check(state, tapes, heads, steps, rule):
-        nonlocal hashes, at, word, lo
-        # a runaway repeats a sweep that writes blank on every tape
+        nonlocal hashes, at, swept, word, lo
+        # a runaway repeats a sweep that writes blank on every tape, tested at
+        # its first step
         _, writes, deltas, _, sweep = rule
-        if sweep and writes == blanks and all(map(_beyond_extent, deltas, tapes, heads)):
-            return BlankRunaway(state, machine.rules[(state, blanks)][2], steps)
+        if sweep:
+            if steps != swept and writes == blanks and all(map(_beyond_extent, deltas, tapes, heads)):
+                return BlankRunaway(state, machine.rules[(state, blanks)][2], steps)
+            swept = steps + 1
         if sum(map(len, tapes)) <= _HOOK_CELLS:
             if at != steps:
                 hashes = [_tape_hash(t, h, v, move, modulus) for t, h, v in zip(tapes, heads, values)]

@@ -257,6 +257,7 @@ def test_criterion_8_pipeline_and_format_stability(tmp_path, capsys):
         assert traces[0].startswith(b"step=0\t")
 
 
+@pytest.mark.filterwarnings("default::UserWarning")
 def test_criterion_9_performance_target():
     with criterion(9, "performance target"):
         # ping_pong changes state on every step, so no sweep jump shortens the run

@@ -351,6 +351,46 @@ def test_a_runaway_on_a_large_tape_is_found():
     assert inductive_run(three, "1" * 50, 10**5).status == CertifiedStable(runaway)
 
 
+# erases the 0s past its 1s, then bounces forever through the gap of blank
+# cells that they leave, between the last of those 1s and the 1 after them
+GAP_BOUNCER = single_tape_machine(
+    "gap_bouncer",
+    {
+        ("a", "1"): ("a", "1", "R"),
+        ("a", "0"): ("e", "_", "R"),
+        ("e", "0"): ("e", "_", "R"),
+        ("e", "1"): ("b", "1", "L"),
+        ("b", "_"): ("b", "_", "L"),
+        ("b", "1"): ("r", "1", "R"),
+        ("r", "_"): ("r", "_", "R"),
+        ("r", "1"): ("b", "1", "L"),
+    },
+    start="a",
+)
+
+
+def test_a_sweep_through_a_gap_is_tested_for_a_runaway_once(monkeypatch):
+    # inside the gap the cell next to the head is blank, so each extent test
+    # scans the tape; a sweep is tested at its first step only, about one
+    # scan per 20 steps instead of one per step
+    scans = []
+
+    def counted(scan):
+        def counting(*args, **kwargs):
+            scans.append(scan.__name__)
+            return scan(*args, **kwargs)
+
+        return counting
+
+    monkeypatch.setitem(vars(engine), "min", counted(min))
+    monkeypatch.setitem(vars(engine), "max", counted(max))
+    word = "1" * 200 + "0" * 20 + "1"
+    for machine in (GAP_BOUNCER, _on_input_tape(GAP_BOUNCER)):
+        scans.clear()
+        assert certify_nonhalting(machine, word, 10**4) == Unknown()
+        assert len(scans) <= 1000, machine.tape_count
+
+
 def test_the_hook_on_every_step_gives_the_same_certificates(monkeypatch):
     family = [(m, w, 1000) for m in islice(two_state_family(), 0, None, 7) for w in ("", "0110")]
     cases = family + [(m, "1" * 50, 10**5) for m in (EXCURSION, BOUNCE, FAR_RUNAWAY)]

@@ -1,6 +1,10 @@
 """Core engine tests: stepping, bounded runs, and behavioural comparison."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -673,3 +677,18 @@ def test_a_jumped_sweep_is_written_when_the_tapes_are_read(machine, word):
     # a cycle check replays hookless runs, which jump too, and compares their tapes
     reference = _last_config(machine, word, 400)
     assert _Cycles(machine, word)._same(400, reference.state, reference.tapes, reference.heads)
+
+
+def test_a_module_loads_only_the_modules_that_it_imports():
+    # the package root re-exports nothing, so importing the engine, which
+    # imports no other module, loads no other module; a fresh interpreter
+    # shows it, as this one has loaded them all
+    script = (
+        "import sys\n"
+        "def loaded(): print(sorted(m for m in sys.modules if m.startswith('hypermachine.')))\n"
+        "import hypermachine.machine; loaded()\n"
+        "import hypermachine.subrec; loaded()\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(engine.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert child.stdout.splitlines() == ["['hypermachine.machine']", "['hypermachine.machine', 'hypermachine.subrec']"]
