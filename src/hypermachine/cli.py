@@ -37,7 +37,7 @@ from .machine import (
     run_bounded,
 )
 from .reflexive import ReflexiveMachine, reflexive_run
-from .subrec import BUILTIN_SAMPLES, DfaFound, separation_search
+from .subrec import _WORK_BOUND, BUILTIN_SAMPLES, DfaFound, separation_search
 from .trace import emit_trace, summary_line, traced_run, watch
 
 EXIT_OK = 0
@@ -186,6 +186,11 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_separate(args) -> int:
+    # a sample of more words than the search's work bound costs more to build
+    # than the search may spend, so it is refused before it is built
+    words = 2 ** (args.max_len + 1) - 1
+    if words > _WORK_BOUND:
+        raise InputError(f"--max-len {args.max_len} gives {words} sample words, over the work bound {_WORK_BOUND}")
     report = separation_search(BUILTIN_SAMPLES[args.lang](args.max_len), args.max_states)
     print(f"lang={args.lang}\tmax_states={report.max_states}\tsearched={report.dfas_searched}")
     if isinstance(report.witness, DfaFound):

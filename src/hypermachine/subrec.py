@@ -10,11 +10,15 @@ partial table is refuted, so it is skipped and its completions are counted
 exactly.  A NoDfaMatches verdict is a finite certificate: every DFA of that
 size disagrees with the sample somewhere.  Nothing here claims the general
 theorem; every claim is checked by exhaustion at desk scale.
+
+The search bounds the work it does, not the size of the space it covers:
+one call may place ``_WORK_BOUND`` trie nodes and partial tables in all,
+over every state count it walks, and raises SearchSpaceError past that.
+Time tracks this count, and where it stops depends only on the inputs.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -23,17 +27,20 @@ from .machine import HypermachineError, InputError, words_over
 
 ALPHABET = ("0", "1")
 
-SAFETY_CAP_ENV = "HYPERMACHINE_SAFETY_CAP"
-DEFAULT_SAFETY_CAP = 10_000_000
+# about 5 s of search at about 0.5 us per unit on a 2-core host
+_WORK_BOUND = 10_000_000
 
 
 class SearchSpaceError(HypermachineError):
-    """The DFA space estimate exceeds the configured safety cap."""
+    """The separation search did more work than ``_WORK_BOUND`` allows;
+    ``states`` is the DFA size it was walking when it passed the bound."""
 
-    def __init__(self, estimate: int, cap: int):
-        super().__init__(f"search space estimate {estimate} exceeds safety cap {cap}")
-        self.estimate = estimate
-        self.cap = cap
+    def __init__(self, states: int):
+        super().__init__(
+            f"separation search passed its work bound of {_WORK_BOUND} "
+            f"(trie nodes placed plus partial tables tried) at {states} states"
+        )
+        self.states = states
 
 
 @dataclass(frozen=True)
@@ -121,21 +128,6 @@ class SeparationReport:
     witness: NoDfaMatches | DfaFound
 
 
-def search_space_estimate(max_states: int) -> int:
-    """Raw DFA count before canonical pruning: sum of n^(2n) * 2^n."""
-    return sum(n ** (2 * n) * 2**n for n in range(1, max_states + 1))
-
-
-def _safety_cap() -> int:
-    raw = os.environ.get(SAFETY_CAP_ENV)
-    if raw is None:
-        return DEFAULT_SAFETY_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InputError(f"{SAFETY_CAP_ENV} must be an integer, got {raw!r}") from exc
-
-
 def _normalize_sample(sample: Mapping[str, int] | Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
     items = sample.items() if isinstance(sample, Mapping) else sample
     out = []
@@ -202,8 +194,8 @@ def _sample_trie(sample: tuple[tuple[str, int], ...]) -> tuple[list[int], list[l
 
 
 def _walk_tables(
-    n: int, labels: list[int], children: list[list[int]]
-) -> tuple[int, tuple[tuple[int, ...], frozenset[int]] | None]:
+    n: int, labels: list[int], children: list[list[int]], budget: int
+) -> tuple[int, int, tuple[tuple[int, ...], frozenset[int]] | None]:
     """Depth-first over the canonical tables of n states, fixing one cell at
     a time.  A table is flat, cell 2*state+bit holding the target, and
     canonical when states are numbered by first use (each target is at most
@@ -216,10 +208,11 @@ def _walk_tables(
     word's label forces its state.  Once two words force one state both ways,
     every completion of the prefix conflicts, so the subtree is skipped and
     counted through ``_completion_counts``.  Returns the (table, accepting
-    set) pairs covered up to and including the first match, and that match
-    or None.  A match's accepting set is the states that sample words force
-    to accept; an unconstrained state stays rejecting, which picks the first
-    matching DFA in canonical (ascending accepting-mask) order.
+    set) pairs covered up to and including the first match, the budget left
+    (SearchSpaceError once it is overspent) and that match or None.  A match's
+    accepting set is the states that sample words force to accept; an
+    unconstrained state stays rejecting, which picks the first matching DFA in
+    canonical (ascending accepting-mask) order.
     """
     cells = 2 * n
     counts = _completion_counts(n)
@@ -235,9 +228,13 @@ def _walk_tables(
 
     def fix(idx: int) -> bool:
         """Give a state to every node entered through cell ``idx``, and to
-        their descendants through fixed cells; False on a conflict."""
+        their descendants through fixed cells; False on a conflict.  Spends a
+        unit of budget on the partial table and one on each node placed."""
+        nonlocal budget
+        budget -= 1
         work = [(node, table[idx]) for node in pending[idx]]
         while work:
+            budget -= 1
             node, state = work.pop()
             label = labels[node]
             if label >= 0:
@@ -264,7 +261,10 @@ def _walk_tables(
             table[idx] = target
             saved = forced[:]
             sizes = [len(nodes) for nodes in pending]
-            if not fix(idx):
+            consistent = fix(idx)
+            if budget < 0:
+                raise SearchSpaceError(n)
+            if not consistent:
                 searched += weight * completions
             elif idx + 1 == cells:
                 searched += weight
@@ -277,7 +277,7 @@ def _walk_tables(
         return None
 
     found = walk(0, 0)
-    return searched, found
+    return searched, budget, found
 
 
 def separation_search(
@@ -292,18 +292,16 @@ def separation_search(
     prefix on which two sample words already conflict is skipped with all its
     completions, which are counted exactly, so the report equals that of
     checking every canonical table, in ``_walk_tables``'s order, whole.
+    Past ``_WORK_BOUND`` units of work the call raises SearchSpaceError.
     """
     if max_states < 1:
         raise InputError("max_states must be >= 1")
-    cap = _safety_cap()
-    estimate = search_space_estimate(max_states)
-    if estimate > cap:
-        raise SearchSpaceError(estimate, cap)
     normalized = _normalize_sample(sample)
     labels, children = _sample_trie(normalized)
     searched = 0
+    budget = _WORK_BOUND
     for n in range(1, max_states + 1):
-        covered, found = _walk_tables(n, labels, children)
+        covered, budget, found = _walk_tables(n, labels, children, budget)
         searched += covered
         if found is not None:
             delta, accepting = found

@@ -2,6 +2,7 @@
 
 import pytest
 
+from hypermachine import cli
 from hypermachine.cli import main
 from hypermachine.codec import encode
 from hypermachine.corpus import CORPUS_SPECS, corpus_machine, delay_machine
@@ -200,6 +201,17 @@ def test_separate_command(capsys):
     code, out, _ = run_cli(capsys, "separate", "--lang", "anbn", "--max-states", "2", "--max-len", "5")
     assert code == 0
     assert "no-dfa-matches" in out
+
+
+def test_separate_refuses_an_oversized_sample_before_building_it(capsys, monkeypatch):
+    def build(max_len):
+        raise AssertionError(f"built a sample of every word up to length {max_len}")
+
+    monkeypatch.setitem(cli.BUILTIN_SAMPLES, "anbn", build)
+    code, out, err = run_cli(capsys, "separate", "--lang", "anbn", "--max-states", "2", "--max-len", "23")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --max-len 23 gives 16777215 sample words")
 
 
 def test_bench_command(capsys):

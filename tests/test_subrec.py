@@ -5,6 +5,7 @@ from typing import Iterator
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hypermachine import subrec
 from hypermachine.corpus import corpus_machine
 from hypermachine.machine import HaltedWithResult, InputError, run_bounded, words_over
 from hypermachine.subrec import (
@@ -23,7 +24,6 @@ from hypermachine.subrec import (
     sample_anbn,
     sample_palindrome,
     sample_parity,
-    search_space_estimate,
     separation_search,
 )
 
@@ -155,22 +155,18 @@ def test_separation_search_validates_sample():
         separation_search([("0", 1), ("0", 0)], 1)
 
 
-def test_search_space_estimate_and_cap():
-    assert search_space_estimate(3) == 2 + 64 + 5832
-    with pytest.raises(SearchSpaceError) as err:
-        separation_search({}, 6)
-    assert err.value.estimate == search_space_estimate(6)
-
-
-def test_safety_cap_env_override(monkeypatch):
-    monkeypatch.setenv("HYPERMACHINE_SAFETY_CAP", "10")
-    with pytest.raises(SearchSpaceError):
-        separation_search({}, 2)
-    monkeypatch.setenv("HYPERMACHINE_SAFETY_CAP", "1000000000000")
-    assert separation_search(sample_parity(3), 2) is not None
-    monkeypatch.setenv("HYPERMACHINE_SAFETY_CAP", "um")
-    with pytest.raises(InputError):
-        separation_search({}, 2)
+def test_the_work_bound_counts_work_done_not_states_allowed(monkeypatch):
+    # a state bound far past what the answer needs costs nothing extra
+    report = separation_search({}, 3000)
+    assert isinstance(report.witness, DfaFound)
+    assert len(report.witness.dfa.states) == 1
+    monkeypatch.setattr(subrec, "_WORK_BOUND", 5_000)  # 3,358 units answer k=5
+    refusals = []
+    for _ in range(2):
+        with pytest.raises(SearchSpaceError) as err:
+            separation_search(sample_anbn(6), 6)
+        refusals.append(err.value.states)
+    assert refusals == [6, 6]
 
 
 def _canonical_deltas(n: int) -> Iterator[tuple[int, ...]]:
@@ -240,11 +236,21 @@ def test_completion_counts_match_the_canonical_tables():
         assert _completion_counts(n)[0][0] == sum(1 for _ in _canonical_deltas(n))
 
 
-def test_anbn_defeats_five_state_dfas(monkeypatch):
-    monkeypatch.setenv("HYPERMACHINE_SAFETY_CAP", str(search_space_estimate(5)))
+def test_anbn_defeats_five_state_dfas():
     report = separation_search(sample_anbn(6), 5)
     assert report.dfas_searched == 8_022_150
     assert report.witness == NoDfaMatches()
+
+
+def test_anbn_up_to_six_needs_exactly_seven_states():
+    report = separation_search(sample_anbn(6), 6)
+    assert report.dfas_searched == 604_586_118
+    assert report.witness == NoDfaMatches()
+    report = separation_search(sample_anbn(6), 7)
+    assert report.dfas_searched == 45_321_939_334
+    assert isinstance(report.witness, DfaFound)
+    assert len(report.witness.dfa.states) == 7
+    assert all(dfa_run(report.witness.dfa, word) == bool(bit) for word, bit in sample_anbn(6).items())
 
 
 def test_palindrome_sample_shape():
