@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from types import MappingProxyType
 from typing import Iterator
 
 from .machine import (
@@ -221,6 +222,7 @@ def _parse(bits: str) -> tuple[list[tuple[int, int]], list[tuple[int, int, int, 
 
 
 # decoded machines share these tuples and their state names
+_ALPHABET = (BLANK, "0", "1")
 _SYMBOL_TUPLES = {code: (sym,) for sym, code in SYMBOL_CODES.items()}
 _MOVE_TUPLES = {code: (move,) for move, code in MOVE_CODES.items()}
 
@@ -234,21 +236,31 @@ def _state_names(n: int) -> tuple[str, ...]:
 def _machine_from_structure(
     finals: list[tuple[int, int]], rules: list[tuple[int, int, int, int, int]]
 ) -> Machine:
+    """The machine of parsed final entries and rules, built without
+    ``Machine.__post_init__``: _parse already guarantees all that it checks
+    (states q1..qn with q1 the start, every final declared and without a
+    rule, one symbol and one move per rule, each in range), so the fields
+    are set directly, the tables as read-only views as that method leaves
+    them."""
     n = max([1] + [q for q, _ in finals] + [max(i, k) for i, _, k, _, _ in rules])
     states = _state_names(n)
-    return Machine(
+    machine = object.__new__(Machine)
+    vars(machine).update(
         name="decoded",
         tape_count=1,
-        alphabet=(BLANK, "0", "1"),
+        alphabet=_ALPHABET,
         blank=BLANK,
         states=states,
         start=states[0],
-        finals={states[q - 1]: g == 2 for q, g in finals},
-        rules={
-            (states[i - 1], _SYMBOL_TUPLES[j]): (states[k - 1], _SYMBOL_TUPLES[l], _MOVE_TUPLES[m])
-            for i, j, k, l, m in rules
-        },
+        finals=MappingProxyType({states[q - 1]: g == 2 for q, g in finals}),
+        rules=MappingProxyType(
+            {
+                (states[i - 1], _SYMBOL_TUPLES[j]): (states[k - 1], _SYMBOL_TUPLES[l], _MOVE_TUPLES[m])
+                for i, j, k, l, m in rules
+            }
+        ),
     )
+    return machine
 
 
 # a caller decodes one description at most three times in a row and does

@@ -22,6 +22,7 @@ every diagnostic carries a line and column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from .machine import BLANK, HypermachineError, Machine, MOVES, RuleKey, StructureError, Symbols
 from .reflexive import EditAction, InstallRule, ReflexiveMachine, ReplaceRule
@@ -243,9 +244,9 @@ def _edit_clause(action: EditAction) -> str:
 
 def unparse(machine: Machine | ReflexiveMachine) -> str:
     """Canonical document text; parse(unparse(m)) rebuilds m exactly."""
-    edits: dict[RuleKey, EditAction] = {}
+    edits: Mapping[RuleKey, EditAction] = {}
     if isinstance(machine, ReflexiveMachine):
-        edits = dict(machine.edits)
+        edits = machine.edits
         machine = machine.base
     lines = [
         f"machine {machine.name}",

@@ -72,8 +72,8 @@ class Machine:
     ``rules`` maps (state, scanned-symbol tuple) to (next state, written
     symbols, moves); the tuple arity always equals ``tape_count``.  ``finals``
     maps each final state to True (result-bearing) or False (resultless).
-    Both are plain dicts that callers must not mutate: cached machines are
-    shared.
+    Both are read-only views of the machine's own copies, so a machine that
+    a cache shares cannot be changed by one caller for the others.
     """
 
     name: str
@@ -86,6 +86,8 @@ class Machine:
     rules: Mapping[RuleKey, RuleBody]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "finals", MappingProxyType(dict(self.finals)))
+        object.__setattr__(self, "rules", MappingProxyType(dict(self.rules)))
         if self.tape_count < 1:
             raise StructureError(f"tape_count must be >= 1, got {self.tape_count}")
         if len(set(self.states)) != len(self.states):
@@ -145,7 +147,7 @@ def single_tape_machine(
     extra_states: tuple[str, ...] = (),
 ) -> Machine:
     """Build a single-tape machine from scalar (state, symbol) rules."""
-    finals = dict(finals or {})
+    finals = finals or {}
     states: list[str] = [start]
     for (q, _), (nq, _, _) in rules.items():
         for s in (q, nq):
@@ -214,8 +216,30 @@ class HaltedResultless:
 
 @dataclass(frozen=True)
 class BudgetExhausted:
+    """The budget ran out before the run halted, in configuration ``config``.
+
+    ``Run.outcome`` leaves the cells of a jumped sweep unwritten; reading
+    ``config`` writes them, once, so an outcome read only for its status
+    and steps never holds them."""
+
     steps: int
     config: Configuration
+
+    @classmethod
+    def _pending(cls, steps: int, config: Configuration, fill: tuple[range, str]) -> BudgetExhausted:
+        """Exhaustion in ``config`` once ``fill``'s cells are written on tape 0."""
+        outcome = object.__new__(cls)
+        vars(outcome).update(steps=steps, _unwritten=(config, fill))
+        return outcome
+
+    def __getattr__(self, name: str) -> Configuration:
+        # reached only for an attribute that is not set: config, before its first read
+        if name != "config" or "_unwritten" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        config, (cells, wsym) = vars(self).pop("_unwritten")
+        config.tapes[0].update(zip(cells, repeat(wsym)))
+        object.__setattr__(self, "config", config)
+        return config
 
 
 RunOutcome = HaltedWithResult | HaltedResultless | BudgetExhausted
@@ -400,8 +424,9 @@ class Run:
     advance's second step on, when the steps left outnumber the tape's
     cells, which the scan for the extent costs; after a try that fails, not
     again within that many steps.  The jump leaves its cells in ``_fill``;
-    reading ``tapes``, ``snapshot``, ``outcome`` or the next ``advance``
-    writes them first, so a run that is only observed never holds them.
+    reading ``tapes``, ``snapshot`` or the next ``advance`` writes them
+    first, so a run that is only observed never holds them, and ``outcome``
+    hands them over unwritten to the configuration it reports.
     """
 
     __slots__ = ("machine", "state", "_tapes", "_fill", "heads", "steps", "halted", "checked", "_hook", "_rows")
@@ -527,7 +552,10 @@ class Run:
     def outcome(self) -> RunOutcome:
         """The outcome so far: a halt once one was reached, else exhaustion."""
         if not self.halted:
-            return BudgetExhausted(self.steps, self.snapshot())
+            config = Configuration(self.state, tuple(map(dict, self._tapes)), tuple(self.heads), self.steps)
+            if self._fill is None:
+                return BudgetExhausted(self.steps, config)
+            return BudgetExhausted._pending(self.steps, config, self._fill)
         machine = self.machine
         if machine.finals.get(self.state):
             return HaltedWithResult(trimmed_word(self.tapes[result_tape_index(machine)], machine.blank), self.steps)

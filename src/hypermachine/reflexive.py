@@ -6,7 +6,7 @@ rule in the live table, after the write/move/state-change of the same step.
 Everything an action may do is validated at construction time, so runs never
 fail mid-flight and the table remains a deterministic partial function after
 every edit.  Each run owns a private copy of the table; the machine's own
-tables are plain dicts, shared like the machine, that callers must not mutate.
+tables, edits included, are read-only, since the machine may be shared.
 
 An edit fires through that private table: its rule enters a pause, a state
 with no row, so the engine stops right after the rule fires; the run restores
@@ -16,6 +16,7 @@ the real next state, patches in the edit's target and logs the edit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
 from .machine import (
@@ -71,6 +72,7 @@ class ReflexiveMachine:
     edits: Mapping[RuleKey, EditAction]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "edits", MappingProxyType(dict(self.edits)))
         base = self.base
         install_targets = {
             (a.target_state, a.target_symbols)

@@ -1,9 +1,11 @@
 """Encoding layout, word numbering, enumeration, and universal simulation."""
 
+import dataclasses
 import functools
 import itertools
 import sys
 import threading
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -297,7 +299,12 @@ def _same_verdict(bits):
             _decode_bits(bits)
         assert (str(got.value), got.value.position) == (str(err), err.position), bits
         return False
-    assert _decode_bits(bits) == expected, bits
+    machine = _decode_bits(bits)
+    assert machine == expected, bits
+    # the decoder builds its machine without Machine's checks: running them
+    # again changes nothing, and the tables are as read-only as Machine's
+    assert dataclasses.replace(machine) == machine, bits
+    assert type(machine.rules) is type(machine.finals) is MappingProxyType, bits
     return True
 
 

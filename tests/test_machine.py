@@ -4,12 +4,14 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypermachine import machine as engine
+from hypermachine.codec import decode, encode
 from hypermachine.corpus import corpus_machine, delay_machine, encodable_corpus
 from hypermachine.inductive import (
     BlankRunaway,
@@ -49,7 +51,7 @@ from hypermachine.machine import (
     trimmed_word,
     words_over,
 )
-from hypermachine.reflexive import EditLog, ReflexiveMachine, reflexive_config_sequence
+from hypermachine.reflexive import EditLog, InstallRule, ReflexiveMachine, reflexive_config_sequence, reflexive_run
 from hypermachine.trace import record_of, trace_run, watch
 
 FLIP = corpus_machine("flip")
@@ -595,6 +597,15 @@ def test_sweep_jump_matches_the_reference(machine, word):
     assert _run_to(machine, word, 50, 2000) == expected
     assert _run_to(machine, word, 1, 2, 3, 2000) == expected
     assert run_bounded(machine, word, 2000) == BudgetExhausted(2000, expected)
+    # the outcome writes the jumped cells when its configuration is read,
+    # and keeps the configuration it reported as the run goes on
+    run = Run(machine, word)
+    run.advance(2000)
+    outcome = run.outcome()
+    run.advance(5000)
+    assert repr(outcome) == repr(BudgetExhausted(2000, expected)) and outcome.config == expected
+    with pytest.raises(AttributeError):
+        outcome.steps = 0
 
 
 def _recording_run(machine, word):
@@ -692,3 +703,55 @@ def test_a_module_loads_only_the_modules_that_it_imports():
     env = {**os.environ, "PYTHONPATH": str(Path(engine.__file__).parents[1])}
     child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert child.stdout.splitlines() == ["['hypermachine.machine']", "['hypermachine.machine', 'hypermachine.subrec']"]
+
+
+def test_shared_machines_are_read_only():
+    # corpus_machine and decode hand every caller the same machine, so no
+    # caller may change its tables for the others
+    with pytest.raises(AttributeError):
+        corpus_machine("flip").rules.clear()
+    with pytest.raises(TypeError):
+        corpus_machine("flip").finals["q9"] = True
+    with pytest.raises(AttributeError):
+        decode(encode(FLIP)).rules.clear()
+    with pytest.raises(AttributeError):
+        corpus_machine("specializer").edits.clear()
+    assert run_bounded(corpus_machine("flip"), "0", 10) == HaltedWithResult("1", 1)
+
+
+def test_a_machine_keeps_its_own_tables():
+    finals = {"qf": True}
+    rules = {("q0", ("0",)): ("qf", ("1",), ("S",))}
+    edits = {("q0", ("0",)): InstallRule("q0", ("1",), "qf", ("0",), ("S",))}
+    machine = Machine("m", 1, ("_", "0", "1"), "_", ("q0", "qf"), "q0", finals, rules)
+    rm = ReflexiveMachine(machine, edits)
+    finals["qf"] = False
+    rules[("q0", ("1",))] = ("qf", ("1",), ("S",))
+    edits.clear()
+    assert machine.finals == {"qf": True} and len(machine.rules) == 1 and len(rm.edits) == 1
+    assert run_bounded(machine, "0", 10) == HaltedWithResult("1", 1)
+    assert run_bounded(machine, "1", 10) == HaltedResultless(0)
+
+
+_SWEEPER = single_tape_machine("sweeper", {("q1", "_"): ("q1", "0", "L")}, start="q1")
+
+
+@pytest.mark.parametrize(
+    "answer",
+    [
+        lambda budget: run_bounded(_SWEEPER, "", budget),
+        lambda budget: reflexive_run(ReflexiveMachine(_SWEEPER, {}), "", budget),
+        lambda budget: observational_equiv(_SWEEPER, _SWEEPER, 0, budget),
+    ],
+    ids=["run_bounded", "reflexive_run", "observational_equiv"],
+)
+def test_a_jumped_sweep_outcome_runs_in_constant_memory(answer):
+    # the sweeper writes a 0 on a fresh blank at every step: an outcome read
+    # for its status never writes the cells that the jump passed
+    tracemalloc.start()
+    try:
+        answer(2 * 10**5)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 1
