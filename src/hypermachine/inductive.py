@@ -24,10 +24,10 @@ Brent's power-of-two checkpoints are kept (Brent 1980), so memory stays
 bounded whatever the budget.  The one difference: a cycle that starts at or
 after step 2**16 may be reported, and its run stopped, some steps after its
 first repeat.  Its certificate is still the exact (period,
-first_repeat_step), as the period is found exactly and the start is
-recovered by replay.  Every hash match is confirmed by replaying a fresh run
-and comparing configurations exactly, so a hash collision costs time but
-never yields a false or different certificate.
+first_repeat_step), as the period is found exactly and the start by one
+lockstep pass of two replays a period apart.  Every hash match is confirmed
+by replaying a fresh run and comparing configurations exactly, so a hash
+collision costs time but never yields a false or different certificate.
 
 The 64 cells are ``machine._HOOK_CELLS``, the engine's hook gate.  On a
 single tape the engine calls the check on tracked configurations and on
@@ -76,7 +76,6 @@ from .machine import (
     Machine,
     Run,
     RunOutcome,
-    run_bounded,
 )
 
 CandidateDecider = Callable[[Description, str], bool]
@@ -212,10 +211,10 @@ class _Cycles:
     therefore reported at the first repeat of a checkpoint that lies in it.
     The distance from the checkpoint to that repeat is exactly the period,
     because every tracked step is compared with every checkpoint before it;
-    replay then recovers the cycle's first tracked step, so the certificate
-    is the one a full history would give.  The hooks keep a new key before
-    _HISTORY_STEPS themselves and call ``visit`` only for a known key or,
-    after that, at the mark.
+    two replays a period apart then find the cycle's first tracked step in
+    one lockstep pass, so the certificate is the one a full history would
+    give.  The hooks keep a new key before _HISTORY_STEPS themselves and
+    call ``visit`` only for a known key or, after that, at the mark.
     """
 
     __slots__ = ("machine", "input_word", "seen", "collided", "mark", "window")
@@ -232,17 +231,16 @@ class _Cycles:
         self, key: int, steps: int, state: str, tapes: Sequence[dict], heads: Sequence[int]
     ) -> ConfigurationCycle | None:
         first = self.seen.get(key)
-        if first is None:
+        if first is None:  # a checkpoint
             self.seen[key] = steps
-            if steps >= _HISTORY_STEPS:
-                self.mark = steps + self.window
-                self.window *= 2
+            self.mark = steps + self.window
+            self.window *= 2
             return None
         for earlier in (first, *self.collided.get(key, ())):
             if self._same(earlier, state, tapes, heads):
                 period = steps - earlier
                 if earlier >= _HISTORY_STEPS:  # a checkpoint, which may lie past the cycle's start
-                    earlier = self._first_repeat(period, earlier)
+                    earlier = self._first_repeat(period)
                 return ConfigurationCycle(period, earlier)
         if steps < _HISTORY_STEPS:
             self.collided.setdefault(key, []).append(steps)
@@ -257,24 +255,18 @@ class _Cycles:
         run = self._replay(earlier)
         return _normal_form(run.state, run.tapes, run.heads) == _normal_form(state, tapes, heads)
 
-    def _first_repeat(self, period: int, repeating: int) -> int:
-        """The first tracked step from which the run repeats with ``period``,
-        given that it does so from step ``repeating``."""
-        # a configuration repeats after ``period`` steps from the cycle's start
-        # on and never before, so the start is found by bisection
-        lo, hi = 0, repeating
-        while lo < hi:
-            mid = (lo + hi) // 2
-            run = self._replay(mid)
-            then = _normal_form(run.state, run.tapes, run.heads)
-            run.advance(mid + period)
-            if then == _normal_form(run.state, run.tapes, run.heads):
-                hi = mid
-            else:
-                lo = mid + 1
-        run = self._replay(lo)
-        while sum(map(len, run.tapes)) > _HOOK_CELLS:
+    def _first_repeat(self, period: int) -> int:
+        """The first tracked step from which the run repeats with ``period``."""
+        # a deterministic run repeats with ``period`` from every step of its
+        # cycle on and from no step before, so two runs a period apart are
+        # advanced together until they first agree on a tracked step
+        run, ahead = self._replay(0), self._replay(period)
+        while (
+            sum(map(len, run.tapes)) > _HOOK_CELLS
+            or _normal_form(run.state, run.tapes, run.heads) != _normal_form(ahead.state, ahead.tapes, ahead.heads)
+        ):
             run.advance(run.steps + 1)
+            ahead.advance(ahead.steps + 1)
         return run.steps
 
 
@@ -456,26 +448,29 @@ def halting_limit_decider(description: Description, input_word: str, budget: int
 # --- diagonalization --------------------------------------------------------
 
 
-def _diagonal_bit(claims_halt: bool, description: Description, word: str, budget: int) -> tuple[str, bool]:
+def _diagonal_bit(claims_halt: bool, outcome: RunOutcome | None, budget: int) -> tuple[str, bool]:
     """The anti-diagonal bit for one (machine, word) pair, given the
-    decider's claim about it.
+    decider's claim about it and, if it claims a halt, the machine's outcome
+    under a budget of at least ``budget``: bounded outcomes only refine as
+    the budget grows, so it answers for ``budget``.
 
     Returns (bit, tie_break): tie_break marks the fallback taken when the
-    decider claimed a halt but the bounded simulation did not finish.
+    decider claimed a halt but the machine did not halt within ``budget``.
     """
     if not claims_halt:
         return "0", False
-    outcome = universal_run(description, word, budget)
-    if isinstance(outcome, HaltedWithResult) and outcome.result == "1":
+    if outcome.steps < budget and isinstance(outcome, HaltedWithResult) and outcome.result == "1":
         return "0", False
-    return "1", isinstance(outcome, BudgetExhausted)
+    return "1", outcome.steps >= budget
 
 
 def diagonalize(decider: CandidateDecider, input_word: str, budget: int) -> str:
     """Behave differently from machine T_n on input u_n wherever the decider
     is right: n is the input's word index, T_n the n-th enumerated machine."""
     description = nth_description(word_index(input_word))
-    return _diagonal_bit(bool(decider(description, input_word)), description, input_word, budget)[0]
+    claims_halt = bool(decider(description, input_word))
+    outcome = universal_run(description, input_word, budget) if claims_halt else None
+    return _diagonal_bit(claims_halt, outcome, budget)[0]
 
 
 @dataclass(frozen=True)
@@ -544,6 +539,7 @@ def audit_decider(
     the n-th word; an explicit (description, word) list may be audited
     instead.
     """
+    _check_budget(sim_budget)
     if truth_budget < sim_budget:
         raise InputError("truth_budget must be at least sim_budget")
     if rows is None:
@@ -555,8 +551,8 @@ def audit_decider(
     out = []
     for n, (description, word) in enumerate(pairs):
         claim = bool(decider(description, word))
-        observed = run_bounded(decode(description), word, truth_budget)
-        diagonal, tie = _diagonal_bit(claim, description, word, sim_budget)
+        observed = universal_run(description, word, truth_budget)
+        diagonal, tie = _diagonal_bit(claim, observed, sim_budget)
         truth_halted = not isinstance(observed, BudgetExhausted)
         contradiction = (not claim and truth_halted) or (
             isinstance(observed, HaltedWithResult) and diagonal == observed.result

@@ -424,9 +424,10 @@ class Run:
     advance's second step on, when the steps left outnumber the tape's
     cells, which the scan for the extent costs; after a try that fails, not
     again within that many steps.  The jump leaves its cells in ``_fill``;
-    reading ``tapes``, ``snapshot`` or the next ``advance`` writes them
-    first, so a run that is only observed never holds them, and ``outcome``
-    hands them over unwritten to the configuration it reports.
+    reading ``tapes`` or ``snapshot`` or a ``patch`` writes them first and a
+    later ``advance`` extends them, so a run that is only observed never
+    holds them, and ``outcome`` hands them over unwritten to the
+    configuration it reports.
     """
 
     __slots__ = ("machine", "state", "_tapes", "_fill", "heads", "steps", "halted", "checked", "_hook", "_rows")
@@ -461,7 +462,20 @@ class Run:
 
     def advance(self, budget: int) -> None:
         """Run until ``steps`` reaches ``budget``, the run halts (it reaches a
-        state with no row or a missing rule) or the hook stops it."""
+        state with no row or a missing rule) or the hook stops it.  A run
+        that has reached ``budget`` is left as it is."""
+        if budget <= self.steps:
+            return
+        if self._fill is not None:
+            # a jumped run is in a sweep that never ends: its head lies past
+            # every stored cell and the jumped cells lie behind it, so it goes
+            # on without reading its tape, and a hook does not see these steps
+            cells, wsym = self._fill
+            head = self.heads[0] + (budget - self.steps) * cells.step
+            self._fill = (range(cells.start, head, cells.step), wsym)
+            self.heads[0] = head
+            self.steps = budget
+            return
         rows = self._rows
         hook = self._hook
         blank = self.machine.blank
@@ -469,7 +483,7 @@ class Run:
         steps = self.steps
         row = rows.get(state, _NO_ROW)
         found = None
-        tapes = self._tapes if self._fill is None else self.tapes
+        tapes = self._tapes
         if len(tapes) == 1:
             tape = tapes[0]
             get = tape.get
@@ -562,7 +576,9 @@ class Run:
         return HaltedResultless(self.steps)
 
     def patch(self, key: RuleKey, body: RuleBody) -> None:
-        """Install or replace one rule of this run's private table."""
+        """Install or replace one rule of this run's private table.  The rule
+        may end a jumped sweep, so the sweep's cells are written first."""
+        self.tapes
         _compiled_rows(self.machine, {key: body}, self._rows)
 
 

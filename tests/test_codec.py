@@ -25,7 +25,7 @@ from hypermachine.codec import (
     word_index,
 )
 from hypermachine.codec import _decode_bits, _descriptions_of, _numbering_canonical
-from hypermachine.corpus import LOCATABLE, corpus_machine, encodable_corpus, two_state_family
+from hypermachine.corpus import LOCATABLE, corpus_machine, delay_machine, encodable_corpus, two_state_family
 from hypermachine.machine import (
     BLANK,
     BudgetExhausted,
@@ -383,6 +383,21 @@ def test_locatable_corpus_machines_appear_at_frozen_indices():
         assert stream[index] == encode(machine).bits, name
         verdict = observational_equiv(machine, decode(Description(stream[index])), 4, 400)
         assert isinstance(verdict, EquivalentUpTo), name
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: nth_description(-1), "enumeration indices are non-negative"),
+        (lambda: corpus_machine("nope"), "no corpus machine named 'nope'"),
+        (lambda: delay_machine(0), "delay must be >= 1 step"),
+    ],
+    ids=["nth_description", "corpus_machine", "delay_machine"],
+)
+def test_out_of_range_indices_and_names_are_rejected(call, message):
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_nth_description_matches_enumerate():

@@ -91,6 +91,30 @@ def test_error_columns_point_at_the_token(text, col):
     assert err.value.col == col
 
 
+_RULE = "machine m\nstart: q0\nrule q0 0 -> q0 1 R"
+
+
+@pytest.mark.parametrize(
+    "text,message,line,col",
+    [
+        (_RULE + " ! install(q0, 1, q0, 0, R)\n", "malformed edit clause: missing ->", 3, 21),
+        (_RULE + " ! install(q0, 1 -> q0, 0)\n", "malformed edit clause: wrong number of parts", 3, 21),
+        ("machine\nstart: q0\n", "expected 'machine <name>'", 1, 1),
+        (_RULE + "\ntapes: 1\n", "tapes: must precede rules", 4, 1),
+        (_RULE + "\nalphabet: 0 1\n", "alphabet: must precede rules", 4, 1),
+        ("machine m\nalphabet: 0 ab\n", "symbols are single characters, got 'ab'", 2, 13),
+        ("machine m\nalphabet:  0 1 0\n", "duplicate alphabet symbol", 2, 1),
+        ("machine m\nstart: q0 q1\n", "expected 'start: <state>'", 2, 1),
+        ("machine m\nstart: q0\nfinal: qf *\n", "empty final state name", 3, 11),
+    ],
+)
+def test_malformed_directives_are_diagnosed_at_their_token(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_machine_spec(text)
+    assert str(err.value) == f"line {line}:{col}: {message}"
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 def test_rule_from_final_state_is_rejected():
     text = "machine m\nstart: q0\nfinal: q0\nrule q0 0 -> q0 0 R\n"
     with pytest.raises(ParseError) as err:

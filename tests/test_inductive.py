@@ -11,7 +11,7 @@ import pytest
 from hypermachine import inductive
 from hypermachine import machine as engine
 from hypermachine.codec import Description, InvalidEncoding, decode, encode, index_word, iter_descriptions, nth_description
-from hypermachine.codec import UnsupportedMachineError
+from hypermachine.codec import UnsupportedMachineError, universal_run
 from hypermachine.corpus import corpus_machine, delay_machine, two_state_family
 from hypermachine.dsl import parse_machine_spec
 from hypermachine.inductive import (
@@ -675,6 +675,51 @@ def test_audit_validates_budgets():
         audit_decider(budget_decider(5), 3, 10, 20)
     with pytest.raises(InputError):
         audit_decider(budget_decider(5), -1, 20, 10)
+
+
+def test_an_audit_row_runs_its_machine_once_beyond_the_decider(monkeypatch):
+    # budget_decider runs the machine itself; the audit then runs it once,
+    # for the truth, and reads the diagonal from that run
+    constructed = []
+
+    class CountingRun(engine.Run):
+        def __init__(self, *args, **kwargs):
+            constructed.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "Run", CountingRun)
+    for row, claims_halt in (((encode(FLIP), "0"), True), ((encode(LOOP), ""), False)):
+        constructed.clear()
+        report = audit_decider(budget_decider(100), 0, 200, 100, rows=[row])
+        assert report.rows[0].claims_halt is claims_halt
+        assert len(constructed) == 2
+    constructed.clear()
+    assert diagonalize(_always, "", 100) == "1" and len(constructed) == 1
+    assert diagonalize(_never, "", 100) == "0" and len(constructed) == 1
+
+
+def test_the_diagonal_read_from_the_truth_run_matches_a_run_at_the_sim_budget():
+    # bounded outcomes only refine as the budget grows, so the truth run
+    # answers for a smaller sim budget, also for a halt at or just inside it
+    rows = [(nth_description(n), index_word(n)) for n in range(40)]
+    rows += [(encode(FLIP), "0"), (encode(delay_machine(9)), "")]
+    for sim_budget in (1, 2, 9, 10):
+        for truth_budget in (sim_budget, sim_budget + 1, 50):
+            report = audit_decider(_always, 0, truth_budget, sim_budget, rows=rows)
+            for row, (description, word) in zip(report.rows, rows):
+                outcome = universal_run(description, word, sim_budget)
+                diagonal = "0" if isinstance(outcome, HaltedWithResult) and outcome.result == "1" else "1"
+                assert (row.diagonal, row.tie_break) == (diagonal, isinstance(outcome, BudgetExhausted))
+
+
+def test_an_audit_rejects_a_sim_budget_below_one_up_front():
+    with pytest.raises(InputError, match="budget must be >= 1, got 0"):
+        audit_decider(_never, 0, 10, 0, rows=[(encode(LOOP), "")])
+
+
+def test_an_exhausted_truth_run_is_tabled_as_running():
+    report = audit_decider(_never, 0, 50, 20, rows=[(encode(LOOP), "")])
+    assert report.to_tsv().splitlines()[1] == "0\t\tno-halt\trunning@50\t0\t0\t0\t0"
 
 
 def test_audit_tsv_is_line_oriented():

@@ -110,6 +110,15 @@ def test_failing_guess_names_the_stage():
     assert err.value.stage == 3
 
 
+def test_a_package_error_in_a_guess_propagates_unwrapped():
+    def bad(x, t):
+        raise InputError("boom")
+
+    with pytest.raises(InputError, match="^boom$") as err:
+        limit_eval(LimitFunction("bad", bad), 7, 10, 2)
+    assert type(err.value) is InputError
+
+
 def test_indexed_builtin_halting():
     # machine 3 halts immediately on its word; machine 1024 spins in place on
     # the leading 0 of its word (certified configuration cycle)

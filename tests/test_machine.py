@@ -1,5 +1,6 @@
 """Core engine tests: stepping, bounded runs, and behavioural comparison."""
 
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -24,6 +25,7 @@ from hypermachine.inductive import (
     certify_nonhalting,
     inductive_run,
 )
+from hypermachine.limits import halting_as_limit, limit_eval
 from hypermachine.machine import (
     BLANK,
     AtFinal,
@@ -195,6 +197,27 @@ def test_machine_rejects_undeclared_references():
         )
     with pytest.raises(StructureError):
         single_tape_machine("bad", {("q0", "0"): ("q0", "0", "X")})
+
+
+_ALPHABET = ("_", "0", "1")
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"tape_count": 0}, "tape_count must be >= 1, got 0"),
+        ({"states": ("q0", "q0")}, "duplicate state names"),
+        ({"alphabet": ("_", "0", "0")}, "duplicate alphabet symbols"),
+        ({"alphabet": ("_", "01")}, "symbols must be single characters, got '01'"),
+        ({"start": "q9"}, "start state 'q9' is not declared"),
+        ({"finals": {"q9": True}}, "final state 'q9' is not declared"),
+    ],
+)
+def test_machine_rejects_malformed_declarations(fields, message):
+    declared = {"name": "bad", "tape_count": 1, "alphabet": _ALPHABET, "blank": "_", "states": ("q0",)}
+    with pytest.raises(StructureError) as err:
+        Machine(**{**declared, "start": "q0", "finals": {}, "rules": {}, **fields})
+    assert str(err.value) == message and err.value.key is None
 
 
 def test_machine_rejects_blankless_alphabet():
@@ -736,18 +759,31 @@ def test_a_machine_keeps_its_own_tables():
 _SWEEPER = single_tape_machine("sweeper", {("q1", "_"): ("q1", "0", "L")}, start="q1")
 
 
+def _growing_budgets(budget):
+    run = Run(_SWEEPER, "")
+    return [run.halted_by(b) for b in (1, budget // 4, budget // 2, budget, budget // 2)]
+
+
+def _two_limit_evals(budget):
+    limit = halting_as_limit(encode(_SWEEPER), "")
+    return [limit_eval(limit, x, budget, 10).guesses_log for x in (0, 1)]
+
+
 @pytest.mark.parametrize(
     "answer",
     [
         lambda budget: run_bounded(_SWEEPER, "", budget),
         lambda budget: reflexive_run(ReflexiveMachine(_SWEEPER, {}), "", budget),
         lambda budget: observational_equiv(_SWEEPER, _SWEEPER, 0, budget),
+        _growing_budgets,
+        _two_limit_evals,
     ],
-    ids=["run_bounded", "reflexive_run", "observational_equiv"],
+    ids=["run_bounded", "reflexive_run", "observational_equiv", "halted_by", "limit_eval"],
 )
 def test_a_jumped_sweep_outcome_runs_in_constant_memory(answer):
     # the sweeper writes a 0 on a fresh blank at every step: an outcome read
-    # for its status never writes the cells that the jump passed
+    # for its status never writes the cells that the jump passed, and nor
+    # does a later advance of the jumped run, to any budget
     tracemalloc.start()
     try:
         answer(2 * 10**5)
@@ -755,3 +791,43 @@ def test_a_jumped_sweep_outcome_runs_in_constant_memory(answer):
     finally:
         tracemalloc.stop()
     assert peak_mb < 1
+
+
+def test_an_exhausted_outcome_has_no_result():
+    # a caller may read ``getattr(outcome, "result", None)`` of any outcome,
+    # as perfbench's enumeration does; a pending outcome stays unwritten
+    run = Run(_SWEEPER, "")
+    run.advance(1000)
+    plain, pending = run_bounded(LOOP, "", 10), run.outcome()
+    assert getattr(plain, "result", None) is None and getattr(pending, "result", None) is None
+    assert "config" not in vars(pending)
+
+
+def test_a_run_advanced_to_a_budget_that_it_has_reached_is_left_as_it_is():
+    run, _ = _observe(corpus_machine("ping_pong"), "", 1000)
+    certificate, steps = run.checked, run.steps
+    assert isinstance(certificate, ConfigurationCycle)
+    for budget in (steps, 1):
+        run.advance(budget)
+        assert (run.checked, run.steps) == (certificate, steps)
+    run = Run(_SWEEPER, "")
+    run.advance(1000)
+    run.advance(500)
+    assert run.steps == 1000 and run._tapes == ({0: "0"},)  # the jumped cells stay unwritten
+    assert run.snapshot() == _last_config(_SWEEPER, "", 1000)
+
+
+def test_a_rule_patched_after_a_jump_reads_the_jumped_cells():
+    # the sweeper writes 0s leftwards; once its cells are pending after a
+    # jump, a patched rule turns it back over them, rewriting each 0 as 1
+    machine = single_tape_machine("turn", {("q1", "_"): ("q1", "0", "L"), ("back", "0"): ("back", "1", "R")}, start="q1")
+    key, body = ("q1", ("_",)), ("back", ("1",), ("R",))
+    patched = dataclasses.replace(machine, rules={**machine.rules, key: body})
+    run = Run(machine, "")
+    run.advance(100)
+    run.patch(key, body)
+    run.advance(300)
+    config = _last_config(machine, "", 100)
+    while config.step < 300 and isinstance(nxt := step(patched, config), NextConfig):
+        config = nxt.config
+    assert run.halted and run.snapshot() == config and config.step == 201

@@ -60,6 +60,36 @@ def test_dfa_requires_total_delta():
         Dfa(states=("a",), start="a", accepting=frozenset(), delta={("a", "0"): "a"})
 
 
+_TWO_STATES = {"states": ("a", "b"), "start": "a", "accepting": frozenset({"b"})}
+_DELTA = {("a", "0"): "b", ("a", "1"): "a", ("b", "0"): "a", ("b", "1"): "b"}
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: Dfa(**{**_TWO_STATES, "start": "z"}, delta=_DELTA), "start state 'z' is not declared"),
+        (
+            lambda: Dfa(**{**_TWO_STATES, "accepting": frozenset({"z"})}, delta=_DELTA),
+            "accepting states must be declared states",
+        ),
+        (lambda: Dfa(**_TWO_STATES, delta={**_DELTA, ("b", "1"): "z"}), "delta target 'z' is not declared"),
+        (
+            lambda: dfa_equiv(
+                Dfa(**_TWO_STATES, delta=_DELTA),
+                Dfa(**_TWO_STATES, delta={("a", "0"): "b", ("b", "0"): "a"}, alphabet=("0",)),
+            ),
+            "DFAs do not share an alphabet",
+        ),
+        (lambda: separation_search({"0": 1}, 0), "max_states must be >= 1"),
+    ],
+    ids=["start", "accepting", "target", "alphabets", "max_states"],
+)
+def test_malformed_dfas_and_searches_are_rejected(call, message):
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_dfa_equiv_modulo_renaming():
     assert dfa_equiv(parity_dfa(), parity_dfa(("x", "y"))) == Equivalent()
 
