@@ -33,21 +33,25 @@ The 64 cells are ``machine._HOOK_CELLS``, the engine's hook gate.  On a
 single tape the engine calls the check on tracked configurations and on
 every sweep, and ends a sweep that the check passes beyond the tape's
 extent in one jump; on several tapes it calls the check on every step, as
-the check logs the output.  Passing such a sweep is sound.  One that writes
-blank is a runaway, which the check reports.  One that writes a non-blank
-symbol adds a cell at every step forever, so none of its configurations
-equals an earlier one, which would start the same endless sweep with fewer
-cells, and no runaway or halt starts in it: no certificate can fire on the
-steps that the jump covers.  Either check hashes only tracked steps and
-rebuilds its hash on the first one after a gap, so the certificates are
-those of a check that hashes every step.
+the check logs the output, and never jumps.  There the check reads each
+tape's old symbol and the output change from the compiled rule, and it
+updates the hashes of only the tapes that the rule changes.  Passing a
+single-tape sweep is sound.  One that writes blank is a runaway, which the
+check reports.  One that writes a non-blank symbol adds a cell at every step
+forever, so none of its configurations equals an earlier one, which would
+start the same endless sweep with fewer cells, and no runaway or halt starts
+in it: no certificate can fire on the steps that the jump covers.  Either
+check hashes only tracked steps and rebuilds its hash on the first one after
+a gap, so the certificates are those of a check that hashes every step.
 
 Either check tests a sweep for a runaway once, at its first step.  A sweep
 writes only the cell under each moving head and then leaves it behind, and
 it ends at the first stored cell that a head reaches.  So the cells ahead of
 each moving head do not change while it lasts, and whether it is past the
 tape's end is settled at its first step.  On several tapes this holds for
-each moving head, and a head that stays is past the end throughout.
+each moving head.  A sweep's heads that stay read and write blank, so they
+are past the end throughout; a rule on blanks whose staying head writes a
+non-blank symbol is no sweep, as it cannot fire twice in a row.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ from .machine import (
     _HOOK_CELLS,
     _beyond_extent,
     _check_budget,
+    _moving_heads_beyond,
     _retrim,
     BudgetExhausted,
     HaltedWithResult,
@@ -314,7 +319,6 @@ def _multi_tape_check(machine: Machine, input_word: str, changes: list[tuple[int
     values, move, offsets = _hash_constants(modulus, machine.alphabet, machine.blank, tape_count, machine.states)
     blank = machine.blank
     blanks = (blank,) * tape_count
-    span = range(tape_count)
     history = _HISTORY_STEPS
     hashes, at = [], -1  # the tapes' hashes, kept for the configuration of step ``at`` only
     swept = -1  # the step after the last sweep step seen
@@ -325,10 +329,10 @@ def _multi_tape_check(machine: Machine, input_word: str, changes: list[tuple[int
     def check(state, tapes, heads, steps, rule):
         nonlocal hashes, at, swept, word, lo
         # a runaway repeats a sweep that writes blank on every tape, tested at
-        # its first step
-        _, writes, deltas, _, sweep = rule
+        # its first step; a sweep's effects are its moving heads
+        _, syms, writes, effects, _, sweep = rule
         if sweep:
-            if steps != swept and writes == blanks and all(map(_beyond_extent, deltas, tapes, heads)):
+            if steps != swept and writes == blanks and _moving_heads_beyond(effects, tapes, heads):
                 return BlankRunaway(state, machine.rules[(state, blanks)][2], steps)
             swept = steps + 1
         if sum(map(len, tapes)) <= _HOOK_CELLS:
@@ -342,15 +346,12 @@ def _multi_tape_check(machine: Machine, input_word: str, changes: list[tuple[int
                 seen[key] = steps
             elif steps >= cycles.mark:
                 cycles.visit(key, steps, state, tapes, heads)
-            for i in span:
-                old = tapes[i].get(heads[i], blank)
-                if writes[i] != old or deltas[i]:
-                    hashes[i] = (hashes[i] + values[i][writes[i]] - values[i][old]) * move[deltas[i]] % modulus
+            for i, _, delta in effects:
+                hashes[i] = (hashes[i] + values[i][writes[i]] - values[i][syms[i]]) * move[delta] % modulus
             at = steps + 1
         # the rule fires right after this, so a rewritten output cell is a change
-        sym, cell = writes[-1], heads[-1]
-        if sym != tapes[-1].get(cell, blank):
-            word, lo = _retrim(word, lo, cell, sym, blank)
+        if writes[-1] != syms[-1]:
+            word, lo = _retrim(word, lo, heads[-1], writes[-1], blank)
             changes.append((steps + 1, word))
         return None
 

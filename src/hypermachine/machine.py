@@ -14,11 +14,15 @@ reachable configuration is finite and cheap to copy, compare, and replay.
 per run, behind ``run_bounded``, the halting probes of ``Run.halted_by``
 and every client in the other modules.  Each compiled rule carries its next
 state's row, so a step never looks a state up; a state with no row shares
-one empty, read-only row.  A one-state run that keeps reading blank as it
-moves outward is finished in one jump (the macro-step of busy-beaver
-simulators, Marxen and Buntrock 1990): the rest of the budget moves the head
-that many cells and fills them as the steps would, when the tapes are next
-read, observed or not: a hook sees the step it starts from.
+one empty, read-only row.  A multi-tape rule applies only its effects, the
+tapes whose cell it rewrites with another symbol or whose head it moves.  A
+run that keeps one state while every head reads blank, some heads move
+outward and the others stay and write blank is finished in one jump (the
+macro-step of busy-beaver simulators, Marxen and Buntrock 1990): the rest of
+the budget moves each moving head that many cells and fills them as the
+steps would, when the tapes are next read.  On a single tape this holds
+observed or not, as a hook sees the step that the jump starts from; an
+observed run on several tapes steps every step.
 ``step`` and ``config_sequence`` are the reference semantics: small, pure
 and slow, kept for tests to compare the engine against.
 """
@@ -28,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product, repeat
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 LEFT = "L"
 RIGHT = "R"
@@ -226,8 +230,9 @@ class BudgetExhausted:
     config: Configuration
 
     @classmethod
-    def _pending(cls, steps: int, config: Configuration, fill: tuple[range, str]) -> BudgetExhausted:
-        """Exhaustion in ``config`` once ``fill``'s cells are written on tape 0."""
+    def _pending(cls, steps: int, config: Configuration, fill: tuple) -> BudgetExhausted:
+        """Exhaustion in ``config`` once ``fill``'s cells are written: a
+        jumped sweep's ``Run._fill``, one entry per moving head."""
         outcome = object.__new__(cls)
         vars(outcome).update(steps=steps, _unwritten=(config, fill))
         return outcome
@@ -236,13 +241,22 @@ class BudgetExhausted:
         # reached only for an attribute that is not set: config, before its first read
         if name != "config" or "_unwritten" not in vars(self):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        config, (cells, wsym) = vars(self).pop("_unwritten")
-        config.tapes[0].update(zip(cells, repeat(wsym)))
+        config, fill = vars(self).pop("_unwritten")
+        _write_fill(config.tapes, fill)
         object.__setattr__(self, "config", config)
         return config
 
 
 RunOutcome = HaltedWithResult | HaltedResultless | BudgetExhausted
+
+
+def _write_fill(tapes: tuple[dict[int, str], ...], fill: tuple) -> None:
+    """Write the cells of a jumped sweep: ``fill`` holds, per moving head, its
+    tape, the cells it passed and the symbol it wrote on them, None for
+    blank, which leaves them as they are."""
+    for i, cells, wsym in fill:
+        if wsym is not None:
+            tapes[i].update(zip(cells, repeat(wsym)))
 
 
 def outcomes_agree(a: RunOutcome, b: RunOutcome) -> bool:
@@ -364,6 +378,13 @@ def _beyond_extent(delta: int, tape: Mapping[int, str], head: int) -> bool:
     return head > max(tape) if delta > 0 else head < min(tape)
 
 
+def _moving_heads_beyond(effects: tuple, tapes: Sequence[Mapping[int, str]], heads: Sequence[int]) -> bool:
+    """True when every head that a multi-tape rule's ``effects`` move is
+    beyond its tape's extent; for a sweep, whose effects are its moving
+    heads, it then fires on fresh blanks for ever."""
+    return all(_beyond_extent(delta, tapes[i], heads[i]) for i, _, delta in effects)
+
+
 def _compiled_rows(
     machine: Machine, rules: Mapping[RuleKey, RuleBody] | None = None, rows: dict[str, dict] | None = None
 ) -> dict[str, dict]:
@@ -372,8 +393,13 @@ def _compiled_rows(
     A row maps the scanned symbol (single tape) or symbol tuple to a compiled
     rule, which ends in its next state's row: _NO_ROW when that state has
     none, and then in a flag set for a sweep: a rule under which every head
-    reads blank, the state is kept and some head moves.  ``rules`` defaults
-    to the machine's own table; given ``rows``, they are compiled into those.
+    reads blank, the state is kept, some head moves and every head that
+    stays writes blank.  A multi-tape rule also carries its scanned symbols,
+    its writes and its effects: per tape whose cell it rewrites with another
+    symbol or whose head it moves, the tape, the symbol written or None when
+    the cell keeps its own, and the head's move.  So a sweep's effects are
+    its moving heads, with None for a blank write.  ``rules`` defaults to
+    the machine's own table; given ``rows``, they are compiled into those.
     """
     if rows is None:
         rows = {q: {} for q in machine.states if q not in machine.finals}
@@ -388,8 +414,18 @@ def _compiled_rows(
     else:
         for (state, syms), (nstate, writes, moves) in items:
             deltas = tuple(_DELTA[m] for m in moves)
-            sweep = syms == (blank,) * len(syms) and nstate == state and any(deltas)
-            rows[state][syms] = (nstate, writes, deltas, row_of(nstate, _NO_ROW), sweep)
+            effects = tuple(
+                (i, None if wsym == sym else wsym, delta)
+                for i, (sym, wsym, delta) in enumerate(zip(syms, writes, deltas))
+                if wsym != sym or delta
+            )
+            sweep = (
+                syms == (blank,) * len(syms)
+                and nstate == state
+                and any(deltas)
+                and all(wsym == blank for wsym, delta in zip(writes, deltas) if not delta)
+            )
+            rows[state][syms] = (nstate, syms, writes, effects, row_of(nstate, _NO_ROW), sweep)
     return rows
 
 
@@ -411,23 +447,30 @@ class Run:
     On a single tape the hook sees every tracked step, one whose tape holds
     at most _HOOK_CELLS cells, the most any hook tracks, and every sweep
     (below); a sweep that it passes beyond the tape's extent ends in one
-    jump, whose steps it does not see.  A state with no row stops the run as
+    jump, whose steps it does not see.  On several tapes it sees every step,
+    and a run with a hook never jumps.  A state with no row stops the run as
     a halt does, right after the rule that enters it fires: a final state, or
     a next state that ``patch`` gave a rule and that the table does not hold.
     Such a rule carries _NO_ROW, the one shared row that holds no rule.
 
-    A sweep (a single-tape rule that reads blank, keeps its state and moves)
-    that fires with the head beyond the tape's extent in its direction would
-    fire on a fresh blank at every step left, so the run ends the budget in
-    one jump: the head moves that many cells and the cells it passes are
+    A multi-tape step applies only the rule's effects, and the scanned
+    symbols that the next rule is looked up by change only where they do: a
+    head that stays scans what it wrote, and only a head that moved reads
+    its tape.
+
+    A sweep (a rule under which every head reads blank, the state is kept,
+    some head moves and every head that stays writes blank) that fires with
+    each moving head beyond its tape's extent in its direction would fire on
+    fresh blanks at every step left, so the run ends the budget in one jump:
+    each moving head moves that many cells and the cells it passes are
     written as the steps would write them.  The jump is tried from an
-    advance's second step on, when the steps left outnumber the tape's
-    cells, which the scan for the extent costs; after a try that fails, not
-    again within that many steps.  The jump leaves its cells in ``_fill``;
-    reading ``tapes`` or ``snapshot`` or a ``patch`` writes them first and a
-    later ``advance`` extends them, so a run that is only observed never
-    holds them, and ``outcome`` hands them over unwritten to the
-    configuration it reports.
+    advance's second step on, when the steps left outnumber the tapes'
+    cells, which the scans for the extents cost; after a try that fails, not
+    again within that many steps.  The jump leaves its cells in ``_fill``,
+    one entry per moving head; reading ``tapes`` or ``snapshot`` or a
+    ``patch`` writes them first and a later ``advance`` extends them, so a
+    run that is only observed never holds them, and ``outcome`` hands them
+    over unwritten to the configuration it reports.
     """
 
     __slots__ = ("machine", "state", "_tapes", "_fill", "heads", "steps", "halted", "checked", "_hook", "_rows")
@@ -435,7 +478,7 @@ class Run:
     def __init__(self, machine: Machine, input_word: str, hook: Callable[..., object] | None = None):
         self._rows = _compiled_rows(machine)
         self._tapes = _input_tapes(machine, input_word)
-        self._fill = None  # the cells and symbol of a jumped sweep, not yet written
+        self._fill = None  # per moving head of a jumped sweep, its cells not yet written
         self.machine = machine
         self.state = machine.start
         self.heads = [0] * machine.tape_count
@@ -455,8 +498,7 @@ class Run:
     def tapes(self) -> tuple[dict[int, str], ...]:
         """The tapes, once the cells of a jumped sweep are written."""
         if self._fill is not None:
-            cells, wsym = self._fill
-            self._tapes[0].update(zip(cells, repeat(wsym)))
+            _write_fill(self._tapes, self._fill)
             self._fill = None
         return self._tapes
 
@@ -467,13 +509,17 @@ class Run:
         if budget <= self.steps:
             return
         if self._fill is not None:
-            # a jumped run is in a sweep that never ends: its head lies past
-            # every stored cell and the jumped cells lie behind it, so it goes
-            # on without reading its tape, and a hook does not see these steps
-            cells, wsym = self._fill
-            head = self.heads[0] + (budget - self.steps) * cells.step
-            self._fill = (range(cells.start, head, cells.step), wsym)
-            self.heads[0] = head
+            # a jumped run is in a sweep that never ends: each moving head lies
+            # past every stored cell of its tape and its jumped cells lie
+            # behind it, so it goes on without reading a tape, and a hook does
+            # not see these steps
+            moved = budget - self.steps
+            heads = self.heads
+            fill = []
+            for i, cells, wsym in self._fill:
+                heads[i] += moved * cells.step
+                fill.append((i, range(cells.start, heads[i], cells.step), wsym))
+            self._fill = tuple(fill)
             self.steps = budget
             return
         rows = self._rows
@@ -506,7 +552,7 @@ class Run:
                     if budget - steps > len(tape) and _beyond_extent(delta, tape, head):
                         end = head + (budget - steps) * delta
                         if not wblank:
-                            self._fill = (range(head, end, delta), wsym)
+                            self._fill = ((0, range(head, end, delta), wsym),)
                         head = end
                         steps = budget
                         break
@@ -522,25 +568,48 @@ class Run:
             self.heads[0] = head
         else:
             heads = self.heads
-            blanks = (blank,) * len(tapes)
             get = dict.get
-            span = range(len(tapes))
+            # the scanned symbols, which each step's effects keep up to date
+            key = list(map(get, tapes, heads, (blank,) * len(tapes)))
+            retry = steps + 1
             while steps < budget:
-                rule = row.get(tuple(map(get, tapes, heads, blanks)))
+                rule = row.get(tuple(key))
                 if rule is None:
                     self.halted = True
                     break
-                nstate, writes, deltas, nrow, _ = rule
-                if hook is not None and (found := hook(state, tapes, heads, steps, rule)):
-                    break
-                for i in span:
-                    w = writes[i]
+                nstate, _, _, effects, nrow, sweep = rule
+                if hook is not None:
+                    if found := hook(state, tapes, heads, steps, rule):
+                        break
+                elif sweep and steps >= retry:
+                    # the single-tape jump, made by each moving head: a
+                    # sweep's effects are its moving heads, each with its
+                    # write, None for blank
+                    cells = sum(map(len, tapes))
+                    if budget - steps > cells and _moving_heads_beyond(effects, tapes, heads):
+                        moved = budget - steps
+                        fill = []
+                        for i, wsym, d in effects:
+                            fill.append((i, range(heads[i], heads[i] + moved * d, d), wsym))
+                            heads[i] += moved * d
+                        if any(wsym is not None for _, wsym, _ in effects):
+                            self._fill = tuple(fill)
+                        steps = budget
+                        break
+                    retry = steps + cells
+                for i, wsym, delta in effects:
                     h = heads[i]
-                    if w == blank:
-                        tapes[i].pop(h, None)
+                    if wsym is not None:
+                        if wsym == blank:  # over the non-blank symbol scanned
+                            del tapes[i][h]
+                        else:
+                            tapes[i][h] = wsym
+                    if delta:
+                        h += delta
+                        heads[i] = h
+                        key[i] = get(tapes[i], h, blank)
                     else:
-                        tapes[i][h] = w
-                    heads[i] = h + deltas[i]
+                        key[i] = wsym
                 steps += 1
                 state = nstate
                 row = nrow

@@ -343,7 +343,8 @@ def test_halted_by_agrees_with_run_bounded(machine, word, budget):
 
 
 @st.composite
-def small_three_tape_machines(draw):
+def small_multi_tape_machines(draw):
+    tape_count = draw(st.sampled_from((2, 3)))
     n = draw(st.integers(min_value=1, max_value=3))
     states = [f"s{i}" for i in range(n)]
     flags = draw(st.lists(st.sampled_from([None, False, True]), min_size=n - 1, max_size=n - 1))
@@ -352,18 +353,19 @@ def small_three_tape_machines(draw):
     for q in states:
         if q in finals:
             continue
-        for syms in itertools.product(_SYMS, repeat=3):
+        for syms in itertools.product(_SYMS, repeat=tape_count):
             if draw(st.integers(0, 7)):  # dense, so that runs last
-                # blank writes and stays are drawn more often, so that
-                # runaways and cycles show up
+                # blank writes, writes of the scanned symbol and stays are
+                # drawn more often, so that runaways, cycles and tapes that a
+                # rule leaves alone show up
                 rules[(q, syms)] = (
                     draw(st.sampled_from(states)),
-                    draw(st.tuples(*[st.sampled_from(("_", "_", "0", "1"))] * 3)),
-                    draw(st.tuples(*[st.sampled_from(["L", "R", "S", "S"])] * 3)),
+                    tuple(draw(st.sampled_from((sym, sym, "_", "0", "1"))) for sym in syms),
+                    draw(st.tuples(*[st.sampled_from(["L", "R", "S", "S"])] * tape_count)),
                 )
     return Machine(
-        name="rand3",
-        tape_count=3,
+        name=f"rand{tape_count}",
+        tape_count=tape_count,
         alphabet=_SYMS,
         blank="_",
         states=tuple(states),
@@ -501,7 +503,20 @@ _OUTPUT_TOGGLER = _on_output_tape(
 )
 
 
-@given(st.one_of(small_machines(), small_three_tape_machines()))
+# writes a 0 on the output tape at every step, leftwards, for ever
+_SWEEPER3 = Machine(
+    name="sweeper3",
+    tape_count=3,
+    alphabet=_SYMS,
+    blank="_",
+    states=("q1",),
+    start="q1",
+    finals={},
+    rules={("q1", ("_", "_", "_")): ("q1", ("_", "_", "0"), ("S", "S", "L"))},
+)
+
+
+@given(st.one_of(small_machines(), small_multi_tape_machines()))
 @example(_BOUNCER)
 @example(_BOUNCER3)
 @example(_ERASE_REGROW)
@@ -509,6 +524,10 @@ _OUTPUT_TOGGLER = _on_output_tape(
 @example(_ERASE_RIGHTMOST)
 @example(_INTERIOR_BLANK)
 @example(_OUTPUT_TOGGLER)
+# multi-tape sweeps that an unhooked run ends in a jump within the budget
+@example(_SWEEPER3)
+@example(corpus_machine("quiet_worker"))
+@example(corpus_machine("flicker"))
 @settings(max_examples=80, deadline=None)
 def test_run_via_step_matches_fast_engine(machine):
     budget = 25
@@ -592,6 +611,59 @@ _GAP_SWEEP = single_tape_machine(
 )
 
 
+# walks right over its input, then sweeps right on tape 1, writing 1s on
+# tape 2 going right and 0s on tape 3 going left, all three heads moving
+_WALK_SWEEP3 = Machine(
+    name="walk-sweep3",
+    tape_count=3,
+    alphabet=_SYMS,
+    blank="_",
+    states=("q1",),
+    start="q1",
+    finals={},
+    rules={
+        ("q1", ("0", "_", "_")): ("q1", ("0", "_", "_"), ("R", "S", "S")),
+        ("q1", ("_", "_", "_")): ("q1", ("_", "1", "0"), ("R", "R", "L")),
+    },
+)
+# gap-sweep's walk on tape 1 of 3: it erases the 0s of 100001, sweeps left
+# through the gap towards the input's first 1 while writing 1s leftwards on
+# tape 3, then fills the gap with 0s and trails 0s off the input's right end
+_GAP_SWEEP3 = Machine(
+    name="gap-sweep3",
+    tape_count=3,
+    alphabet=_SYMS,
+    blank="_",
+    states=("e", "e0", "b", "r"),
+    start="e",
+    finals={},
+    rules={
+        ("e", ("1", "_", "_")): ("e0", ("1", "_", "_"), ("R", "S", "S")),
+        ("e0", ("0", "_", "_")): ("e0", ("_", "_", "_"), ("R", "S", "S")),
+        ("e0", ("1", "_", "_")): ("b", ("1", "_", "_"), ("L", "S", "S")),
+        ("b", ("_", "_", "_")): ("b", ("_", "_", "1"), ("L", "S", "L")),
+        ("b", ("1", "_", "_")): ("r", ("1", "_", "_"), ("R", "S", "S")),
+        ("r", ("_", "_", "_")): ("r", ("0", "_", "_"), ("R", "S", "S")),
+        ("r", ("1", "_", "_")): ("r", ("1", "_", "_"), ("R", "S", "S")),
+    },
+)
+# from step 1 a rule on blanks keeps its state and moves the output head, but
+# its staying input head writes a 1, which no rule reads: it halts at step 2
+_STAYING_WRITE3 = Machine(
+    name="staying-write3",
+    tape_count=3,
+    alphabet=_SYMS,
+    blank="_",
+    states=("a", "q1"),
+    start="a",
+    finals={},
+    rules={
+        ("a", ("_", "_", "_")): ("q1", ("_", "_", "_"), ("S", "S", "S")),
+        ("q1", ("_", "_", "_")): ("q1", ("1", "_", "0"), ("S", "S", "L")),
+    },
+)
+
+
 def _last_config(machine, word, budget):
     """The reference configuration after ``budget`` steps (or at the halt),
     stepped one at a time without keeping the sequence."""
@@ -613,7 +685,17 @@ def test_blank_sweep_runs_a_trillion_steps_at_once():
     assert run_bounded(LOOP, "", steps) == BudgetExhausted(steps, Configuration("q0", ({},), (steps,), steps))
 
 
-@pytest.mark.parametrize("machine,word", [(TRAIL, ""), (_LEFT_SWEEP, "00"), (_GAP_SWEEP, "1001")])
+@pytest.mark.parametrize(
+    "machine,word",
+    [
+        (TRAIL, ""),
+        (_LEFT_SWEEP, "00"),
+        (_GAP_SWEEP, "1001"),
+        (_SWEEPER3, ""),
+        (_WALK_SWEEP3, "00"),
+        (_GAP_SWEEP3, "100001"),
+    ],
+)
 def test_sweep_jump_matches_the_reference(machine, word):
     expected = _last_config(machine, word, 2000)
     assert _run_to(machine, word, 2000) == expected
@@ -629,6 +711,41 @@ def test_sweep_jump_matches_the_reference(machine, word):
     assert repr(outcome) == repr(BudgetExhausted(2000, expected)) and outcome.config == expected
     with pytest.raises(AttributeError):
         outcome.steps = 0
+
+
+def test_a_jumped_multi_tape_outcome_is_the_reference_configuration():
+    # the sweeper jumps from step 1 and leaves its 0s to its outcome, which
+    # writes them when its configuration is read
+    outcome = run_bounded(_SWEEPER3, "", 300)
+    assert "config" not in vars(outcome)
+    assert outcome.config == config_sequence(_SWEEPER3, "", 300)[-1]
+
+
+@pytest.mark.parametrize("machine,word", [(_STAYING_WRITE3, ""), (_GAP_SWEEP3, "100001")])
+def test_a_multi_tape_rule_that_stops_repeating_is_stepped(machine, word):
+    # a staying head that writes non-blank, or a stored cell ahead of a
+    # moving head, ends the rule's repeats, so no jump may pass them
+    for budget in (*range(1, 20), 300):
+        expected = _reference_outcome(machine, config_sequence(machine, word, budget), budget)
+        assert run_bounded(machine, word, budget) == expected, budget
+    assert run_bounded(_STAYING_WRITE3, "", 300) == HaltedResultless(2)
+
+
+def test_a_jumped_multi_tape_run_advanced_again_stores_no_jumped_cell():
+    run = Run(_SWEEPER3, "")
+    assert not run.halted_by(10**6) and not run.halted_by(2 * 10**6)
+    assert run.steps == 2 * 10**6 and run.heads == [0, 0, -2 * 10**6]
+    assert sum(map(len, run._tapes)) == 1  # the 0 of step 0, which the run stepped
+
+
+def test_a_hooked_multi_tape_sweep_is_stepped():
+    # an output sweeper that writes 1 changes the output at every step, which
+    # the hook logs, so an observed run never jumps
+    writer = dataclasses.replace(_SWEEPER3, rules={("q1", ("_",) * 3): ("q1", ("_", "_", "1"), ("S", "S", "L"))})
+    observed = inductive_run(writer, "", 300)
+    seq = config_sequence(writer, "", 300)
+    assert observed.steps_executed == 300
+    assert observed.log.entries == tuple((c.step, trimmed_word(c.tapes[-1])) for c in seq)
 
 
 def _recording_run(machine, word):
@@ -777,11 +894,21 @@ def _two_limit_evals(budget):
         lambda budget: observational_equiv(_SWEEPER, _SWEEPER, 0, budget),
         _growing_budgets,
         _two_limit_evals,
+        lambda budget: run_bounded(_SWEEPER3, "", budget),
+        lambda budget: observational_equiv(_SWEEPER3, _SWEEPER3, 0, budget),
     ],
-    ids=["run_bounded", "reflexive_run", "observational_equiv", "halted_by", "limit_eval"],
+    ids=[
+        "run_bounded",
+        "reflexive_run",
+        "observational_equiv",
+        "halted_by",
+        "limit_eval",
+        "run_bounded_3_tapes",
+        "observational_equiv_3_tapes",
+    ],
 )
 def test_a_jumped_sweep_outcome_runs_in_constant_memory(answer):
-    # the sweeper writes a 0 on a fresh blank at every step: an outcome read
+    # each sweeper writes a 0 on a fresh blank at every step: an outcome read
     # for its status never writes the cells that the jump passed, and nor
     # does a later advance of the jumped run, to any budget
     tracemalloc.start()
