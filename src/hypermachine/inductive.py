@@ -289,7 +289,7 @@ def _single_tape_check(machine: Machine, input_word: str) -> Callable:
         nonlocal h, at, swept
         # a runaway repeats a sweep that writes blank, tested at its first step
         _, wsym, wblank, delta, _, sweep = rule
-        if sweep:
+        if sweep is not None:
             if steps != swept and wblank and _beyond_extent(delta, tape, head):
                 return BlankRunaway(state, machine.rules[(state, (blank,))][2], steps)
             swept = steps + 1
@@ -329,10 +329,10 @@ def _multi_tape_check(machine: Machine, input_word: str, changes: list[tuple[int
     def check(state, tapes, heads, steps, rule):
         nonlocal hashes, at, swept, word, lo
         # a runaway repeats a sweep that writes blank on every tape, tested at
-        # its first step; a sweep's effects are its moving heads
+        # its first step
         _, syms, writes, effects, _, sweep = rule
-        if sweep:
-            if steps != swept and writes == blanks and _moving_heads_beyond(effects, tapes, heads):
+        if sweep is not None:
+            if steps != swept and writes == blanks and _moving_heads_beyond(sweep, tapes, heads):
                 return BlankRunaway(state, machine.rules[(state, blanks)][2], steps)
             swept = steps + 1
         if sum(map(len, tapes)) <= _HOOK_CELLS:
@@ -468,6 +468,7 @@ def _diagonal_bit(claims_halt: bool, outcome: RunOutcome | None, budget: int) ->
 def diagonalize(decider: CandidateDecider, input_word: str, budget: int) -> str:
     """Behave differently from machine T_n on input u_n wherever the decider
     is right: n is the input's word index, T_n the n-th enumerated machine."""
+    _check_budget(budget)
     description = nth_description(word_index(input_word))
     claims_halt = bool(decider(description, input_word))
     outcome = universal_run(description, input_word, budget) if claims_halt else None

@@ -18,11 +18,13 @@ one empty, read-only row.  A multi-tape rule applies only its effects, the
 tapes whose cell it rewrites with another symbol or whose head it moves.  A
 run that keeps one state while every head reads blank, some heads move
 outward and the others stay and write blank is finished in one jump (the
-macro-step of busy-beaver simulators, Marxen and Buntrock 1990): the rest of
-the budget moves each moving head that many cells and fills them as the
-steps would, when the tapes are next read.  On a single tape this holds
-observed or not, as a hook sees the step that the jump starts from; an
-observed run on several tapes steps every step.
+macro-step of busy-beaver simulators, Marxen and Buntrock 1990), on one tape
+as on several: the rest of the budget moves each moving head that many
+cells, and the cells they pass are filled as the steps would fill them when
+the tapes are next read.  A jumped run advanced again moves its heads by the
+same jump.  On a single tape this holds observed or not, as a hook sees the
+step that the jump starts from; an observed run on several tapes steps
+every step.
 ``step`` and ``config_sequence`` are the reference semantics: small, pure
 and slow, kept for tests to compare the engine against.
 """
@@ -232,7 +234,8 @@ class BudgetExhausted:
     @classmethod
     def _pending(cls, steps: int, config: Configuration, fill: tuple) -> BudgetExhausted:
         """Exhaustion in ``config`` once ``fill``'s cells are written: a
-        jumped sweep's ``Run._fill``, one entry per moving head."""
+        jumped sweep's ``Run._fill``, one (tape, symbol, move, start) entry
+        per moving head, whose head in ``config`` ends its cells."""
         outcome = object.__new__(cls)
         vars(outcome).update(steps=steps, _unwritten=(config, fill))
         return outcome
@@ -242,7 +245,7 @@ class BudgetExhausted:
         if name != "config" or "_unwritten" not in vars(self):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         config, fill = vars(self).pop("_unwritten")
-        _write_fill(config.tapes, fill)
+        _write_fill(config.tapes, config.heads, fill)
         object.__setattr__(self, "config", config)
         return config
 
@@ -250,13 +253,14 @@ class BudgetExhausted:
 RunOutcome = HaltedWithResult | HaltedResultless | BudgetExhausted
 
 
-def _write_fill(tapes: tuple[dict[int, str], ...], fill: tuple) -> None:
-    """Write the cells of a jumped sweep: ``fill`` holds, per moving head, its
-    tape, the cells it passed and the symbol it wrote on them, None for
-    blank, which leaves them as they are."""
-    for i, cells, wsym in fill:
+def _write_fill(tapes: tuple[dict[int, str], ...], heads: Sequence[int], fill: tuple) -> None:
+    """Write the cells of a jumped sweep.  ``fill`` holds, per moving head, its
+    tape, the symbol it writes (None for blank, which leaves the cells as they
+    are), its move and the cell it jumped from; it wrote every cell from there
+    up to its head in ``heads``."""
+    for i, wsym, delta, start in fill:
         if wsym is not None:
-            tapes[i].update(zip(cells, repeat(wsym)))
+            tapes[i].update(zip(range(start, heads[i], delta), repeat(wsym)))
 
 
 def outcomes_agree(a: RunOutcome, b: RunOutcome) -> bool:
@@ -378,11 +382,10 @@ def _beyond_extent(delta: int, tape: Mapping[int, str], head: int) -> bool:
     return head > max(tape) if delta > 0 else head < min(tape)
 
 
-def _moving_heads_beyond(effects: tuple, tapes: Sequence[Mapping[int, str]], heads: Sequence[int]) -> bool:
-    """True when every head that a multi-tape rule's ``effects`` move is
-    beyond its tape's extent; for a sweep, whose effects are its moving
-    heads, it then fires on fresh blanks for ever."""
-    return all(_beyond_extent(delta, tapes[i], heads[i]) for i, _, delta in effects)
+def _moving_heads_beyond(sweep: tuple, tapes: Sequence[Mapping[int, str]], heads: Sequence[int]) -> bool:
+    """True when each of a compiled ``sweep``'s moving heads is beyond its
+    tape's extent, so that the sweep fires on fresh blanks for ever."""
+    return all(_beyond_extent(delta, tapes[i], heads[i]) for i, _, delta in sweep)
 
 
 def _compiled_rows(
@@ -391,14 +394,18 @@ def _compiled_rows(
     """Per-state rule rows for non-final states; a final state has no row.
 
     A row maps the scanned symbol (single tape) or symbol tuple to a compiled
-    rule, which ends in its next state's row: _NO_ROW when that state has
-    none, and then in a flag set for a sweep: a rule under which every head
-    reads blank, the state is kept, some head moves and every head that
-    stays writes blank.  A multi-tape rule also carries its scanned symbols,
-    its writes and its effects: per tape whose cell it rewrites with another
-    symbol or whose head it moves, the tape, the symbol written or None when
-    the cell keeps its own, and the head's move.  So a sweep's effects are
-    its moving heads, with None for a blank write.  ``rules`` defaults to
+    rule, which ends in its next state's row (_NO_ROW when that state has
+    none) and then in its moving heads if it is a sweep, else None, which
+    the loops test faster than the truth of an empty tuple.  A rule's
+    effects are, per tape whose cell it rewrites with another symbol or
+    whose head it moves, the tape, the symbol written or None when the cell
+    keeps its own, and the head's move.  A sweep is a rule under which every
+    head reads blank, the state is kept and it has effects, each of which
+    moves a head: some head moves and every head that stays writes blank.
+    Its effects are its moving heads, each with its write, None for blank.  A
+    single-tape rule is compiled from scalars, as one is per ``Run``: its
+    next state, write, blank-write flag and move.  A multi-tape rule carries
+    its scanned symbols, its writes and its effects.  ``rules`` defaults to
     the machine's own table; given ``rows``, they are compiled into those.
     """
     if rows is None:
@@ -409,22 +416,19 @@ def _compiled_rows(
     if machine.tape_count == 1:
         for (state, (sym,)), (nstate, (wsym,), (move,)) in items:
             delta = _DELTA[move]
-            sweep = sym == blank and nstate == state and delta != 0
-            rows[state][sym] = (nstate, wsym, wsym == blank, delta, row_of(nstate, _NO_ROW), sweep)
+            wblank = wsym == blank
+            # the sweep test on one tape, whose one effect on blank must be a move
+            sweep = ((0, None if wblank else wsym, delta),) if sym == blank and nstate == state and delta else None
+            rows[state][sym] = (nstate, wsym, wblank, delta, row_of(nstate, _NO_ROW), sweep)
     else:
+        blanks = (blank,) * machine.tape_count
         for (state, syms), (nstate, writes, moves) in items:
-            deltas = tuple(_DELTA[m] for m in moves)
             effects = tuple(
-                (i, None if wsym == sym else wsym, delta)
-                for i, (sym, wsym, delta) in enumerate(zip(syms, writes, deltas))
-                if wsym != sym or delta
+                (i, None if wsym == sym else wsym, _DELTA[move])
+                for i, (sym, wsym, move) in enumerate(zip(syms, writes, moves))
+                if wsym != sym or move != STAY
             )
-            sweep = (
-                syms == (blank,) * len(syms)
-                and nstate == state
-                and any(deltas)
-                and all(wsym == blank for wsym, delta in zip(writes, deltas) if not delta)
-            )
+            sweep = effects if effects and syms == blanks and nstate == state and all(d for _, _, d in effects) else None
             rows[state][syms] = (nstate, syms, writes, effects, row_of(nstate, _NO_ROW), sweep)
     return rows
 
@@ -461,16 +465,18 @@ class Run:
     A sweep (a rule under which every head reads blank, the state is kept,
     some head moves and every head that stays writes blank) that fires with
     each moving head beyond its tape's extent in its direction would fire on
-    fresh blanks at every step left, so the run ends the budget in one jump:
-    each moving head moves that many cells and the cells it passes are
-    written as the steps would write them.  The jump is tried from an
-    advance's second step on, when the steps left outnumber the tapes'
-    cells, which the scans for the extents cost; after a try that fails, not
-    again within that many steps.  The jump leaves its cells in ``_fill``,
-    one entry per moving head; reading ``tapes`` or ``snapshot`` or a
-    ``patch`` writes them first and a later ``advance`` extends them, so a
-    run that is only observed never holds them, and ``outcome`` hands them
-    over unwritten to the configuration it reports.
+    fresh blanks at every step left, so the run ends the budget in one jump.
+    Either loop only tests for it: from an advance's second step on, when
+    the steps left outnumber the tapes' cells, which the scans for the
+    extents cost; after a test that fails, not again within that many steps.
+    The jump then moves each of the sweep's moving heads by the steps left.
+    When some moving head writes non-blank, the jump keeps, per moving head,
+    its tape, write, move and the cell it jumped from in ``_fill``.  A later
+    ``advance`` goes on with the same jump from there, so the cells of a
+    fill lie between its start and its head.  Reading ``tapes`` or
+    ``snapshot`` or a ``patch`` writes them first, so a run that is only
+    observed never holds them, and ``outcome`` hands them over unwritten to
+    the configuration it reports.
     """
 
     __slots__ = ("machine", "state", "_tapes", "_fill", "heads", "steps", "halted", "checked", "_hook", "_rows")
@@ -478,7 +484,7 @@ class Run:
     def __init__(self, machine: Machine, input_word: str, hook: Callable[..., object] | None = None):
         self._rows = _compiled_rows(machine)
         self._tapes = _input_tapes(machine, input_word)
-        self._fill = None  # per moving head of a jumped sweep, its cells not yet written
+        self._fill = None  # per moving head of a jumped sweep that writes, its unwritten cells
         self.machine = machine
         self.state = machine.start
         self.heads = [0] * machine.tape_count
@@ -498,7 +504,7 @@ class Run:
     def tapes(self) -> tuple[dict[int, str], ...]:
         """The tapes, once the cells of a jumped sweep are written."""
         if self._fill is not None:
-            _write_fill(self._tapes, self._fill)
+            _write_fill(self._tapes, self.heads, self._fill)
             self._fill = None
         return self._tapes
 
@@ -508,114 +514,95 @@ class Run:
         that has reached ``budget`` is left as it is."""
         if budget <= self.steps:
             return
-        if self._fill is not None:
-            # a jumped run is in a sweep that never ends: each moving head lies
-            # past every stored cell of its tape and its jumped cells lie
-            # behind it, so it goes on without reading a tape, and a hook does
-            # not see these steps
-            moved = budget - self.steps
-            heads = self.heads
-            fill = []
-            for i, cells, wsym in self._fill:
-                heads[i] += moved * cells.step
-                fill.append((i, range(cells.start, heads[i], cells.step), wsym))
-            self._fill = tuple(fill)
-            self.steps = budget
-            return
-        rows = self._rows
-        hook = self._hook
-        blank = self.machine.blank
-        state = self.state
         steps = self.steps
-        row = rows.get(state, _NO_ROW)
-        found = None
-        tapes = self._tapes
-        if len(tapes) == 1:
-            tape = tapes[0]
-            get = tape.get
-            head = self.heads[0]
-            cap = _HOOK_CELLS
-            retry = steps + 1  # the first step that may try a jump: never an advance's first
-            while steps < budget:
-                rule = row.get(get(head, blank))
-                if rule is None:
-                    self.halted = True
-                    break
-                nstate, wsym, wblank, delta, nrow, sweep = rule
-                if hook is not None and (len(tape) <= cap or sweep):
-                    if found := hook(state, tape, head, steps, rule):
+        jump = self._fill  # a jumped run goes on with its jump
+        if jump is None:
+            rows = self._rows
+            hook = self._hook
+            blank = self.machine.blank
+            state = self.state
+            row = rows.get(state, _NO_ROW)
+            found = None
+            tapes = self._tapes
+            if len(tapes) == 1:
+                tape = tapes[0]
+                get = tape.get
+                head = self.heads[0]
+                cap = _HOOK_CELLS
+                retry = steps + 1  # the first step that may try a jump: never an advance's first
+                while steps < budget:
+                    rule = row.get(get(head, blank))
+                    if rule is None:
+                        self.halted = True
                         break
-                if sweep and steps >= retry:
-                    # beyond the extent every step left fires this sweep on a
-                    # fresh blank, so the run jumps to the budget and leaves
-                    # the cells to fill
-                    if budget - steps > len(tape) and _beyond_extent(delta, tape, head):
-                        end = head + (budget - steps) * delta
-                        if not wblank:
-                            self._fill = ((0, range(head, end, delta), wsym),)
-                        head = end
-                        steps = budget
-                        break
-                    retry = steps + len(tape)
-                if wblank:
-                    tape.pop(head, None)
-                else:
-                    tape[head] = wsym
-                head += delta
-                steps += 1
-                state = nstate
-                row = nrow
-            self.heads[0] = head
-        else:
-            heads = self.heads
-            get = dict.get
-            # the scanned symbols, which each step's effects keep up to date
-            key = list(map(get, tapes, heads, (blank,) * len(tapes)))
-            retry = steps + 1
-            while steps < budget:
-                rule = row.get(tuple(key))
-                if rule is None:
-                    self.halted = True
-                    break
-                nstate, _, _, effects, nrow, sweep = rule
-                if hook is not None:
-                    if found := hook(state, tapes, heads, steps, rule):
-                        break
-                elif sweep and steps >= retry:
-                    # the single-tape jump, made by each moving head: a
-                    # sweep's effects are its moving heads, each with its
-                    # write, None for blank
-                    cells = sum(map(len, tapes))
-                    if budget - steps > cells and _moving_heads_beyond(effects, tapes, heads):
-                        moved = budget - steps
-                        fill = []
-                        for i, wsym, d in effects:
-                            fill.append((i, range(heads[i], heads[i] + moved * d, d), wsym))
-                            heads[i] += moved * d
-                        if any(wsym is not None for _, wsym, _ in effects):
-                            self._fill = tuple(fill)
-                        steps = budget
-                        break
-                    retry = steps + cells
-                for i, wsym, delta in effects:
-                    h = heads[i]
-                    if wsym is not None:
-                        if wsym == blank:  # over the non-blank symbol scanned
-                            del tapes[i][h]
-                        else:
-                            tapes[i][h] = wsym
-                    if delta:
-                        h += delta
-                        heads[i] = h
-                        key[i] = get(tapes[i], h, blank)
+                    nstate, wsym, wblank, delta, nrow, sweep = rule
+                    if hook is not None and (len(tape) <= cap or sweep is not None):
+                        if found := hook(state, tape, head, steps, rule):
+                            break
+                    if sweep is not None and steps >= retry:
+                        if budget - steps > len(tape) and _beyond_extent(delta, tape, head):
+                            jump = sweep
+                            break
+                        retry = steps + len(tape)
+                    if wblank:
+                        tape.pop(head, None)
                     else:
-                        key[i] = wsym
-                steps += 1
-                state = nstate
-                row = nrow
-        self.state = state
+                        tape[head] = wsym
+                    head += delta
+                    steps += 1
+                    state = nstate
+                    row = nrow
+                self.heads[0] = head
+            else:
+                heads = self.heads
+                get = dict.get
+                # the scanned symbols, which each step's effects keep up to date
+                key = list(map(get, tapes, heads, (blank,) * len(tapes)))
+                retry = steps + 1
+                while steps < budget:
+                    rule = row.get(tuple(key))
+                    if rule is None:
+                        self.halted = True
+                        break
+                    nstate, _, _, effects, nrow, sweep = rule
+                    if hook is not None:
+                        if found := hook(state, tapes, heads, steps, rule):
+                            break
+                    elif sweep is not None and steps >= retry:
+                        cells = sum(map(len, tapes))
+                        if budget - steps > cells and _moving_heads_beyond(sweep, tapes, heads):
+                            jump = sweep
+                            break
+                        retry = steps + cells
+                    for i, wsym, delta in effects:
+                        h = heads[i]
+                        if wsym is not None:
+                            if wsym == blank:  # over the non-blank symbol scanned
+                                del tapes[i][h]
+                            else:
+                                tapes[i][h] = wsym
+                        if delta:
+                            h += delta
+                            heads[i] = h
+                            key[i] = get(tapes[i], h, blank)
+                        else:
+                            key[i] = wsym
+                    steps += 1
+                    state = nstate
+                    row = nrow
+            self.state = state
+            self.checked = found
+        if jump:
+            # every step left fires the sweep on a fresh blank: each moving head
+            # moves that many cells, and cells written non-blank wait in _fill
+            heads = self.heads
+            if self._fill is None and any([wsym is not None for _, wsym, _ in jump]):
+                self._fill = tuple([(i, wsym, delta, heads[i]) for i, wsym, delta in jump])
+            moved = budget - steps
+            for entry in jump:  # (tape, write, move), and a fill entry's start
+                heads[entry[0]] += moved * entry[2]
+            steps = budget
         self.steps = steps
-        self.checked = found
 
     def halted_by(self, budget: int) -> bool:
         """Answer exactly as ``run_bounded(machine, word, budget)`` would,
@@ -667,10 +654,12 @@ def run_bounded(machine: Machine, input_word: str, budget: int) -> RunOutcome:
 
 
 def words_over(alphabet: Symbols, max_length: int) -> Iterator[str]:
-    """All words up to the given length in length-lexicographic order."""
-    for length in range(max_length + 1):
-        for chars in product(alphabet, repeat=length):
-            yield "".join(chars)
+    """All words up to the given length in length-lexicographic order.  No
+    word has a negative length, so that is refused rather than answered
+    with no words."""
+    if max_length < 0:
+        raise InputError(f"max length must be >= 0, got {max_length}")
+    return ("".join(chars) for length in range(max_length + 1) for chars in product(alphabet, repeat=length))
 
 
 @dataclass(frozen=True)
@@ -694,6 +683,7 @@ def observational_equiv(
     The empty word is compared first; the reported counterexample is the
     earliest mismatch in length-lexicographic order.
     """
+    _check_budget(budget)
     if set(m1.input_alphabet) != set(m2.input_alphabet):
         raise InputError("machines do not share an input alphabet")
     for word in words_over(m1.input_alphabet, max_input_length):

@@ -194,6 +194,21 @@ def test_equiv_command(tmp_path, capsys):
     assert out.startswith("counterexample\tword=\t")
 
 
+def test_equiv_refuses_a_negative_length(tmp_path, capsys):
+    # the machines differ on the empty word, which no negative length covers
+    accepts = tmp_path / "accepts.hm"
+    accepts.write_text("machine accepts\nstart: q0\nfinal: q0*\n")
+    stuck = tmp_path / "stuck.hm"
+    stuck.write_text("machine stuck\nstart: q0\n")
+    code, out, _ = run_cli(capsys, "equiv", str(accepts), str(stuck), "--max-len", "0")
+    assert code == 0
+    assert out.startswith("counterexample\tword=\t")
+    code, out, err = run_cli(capsys, "equiv", str(accepts), str(stuck), "--max-len", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: max length must be >= 0, got -1\n"
+
+
 def test_separate_command(capsys):
     code, out, _ = run_cli(capsys, "separate", "--lang", "parity", "--max-states", "2", "--max-len", "4")
     assert code == 0
@@ -236,6 +251,9 @@ def test_bench_command(capsys):
         (["limit-eval", "--fn", "nope", "--x", "0", "--stages", "5", "--window", "2"], 2),
         (["audit", "--machines", "3", "--decider", "psychic:9", "--truth-budget", "100"], 2),
         (["halts", "--input", "0"], 2),  # neither a file nor --bits
+        (["diagonal", "--index", "1018", "--decider", "budget:5", "--budget", "0"], 1),
+        (["diagonal", "--index", "1018", "--decider", "budget:5", "--budget", "-7"], 1),
+        (["separate", "--lang", "anbn", "--max-states", "2", "--max-len", "-5"], 1),
     ],
 )
 def test_exit_codes(tmp_path, capsys, argv, code):

@@ -717,6 +717,14 @@ def test_an_audit_rejects_a_sim_budget_below_one_up_front():
         audit_decider(_never, 0, 10, 0, rows=[(encode(LOOP), "")])
 
 
+def test_a_diagonal_rejects_a_budget_below_one_up_front():
+    # the decider claims no halt, so no run needs the budget, which is still
+    # refused rather than ignored
+    for budget in (0, -7):
+        with pytest.raises(InputError, match=f"budget must be >= 1, got {budget}"):
+            diagonalize(_never, index_word(1018), budget)
+
+
 def test_an_exhausted_truth_run_is_tabled_as_running():
     report = audit_decider(_never, 0, 50, 20, rows=[(encode(LOOP), "")])
     assert report.to_tsv().splitlines()[1] == "0\t\tno-halt\trunning@50\t0\t0\t0\t0"

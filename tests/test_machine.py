@@ -286,6 +286,20 @@ def test_words_over_is_length_lex():
     assert list(words_over(("0", "1"), 2)) == ["", "0", "1", "00", "01", "10", "11"]
 
 
+def test_a_negative_length_is_refused():
+    # no word has a negative length, so an empty comparison would vouch for
+    # machines that differ on the empty word
+    accepts_empty = single_tape_machine("accepts-empty", {}, finals={"q0": True})
+    stuck = single_tape_machine("stuck", {})
+    assert isinstance(observational_equiv(accepts_empty, stuck, 0, 10), Counterexample)
+    with pytest.raises(InputError, match="length must be >= 0, got -1"):
+        words_over(("0", "1"), -1)
+    with pytest.raises(InputError, match="length must be >= 0, got -1"):
+        observational_equiv(accepts_empty, stuck, -1, 10)
+    with pytest.raises(InputError, match="budget must be >= 1, got 0"):
+        observational_equiv(accepts_empty, stuck, -1, 0)
+
+
 # --- hypothesis properties ---------------------------------------------------
 
 _SYMS = ("_", "0", "1")
@@ -516,6 +530,10 @@ _SWEEPER3 = Machine(
 )
 
 
+# keeps its state on blanks and changes nothing: it loops in place, no sweep
+_STILL3 = dataclasses.replace(_SWEEPER3, name="still3", rules={("q1", ("_",) * 3): ("q1", ("_",) * 3, ("S",) * 3)})
+
+
 @given(st.one_of(small_machines(), small_multi_tape_machines()))
 @example(_BOUNCER)
 @example(_BOUNCER3)
@@ -528,6 +546,7 @@ _SWEEPER3 = Machine(
 @example(_SWEEPER3)
 @example(corpus_machine("quiet_worker"))
 @example(corpus_machine("flicker"))
+@example(_STILL3)
 @settings(max_examples=80, deadline=None)
 def test_run_via_step_matches_fast_engine(machine):
     budget = 25
@@ -664,6 +683,22 @@ _STAYING_WRITE3 = Machine(
 )
 
 
+# sweeps blank on tapes 2 and 3 while its input head stays
+_BLANK_SWEEP3 = Machine(
+    name="blank-sweep3",
+    tape_count=3,
+    alphabet=_SYMS,
+    blank="_",
+    states=("q1",),
+    start="q1",
+    finals={},
+    rules={("q1", ("_", "_", "_")): ("q1", ("_", "_", "_"), ("S", "R", "L"))},
+)
+# sweeps that write only blank: loop's one head, flicker's three from step 7
+# and two of the three heads of the sweeper above
+_BLANK_SWEEPS = [(LOOP, ""), (corpus_machine("flicker"), ""), (_BLANK_SWEEP3, "")]
+
+
 def _last_config(machine, word, budget):
     """The reference configuration after ``budget`` steps (or at the halt),
     stepped one at a time without keeping the sequence."""
@@ -694,6 +729,7 @@ def test_blank_sweep_runs_a_trillion_steps_at_once():
         (_SWEEPER3, ""),
         (_WALK_SWEEP3, "00"),
         (_GAP_SWEEP3, "100001"),
+        *_BLANK_SWEEPS,
     ],
 )
 def test_sweep_jump_matches_the_reference(machine, word):
@@ -702,6 +738,8 @@ def test_sweep_jump_matches_the_reference(machine, word):
     assert _run_to(machine, word, 50, 2000) == expected
     assert _run_to(machine, word, 1, 2, 3, 2000) == expected
     assert run_bounded(machine, word, 2000) == BudgetExhausted(2000, expected)
+    # a jump leaves cells to fill only when some moving head writes non-blank
+    assert ("config" in vars(run_bounded(machine, word, 2000))) == ((machine, word) in _BLANK_SWEEPS)
     # the outcome writes the jumped cells when its configuration is read,
     # and keeps the configuration it reported as the run goes on
     run = Run(machine, word)
@@ -784,7 +822,9 @@ def test_a_hook_that_never_stops_a_run_leaves_it_advancing_as_it_would():
     run = Run(LOOP, "", lambda *args: calls.append(args[3]))
     run.advance(10**5)
     assert len(calls) <= 2 and run.steps == 10**5
-    for name, machine in encodable_corpus().items():
+    # on several tapes the hooked run steps where the plain run jumps
+    multi_tape = {name: corpus_machine(name) for name in ("flicker", "halt3", "quiet_worker")}
+    for name, machine in {**encodable_corpus(), **multi_tape, "sweeper3": _SWEEPER3}.items():
         for word in words_over(machine.input_alphabet, 3):
             for budget in (1, 7, 100, 5000):
                 hooked = Run(machine, word, lambda *args: None)
