@@ -71,7 +71,6 @@ from .codec import (
 )
 from .machine import (
     _HOOK_CELLS,
-    _beyond_extent,
     _check_budget,
     _moving_heads_beyond,
     _retrim,
@@ -175,16 +174,16 @@ _TAPE_WEIGHT = 0x678504D9B701C53
 def _hash_constants(
     modulus: int, alphabet: tuple[str, ...], blank: str, tape_count: int, states: tuple[str, ...]
 ) -> tuple[tuple[dict[str, int], ...], tuple[int, ...], dict[str, int]]:
-    """The value of each symbol on each tape (blank is 0, and each tape has its
-    own weight), the factor for each head move, indexed by its delta, and the
-    key offset of each state.  A key is the sum of the tape hashes plus the
-    state's offset, so it is exact in the state.  Callers share the result
-    and never change it."""
+    """The value of each symbol on each tape (blank is 0, as is None, a
+    compiled blank write, and each tape has its own weight), the factor for
+    each head move, indexed by its delta, and the key offset of each state.
+    A key is the sum of the tape hashes plus the state's offset, so it is
+    exact in the state.  Callers share the result and never change it."""
     values = []
     for i in range(tape_count):
         weight = pow(_TAPE_WEIGHT, i, modulus)
         value = {sym: (k + 1) * weight % modulus for k, sym in enumerate(alphabet) if sym != blank}
-        value[blank] = 0
+        value[blank] = value[None] = 0
         values.append(value)
     base = _BASE % modulus
     # a move right lowers every cell's offset from the head by one
@@ -288,9 +287,9 @@ def _single_tape_check(machine: Machine, input_word: str) -> Callable:
     def check(state, tape, head, steps, rule):
         nonlocal h, at, swept
         # a runaway repeats a sweep that writes blank, tested at its first step
-        _, wsym, wblank, delta, _, sweep = rule
+        _, wsym, delta, _, sweep = rule
         if sweep is not None:
-            if steps != swept and wblank and _beyond_extent(delta, tape, head):
+            if steps != swept and wsym is None and _moving_heads_beyond(sweep, (tape,), (head,)):
                 return BlankRunaway(state, machine.rules[(state, (blank,))][2], steps)
             swept = steps + 1
         if len(tape) > _HOOK_CELLS:
@@ -318,7 +317,6 @@ def _multi_tape_check(machine: Machine, input_word: str, changes: list[tuple[int
     tape_count = machine.tape_count
     values, move, offsets = _hash_constants(modulus, machine.alphabet, machine.blank, tape_count, machine.states)
     blank = machine.blank
-    blanks = (blank,) * tape_count
     history = _HISTORY_STEPS
     hashes, at = [], -1  # the tapes' hashes, kept for the configuration of step ``at`` only
     swept = -1  # the step after the last sweep step seen
@@ -332,8 +330,8 @@ def _multi_tape_check(machine: Machine, input_word: str, changes: list[tuple[int
         # its first step
         _, syms, writes, effects, _, sweep = rule
         if sweep is not None:
-            if steps != swept and writes == blanks and _moving_heads_beyond(sweep, tapes, heads):
-                return BlankRunaway(state, machine.rules[(state, blanks)][2], steps)
+            if steps != swept and all(w is None for _, w, _ in sweep) and _moving_heads_beyond(sweep, tapes, heads):
+                return BlankRunaway(state, machine.rules[(state, syms)][2], steps)
             swept = steps + 1
         if sum(map(len, tapes)) <= _HOOK_CELLS:
             if at != steps:
@@ -396,14 +394,19 @@ def _status(run: Run, last_change_step: int) -> CertifiedStable | Provisional:
     return PROVISIONAL
 
 
+def _outcome(run: Run, entries: Sequence[tuple[int, str]]) -> InductiveOutcome:
+    """The outcome of an observed run whose output log is ``entries``."""
+    last_step, current = entries[-1]
+    return InductiveOutcome(current, last_step, run.steps, _status(run, last_step), ObservationLog(tuple(entries)))
+
+
 def inductive_run(machine: Machine, input_word: str, budget: int) -> InductiveOutcome:
     """Run a three-tape machine, logging output changes, until it halts, a
     non-halting certificate fires, or the budget runs out."""
     if machine.tape_count != 3:
         raise UnsupportedMachineError("inductive runs need a 3-tape machine (input, working, output)")
     run, changes = _observe(machine, input_word, budget)
-    last_step, current = changes[-1]
-    return InductiveOutcome(current, last_step, run.steps, _status(run, last_step), ObservationLog(tuple(changes)))
+    return _outcome(run, changes)
 
 
 @dataclass(frozen=True)
@@ -442,8 +445,7 @@ def halting_limit_decider(description: Description, input_word: str, budget: int
         entries = ((0, "1"),) if run.steps == 0 else ((0, "0"), (run.steps, "1"))
     else:
         entries = ((0, "0"),)
-    last_step, current = entries[-1]
-    return InductiveOutcome(current, last_step, run.steps, _status(run, last_step), ObservationLog(entries))
+    return _outcome(run, entries)
 
 
 # --- diagonalization --------------------------------------------------------
@@ -577,8 +579,9 @@ def budget_decider(budget: int) -> CandidateDecider:
 
 
 def certified_decider(budget: int) -> CandidateDecider:
-    """Budget-bounded observation backed by non-halting certificates; claims
-    no-halt when neither a halt nor a certificate shows up."""
+    """Claims a halt exactly when ``budget_decider(budget)`` does, through an
+    observed run that a non-halting certificate stops early: a sound
+    certificate never comes before a halt, so only the cost differs."""
 
     def claims_halt(description: Description, word: str) -> bool:
         return isinstance(certify_nonhalting(decode(description), word, budget), HaltsAt)

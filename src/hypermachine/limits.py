@@ -18,6 +18,7 @@ whatever the stage budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 from .codec import Description, decode, index_word, nth_description
@@ -102,24 +103,18 @@ def limit_eval(f: LimitFunction, x: int, stage_budget: int, quiescence_window: i
     )
 
 
-def _halting_guess(name: str, run_of: Callable[[int], Run], halting: bool, tag: str) -> LimitFunction:
-    """Guess 1 at (x, t) when the run ``run_of(x)`` has halted within t+1
+def _halting_guess(name: str, run_at: Callable[[int], Run], halting: bool, tag: str) -> LimitFunction:
+    """Guess 1 at (x, t) when the run ``run_at(x)`` has halted within t+1
     steps, or when it has not, if ``halting`` is false.
 
     The guess changes at most once as t grows, at the step where the run
     halts, so its limit is 1 exactly on the halting (or, if not ``halting``,
-    the diverging) x.  One run per x backs all its stages, so a full stage
-    sweep costs one advance to the last stage, with guess calls only at
-    stage 0 and at the change.  The run has no hook, so a sweep past its
-    written cells ends in one jump and its cells are never written.
+    the diverging) x.  ``run_at`` returns one run per x, which backs all
+    its stages, so a full stage sweep costs one advance to the last stage,
+    with guess calls only at stage 0 and at the change.  The run has no
+    hook, so a sweep past its written cells ends in one jump and its cells
+    are never written.
     """
-    runs: dict[int, Run] = {}
-
-    def run_at(x: int) -> Run:
-        run = runs.get(x)
-        if run is None:
-            run = runs[x] = run_of(x)
-        return run
 
     def guess(x: int, stage: int) -> str:
         return "1" if run_at(x).halted_by(stage + 1) == halting else "0"
@@ -152,8 +147,8 @@ def _indexed_run(x: int) -> Run:
 _BUILTINS: dict[str, Callable[[], LimitFunction]] = {
     "constant": lambda: LimitFunction("constant", lambda x, t: "1", next_change=lambda x, t, horizon: None),
     "oscillator": lambda: LimitFunction("oscillator", lambda x, t: str(t % 2)),
-    "halting": lambda: _halting_guess("halting", _indexed_run, True, "Σ1"),
-    "divergence": lambda: _halting_guess("divergence", _indexed_run, False, "Π1"),
+    "halting": lambda: _halting_guess("halting", cache(_indexed_run), True, "Σ1"),
+    "divergence": lambda: _halting_guess("divergence", cache(_indexed_run), False, "Π1"),
 }
 
 BUILTIN_LIMIT_FUNCTIONS = tuple(_BUILTINS)

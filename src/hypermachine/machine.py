@@ -14,17 +14,18 @@ reachable configuration is finite and cheap to copy, compare, and replay.
 per run, behind ``run_bounded``, the halting probes of ``Run.halted_by``
 and every client in the other modules.  Each compiled rule carries its next
 state's row, so a step never looks a state up; a state with no row shares
-one empty, read-only row.  A multi-tape rule applies only its effects, the
-tapes whose cell it rewrites with another symbol or whose head it moves.  A
-run that keeps one state while every head reads blank, some heads move
-outward and the others stay and write blank is finished in one jump (the
-macro-step of busy-beaver simulators, Marxen and Buntrock 1990), on one tape
-as on several: the rest of the budget moves each moving head that many
-cells, and the cells they pass are filled as the steps would fill them when
-the tapes are next read.  A jumped run advanced again moves its heads by the
-same jump.  On a single tape this holds observed or not, as a hook sees the
-step that the jump starts from; an observed run on several tapes steps
-every step.
+one empty, read-only row.  A compiled blank write is None on every tape
+count, in a single-tape rule and in every sweep.  A multi-tape rule applies
+only its effects, the tapes whose cell it rewrites with another symbol or
+whose head it moves.  A run that keeps one state while every head reads
+blank, some heads move outward and the others stay and write blank is
+finished in one jump (the macro-step of busy-beaver simulators, Marxen and
+Buntrock 1990), on one tape as on several: the rest of the budget moves each
+moving head that many cells, and the cells they pass are filled as the steps
+would fill them when the tapes are next read.  A jumped run advanced again
+moves its heads by the same jump.  On a single tape this holds observed or
+not, as a hook sees the step that the jump starts from; an observed run on
+several tapes steps every step.
 ``step`` and ``config_sequence`` are the reference semantics: small, pure
 and slow, kept for tests to compare the engine against.
 """
@@ -371,55 +372,49 @@ def _check_budget(budget: int) -> None:
         raise InputError(f"budget must be >= 1, got {budget}")
 
 
-def _beyond_extent(delta: int, tape: Mapping[int, str], head: int) -> bool:
-    """True when no stored cell lies at or past ``head`` in the direction
-    ``delta``, and always for a head that stays.  A stored cell next to the
-    head answers without a scan of the tape."""
-    if not delta or not tape:
-        return True
-    if head + delta in tape:
-        return False
-    return head > max(tape) if delta > 0 else head < min(tape)
-
-
 def _moving_heads_beyond(sweep: tuple, tapes: Sequence[Mapping[int, str]], heads: Sequence[int]) -> bool:
     """True when each of a compiled ``sweep``'s moving heads is beyond its
-    tape's extent, so that the sweep fires on fresh blanks for ever."""
-    return all(_beyond_extent(delta, tapes[i], heads[i]) for i, _, delta in sweep)
+    tape's extent: no stored cell lies at or past the head in its direction,
+    so that the sweep fires on fresh blanks for ever.  A stored cell next to
+    a head answers without a scan of its tape."""
+    for i, _, delta in sweep:
+        tape = tapes[i]
+        if tape:
+            head = heads[i]
+            if head + delta in tape or (head <= max(tape) if delta > 0 else head >= min(tape)):
+                return False
+    return True
 
 
-def _compiled_rows(
-    machine: Machine, rules: Mapping[RuleKey, RuleBody] | None = None, rows: dict[str, dict] | None = None
-) -> dict[str, dict]:
-    """Per-state rule rows for non-final states; a final state has no row.
+def _compiled_rows(machine: Machine, rules: Mapping[RuleKey, RuleBody], rows: dict[str, dict]) -> dict[str, dict]:
+    """Compile ``rules`` into ``rows``, the per-state rule rows of non-final
+    states (a final state has no row), and return them.
 
     A row maps the scanned symbol (single tape) or symbol tuple to a compiled
     rule, which ends in its next state's row (_NO_ROW when that state has
     none) and then in its moving heads if it is a sweep, else None, which
-    the loops test faster than the truth of an empty tuple.  A rule's
-    effects are, per tape whose cell it rewrites with another symbol or
-    whose head it moves, the tape, the symbol written or None when the cell
-    keeps its own, and the head's move.  A sweep is a rule under which every
-    head reads blank, the state is kept and it has effects, each of which
-    moves a head: some head moves and every head that stays writes blank.
-    Its effects are its moving heads, each with its write, None for blank.  A
-    single-tape rule is compiled from scalars, as one is per ``Run``: its
-    next state, write, blank-write flag and move.  A multi-tape rule carries
-    its scanned symbols, its writes and its effects.  ``rules`` defaults to
-    the machine's own table; given ``rows``, they are compiled into those.
+    the loops test faster than the truth of an empty tuple.  A compiled blank
+    write is None on every tape count, in a single-tape rule and in every
+    sweep.  A single-tape rule is compiled from scalars, as one is per
+    ``Run``: its next state, write and move.  A
+    multi-tape rule carries its scanned symbols, its writes and its effects:
+    per tape whose cell it rewrites with another symbol or whose head it
+    moves, the tape, the symbol written or None when the cell keeps its own,
+    and the head's move.  A sweep is a rule under which every head reads
+    blank, the state is kept and it has effects, each of which moves a head:
+    some head moves and every head that stays writes blank.  Its effects are
+    its moving heads, each with its write, so None is a blank write there.
     """
-    if rows is None:
-        rows = {q: {} for q in machine.states if q not in machine.finals}
     row_of = rows.get
     blank = machine.blank
-    items = (machine.rules if rules is None else rules).items()
+    items = rules.items()
     if machine.tape_count == 1:
         for (state, (sym,)), (nstate, (wsym,), (move,)) in items:
             delta = _DELTA[move]
-            wblank = wsym == blank
+            write = None if wsym == blank else wsym
             # the sweep test on one tape, whose one effect on blank must be a move
-            sweep = ((0, None if wblank else wsym, delta),) if sym == blank and nstate == state and delta else None
-            rows[state][sym] = (nstate, wsym, wblank, delta, row_of(nstate, _NO_ROW), sweep)
+            sweep = ((0, write, delta),) if sym == blank and nstate == state and delta else None
+            rows[state][sym] = (nstate, write, delta, row_of(nstate, _NO_ROW), sweep)
     else:
         blanks = (blank,) * machine.tape_count
         for (state, syms), (nstate, writes, moves) in items:
@@ -431,11 +426,6 @@ def _compiled_rows(
             sweep = effects if effects and syms == blanks and nstate == state and all(d for _, _, d in effects) else None
             rows[state][syms] = (nstate, syms, writes, effects, row_of(nstate, _NO_ROW), sweep)
     return rows
-
-
-def result_tape_index(machine: Machine) -> int:
-    """Single tape carries the result; multi-tape machines use the last tape."""
-    return 0 if machine.tape_count == 1 else machine.tape_count - 1
 
 
 class Run:
@@ -457,18 +447,21 @@ class Run:
     a next state that ``patch`` gave a rule and that the table does not hold.
     Such a rule carries _NO_ROW, the one shared row that holds no rule.
 
-    A multi-tape step applies only the rule's effects, and the scanned
-    symbols that the next rule is looked up by change only where they do: a
-    head that stays scans what it wrote, and only a head that moved reads
-    its tape.
+    A compiled blank write is None on every tape count: a single-tape rule
+    writes None for blank, and so does each moving head of a sweep and of a
+    fill.  A multi-tape step applies only the rule's effects, and the
+    scanned symbols that the next rule is looked up by change only where
+    they do: a head that stays scans what it wrote, and only a head that
+    moved reads its tape.
 
     A sweep (a rule under which every head reads blank, the state is kept,
     some head moves and every head that stays writes blank) that fires with
     each moving head beyond its tape's extent in its direction would fire on
     fresh blanks at every step left, so the run ends the budget in one jump.
-    Either loop only tests for it: from an advance's second step on, when
-    the steps left outnumber the tapes' cells, which the scans for the
-    extents cost; after a test that fails, not again within that many steps.
+    Either loop only tests for it, through the one extent test that the
+    certificate hooks share: from an advance's second step on, when the
+    steps left outnumber the tapes' cells, which the scans for the extents
+    cost; after a test that fails, not again within that many steps.
     The jump then moves each of the sweep's moving heads by the steps left.
     When some moving head writes non-blank, the jump keeps, per moving head,
     its tape, write, move and the cell it jumped from in ``_fill``.  A later
@@ -482,7 +475,7 @@ class Run:
     __slots__ = ("machine", "state", "_tapes", "_fill", "heads", "steps", "halted", "checked", "_hook", "_rows")
 
     def __init__(self, machine: Machine, input_word: str, hook: Callable[..., object] | None = None):
-        self._rows = _compiled_rows(machine)
+        self._rows = _compiled_rows(machine, machine.rules, {q: {} for q in machine.states if q not in machine.finals})
         self._tapes = _input_tapes(machine, input_word)
         self._fill = None  # per moving head of a jumped sweep that writes, its unwritten cells
         self.machine = machine
@@ -535,16 +528,16 @@ class Run:
                     if rule is None:
                         self.halted = True
                         break
-                    nstate, wsym, wblank, delta, nrow, sweep = rule
+                    nstate, wsym, delta, nrow, sweep = rule
                     if hook is not None and (len(tape) <= cap or sweep is not None):
                         if found := hook(state, tape, head, steps, rule):
                             break
                     if sweep is not None and steps >= retry:
-                        if budget - steps > len(tape) and _beyond_extent(delta, tape, head):
+                        if budget - steps > len(tape) and _moving_heads_beyond(sweep, tapes, (head,)):
                             jump = sweep
                             break
                         retry = steps + len(tape)
-                    if wblank:
+                    if wsym is None:
                         tape.pop(head, None)
                     else:
                         tape[head] = wsym
@@ -628,7 +621,7 @@ class Run:
             return BudgetExhausted._pending(self.steps, config, self._fill)
         machine = self.machine
         if machine.finals.get(self.state):
-            return HaltedWithResult(trimmed_word(self.tapes[result_tape_index(machine)], machine.blank), self.steps)
+            return HaltedWithResult(trimmed_word(self.tapes[-1], machine.blank), self.steps)
         return HaltedResultless(self.steps)
 
     def patch(self, key: RuleKey, body: RuleBody) -> None:

@@ -619,6 +619,20 @@ def decode_t(n):
     return decode(nth_description(n))
 
 
+@pytest.mark.parametrize("budget", [1, 5, 50, 1000])
+def test_the_certified_decider_claims_what_the_budget_decider_claims(budget):
+    # a sound certificate never comes before a halt, so stopping at one
+    # changes no claim, only the cost of making it; the first enumerated
+    # machines nearly all halt, so the rows are family machines, many of
+    # which are certified
+    family = list(islice(two_state_family(), 0, None, 23))
+    rows = [(encode(m), w) for m in family for w in ("", "01")]
+    certified = audit_decider(certified_decider(budget), 0, budget, budget, rows=rows)
+    assert certified.to_tsv() == audit_decider(budget_decider(budget), 0, budget, budget, rows=rows).to_tsv()
+    assert {row.claims_halt for row in certified.rows} == {True, False}
+    assert any(isinstance(certify_nonhalting(m, "", budget), Certificate) for m in family)
+
+
 def test_diagonal_branches_via_explicit_rows():
     rows = [
         (encode(FLIP), "0"),  # halts with result 1 -> diagonal 0

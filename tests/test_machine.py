@@ -46,7 +46,6 @@ from hypermachine.machine import (
     initial_configuration,
     observational_equiv,
     outcomes_agree,
-    result_tape_index,
     run_bounded,
     single_tape_machine,
     step,
@@ -401,7 +400,7 @@ def _reference_outcome(machine, seq, budget):
     if last.step == budget:
         return BudgetExhausted(budget, last)
     if machine.finals.get(last.state):
-        return HaltedWithResult(trimmed_word(last.tapes[result_tape_index(machine)]), last.step)
+        return HaltedWithResult(trimmed_word(last.tapes[-1]), last.step)
     return HaltedResultless(last.step)
 
 
@@ -718,6 +717,33 @@ def _run_to(machine, word, *budgets):
 def test_blank_sweep_runs_a_trillion_steps_at_once():
     steps = 10**12
     assert run_bounded(LOOP, "", steps) == BudgetExhausted(steps, Configuration("q0", ({},), (steps,), steps))
+
+
+@st.composite
+def _extent_cases(draw):
+    """A compiled sweep over 1 or 3 small tapes, with the heads anywhere."""
+    tape_count = draw(st.sampled_from((1, 3)))
+    cells = st.dictionaries(st.integers(-6, 6), st.sampled_from("01"), max_size=6)
+    tapes = tuple(draw(cells) for _ in range(tape_count))
+    heads = [draw(st.integers(-8, 8)) for _ in range(tape_count)]
+    moving = draw(st.lists(st.integers(0, tape_count - 1), min_size=1, max_size=tape_count, unique=True))
+    sweep = tuple((i, draw(st.sampled_from((None, "0", "1"))), draw(st.sampled_from((-1, 1)))) for i in sorted(moving))
+    return sweep, tapes, heads
+
+
+@settings(max_examples=500, deadline=None)
+@given(_extent_cases())
+@example((((0, None, 1),), ({},), [0]))  # an empty tape
+@example((((0, None, 1),), ({1: "1"},), [0]))  # a stored neighbour ahead
+@example((((0, "1", -1),), ({1: "1"},), [0]))  # a stored neighbour behind
+@example((((0, None, 1),), ({-2: "0", 3: "1"},), [0]))  # a gap, with a cell past it
+@example((((0, None, 1),), ({0: "1"},), [0]))  # a stored cell under the head
+# the second of two moving heads meets a cell
+@example((((1, None, 1), (2, "0", -1)), ({0: "1"}, {}, {-3: "1"}), [0, 0, -1]))
+def test_the_extent_test_finds_no_stored_cell_at_or_past_a_moving_head(case):
+    sweep, tapes, heads = case
+    expected = all((cell - heads[i]) * delta < 0 for i, _, delta in sweep for cell in tapes[i])
+    assert engine._moving_heads_beyond(sweep, tapes, heads) == expected
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from hypermachine.machine import (
     StructureError,
     config_sequence,
     initial_configuration,
-    result_tape_index,
     run_bounded,
     single_tape_machine,
     step,
@@ -238,7 +237,7 @@ def _reference_outcome(machine, seq, budget):
     if last.step == budget:
         return BudgetExhausted(budget, last)
     if machine.finals.get(last.state):
-        return HaltedWithResult(trimmed_word(last.tapes[result_tape_index(machine)]), last.step)
+        return HaltedWithResult(trimmed_word(last.tapes[-1]), last.step)
     return HaltedResultless(last.step)
 
 
