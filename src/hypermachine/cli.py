@@ -13,32 +13,9 @@ import sys
 import time
 from pathlib import Path
 
-from .codec import Description, decode, encode, enumerate_machines, index_word
-from .corpus import corpus_machine
-from .dsl import ParseError, parse_machine_spec, unparse
-from .inductive import (
-    CertifiedStable,
-    audit_decider,
-    budget_decider,
-    certified_decider,
-    diagonalize,
-    halting_limit_decider,
-)
-from .limits import BUILTIN_LIMIT_FUNCTIONS, builtin_limit_function, limit_eval
-from .machine import (
-    BudgetExhausted,
-    EquivalentUpTo,
-    HaltedWithResult,
-    HypermachineError,
-    InputError,
-    Machine,
-    RunOutcome,
-    observational_equiv,
-    run_bounded,
-)
-from .reflexive import ReflexiveMachine, reflexive_run
-from .subrec import _WORK_BOUND, BUILTIN_SAMPLES, DfaFound, separation_search
-from .trace import emit_trace, summary_line, traced_run, watch
+# Each command imports the library modules that it runs, so a call loads only
+# those.  This note is not in the docstring, which is the --help text.
+from .machine import HypermachineError, ParseError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -51,18 +28,24 @@ class UsageError(HypermachineError):
 
 
 def _load_spec(path: str):
+    from .dsl import parse_machine_spec
+
     return parse_machine_spec(Path(path).read_text())
 
 
-def _load_description(args) -> Description:
-    if getattr(args, "bits", None):
+def _load_description(args):
+    from .codec import Description
+
+    if args.bits is not None:
         return Description(args.bits)
-    if getattr(args, "description", None):
+    if args.description is not None:
         return Description(Path(args.description).read_text().strip())
     raise UsageError("provide a description file or --bits")
 
 
-def _outcome_fields(outcome: RunOutcome) -> str:
+def _outcome_fields(outcome) -> str:
+    from .machine import BudgetExhausted, HaltedWithResult
+
     if isinstance(outcome, HaltedWithResult):
         return f"status=halted\tresult={outcome.result}\tsteps={outcome.steps}"
     if isinstance(outcome, BudgetExhausted):
@@ -78,11 +61,16 @@ def _write_text(path: str, text: str) -> None:
 
 
 def cmd_run(args) -> int:
+    from .machine import BudgetExhausted, Machine
+    from .reflexive import ReflexiveMachine, reflexive_run
+
     doc = _load_spec(args.spec)
     machine = doc.machine
     if isinstance(machine, Machine):
         machine = ReflexiveMachine(machine, {})
     if args.trace:
+        from .trace import emit_trace, traced_run
+
         records, outcome, edit_log = traced_run(machine, args.input, args.budget)
         _write_text(args.trace, emit_trace(records))
     else:
@@ -94,6 +82,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_watch(args) -> int:
+    from .inductive import CertifiedStable
+    from .machine import InputError, Machine
+    from .trace import watch
+
     doc = _load_spec(args.spec)
     machine = doc.machine
     if not isinstance(machine, Machine):
@@ -105,6 +97,9 @@ def cmd_watch(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    from .codec import encode
+    from .machine import InputError, Machine
+
     doc = _load_spec(args.spec)
     if not isinstance(doc.machine, Machine):
         raise InputError("reflexive machines are not encodable")
@@ -113,24 +108,34 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    from .codec import decode
+    from .dsl import unparse
+
     machine = decode(_load_description(args))
     sys.stdout.write(unparse(machine))
     return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
+    from .codec import enumerate_machines
+
     for description in enumerate_machines(args.count):
         print(description.bits)
     return EXIT_OK
 
 
 def cmd_halts(args) -> int:
+    from .inductive import CertifiedStable, halting_limit_decider
+    from .trace import summary_line
+
     outcome = halting_limit_decider(_load_description(args), args.input, args.budget)
     print(summary_line(outcome))
     return EXIT_OK if isinstance(outcome.status, CertifiedStable) else EXIT_PROVISIONAL
 
 
 def _decider(spec: str):
+    from .inductive import budget_decider, certified_decider
+
     kind, _, value = spec.partition(":")
     try:
         budget = int(value)
@@ -146,6 +151,9 @@ def _decider(spec: str):
 
 
 def cmd_diagonal(args) -> int:
+    from .codec import index_word
+    from .inductive import diagonalize
+
     word = index_word(args.index)
     bit = diagonalize(_decider(args.decider), word, args.budget)
     print(f"index={args.index}\tword={word}\tdiagonal={bit}")
@@ -153,6 +161,8 @@ def cmd_diagonal(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .inductive import audit_decider
+
     sim_budget = args.sim_budget if args.sim_budget is not None else args.truth_budget
     report = audit_decider(_decider(args.decider), args.machines, args.truth_budget, sim_budget)
     sys.stdout.write(report.to_tsv())
@@ -160,6 +170,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_limit_eval(args) -> int:
+    from .limits import builtin_limit_function, limit_eval
+
     fn = builtin_limit_function(args.fn)
     report = limit_eval(fn, args.x, args.stages, args.window)
     for stage, guess in report.guesses_log:
@@ -170,6 +182,8 @@ def cmd_limit_eval(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    from .machine import EquivalentUpTo, InputError, Machine, observational_equiv
+
     m1 = _load_spec(args.spec1).machine
     m2 = _load_spec(args.spec2).machine
     if not (isinstance(m1, Machine) and isinstance(m2, Machine)):
@@ -186,6 +200,9 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_separate(args) -> int:
+    from .machine import InputError
+    from .subrec import _WORK_BOUND, BUILTIN_SAMPLES, DfaFound, separation_search
+
     # a sample of more words than the search's work bound costs more to build
     # than the search may spend, so it is refused before it is built
     words = 2 ** (args.max_len + 1) - 1
@@ -205,6 +222,9 @@ def cmd_separate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .corpus import corpus_machine
+    from .machine import run_bounded
+
     machine = corpus_machine("ping_pong")  # no sweep, so every step is stepped
     started = time.perf_counter()
     outcome = run_bounded(machine, "", args.steps)
@@ -268,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("limit-eval", help="evaluate a built-in limit function")
-    p.add_argument("--fn", required=True, choices=BUILTIN_LIMIT_FUNCTIONS)
+    p.add_argument("--fn", required=True, choices=("constant", "oscillator", "halting", "divergence"))
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--stages", type=int, required=True)
     p.add_argument("--window", type=int, required=True)
@@ -282,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("separate", help="exhaustive DFA search against a built-in sample")
-    p.add_argument("--lang", required=True, choices=sorted(BUILTIN_SAMPLES))
+    p.add_argument("--lang", required=True, choices=("anbn", "palindrome", "parity"))
     p.add_argument("--max-states", type=int, required=True)
     p.add_argument("--max-len", type=int, default=6)
     p.set_defaults(func=cmd_separate)

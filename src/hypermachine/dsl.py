@@ -24,15 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .machine import BLANK, HypermachineError, Machine, MOVES, RuleKey, StructureError, Symbols
+from .machine import BLANK, Machine, MOVES, ParseError, RuleKey, StructureError, Symbols
 from .reflexive import EditAction, InstallRule, ReflexiveMachine, ReplaceRule
-
-
-class ParseError(HypermachineError):
-    def __init__(self, message: str, line: int, col: int = 1):
-        super().__init__(f"line {line}:{col}: {message}")
-        self.line = line
-        self.col = col
 
 
 @dataclass(frozen=True)

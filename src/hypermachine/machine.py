@@ -72,6 +72,15 @@ class InputError(HypermachineError):
     """An input word or argument lies outside the declared domain."""
 
 
+class ParseError(HypermachineError):
+    """A machine document that does not parse, at a 1-based line and column."""
+
+    def __init__(self, message: str, line: int, col: int = 1):
+        super().__init__(f"line {line}:{col}: {message}")
+        self.line = line
+        self.col = col
+
+
 @dataclass(frozen=True, eq=True)
 class Machine:
     """A deterministic machine.

@@ -1,8 +1,13 @@
-"""Command-line behaviour: output formats and exit codes."""
+"""Command-line behaviour: output formats, exit codes and the modules a call loads."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hypermachine import cli
+from hypermachine import limits, subrec
 from hypermachine.cli import main
 from hypermachine.codec import encode
 from hypermachine.corpus import CORPUS_SPECS, corpus_machine, delay_machine
@@ -115,6 +120,8 @@ def test_encode_decode_pipeline(flip_spec, tmp_path, capsys):
             "011" "001001" "010001001001000" "11" "010010010001000",
             "invalid encoding at bit 13: description is not in canonical form",
         ),
+        # an empty --bits is given, so it is decoded, not taken as absent
+        ("", "invalid encoding at bit 0: expected 1 terminating final count"),
     ],
 )
 def test_decode_rejects_invalid_description(capsys, bits, message):
@@ -222,7 +229,7 @@ def test_separate_refuses_an_oversized_sample_before_building_it(capsys, monkeyp
     def build(max_len):
         raise AssertionError(f"built a sample of every word up to length {max_len}")
 
-    monkeypatch.setitem(cli.BUILTIN_SAMPLES, "anbn", build)
+    monkeypatch.setitem(subrec.BUILTIN_SAMPLES, "anbn", build)
     code, out, err = run_cli(capsys, "separate", "--lang", "anbn", "--max-states", "2", "--max-len", "23")
     assert code == 1
     assert out == ""
@@ -254,6 +261,7 @@ def test_bench_command(capsys):
         (["diagonal", "--index", "1018", "--decider", "budget:5", "--budget", "0"], 1),
         (["diagonal", "--index", "1018", "--decider", "budget:5", "--budget", "-7"], 1),
         (["separate", "--lang", "anbn", "--max-states", "2", "--max-len", "-5"], 1),
+        (["halts", "--bits", "", "--input", "0"], 1),  # an empty description is given
     ],
 )
 def test_exit_codes(tmp_path, capsys, argv, code):
@@ -277,3 +285,48 @@ def test_exit_codes(tmp_path, capsys, argv, code):
     else:
         assert out == ""
         assert err.startswith("usage error: ")
+
+
+def test_parser_choices_are_the_library_registries(capsys):
+    # the parser names the choices itself, so that it loads neither module,
+    # in the order that --help has always listed them
+    for argv, option in (
+        (["limit-eval", "--help"], "--fn {%s}" % ",".join(limits.BUILTIN_LIMIT_FUNCTIONS)),
+        (["separate", "--help"], "--lang {%s}" % ",".join(sorted(subrec.BUILTIN_SAMPLES))),
+    ):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert f"\n  {option}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv,modules",
+    [
+        (["enumerate", "--count", "1000"], "cli codec machine"),
+        (["separate", "--lang", "anbn", "--max-states", "3"], "cli machine subrec"),
+        (["limit-eval", "--fn", "halting", "--x", "3", "--stages", "100", "--window", "10"], "cli codec limits machine"),
+        (["encode", "flip.tm"], "cli codec dsl machine reflexive"),
+        (["decode", "--bits", "{flip}"], "cli codec dsl machine reflexive"),
+        (["halts", "--bits", "{flip}", "--input", "1", "--budget", "10000"], "cli codec inductive machine reflexive trace"),
+        (["run", "flip.tm", "--input", "0", "--trace", "-"], "cli codec dsl inductive machine reflexive trace"),
+        (["bench", "--steps", "10"], "cli corpus dsl machine reflexive"),
+    ],
+)
+def test_a_command_loads_only_the_modules_that_it_runs(tmp_path, argv, modules):
+    # a fresh interpreter shows it, as this one has loaded them all
+    (tmp_path / "flip.tm").write_text(CORPUS_SPECS["flip"])
+    argv = [arg.format(flip=encode(corpus_machine("flip")).bits) for arg in argv]
+    script = (
+        "import contextlib, io, sys\n"
+        "from hypermachine.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('hypermachine')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(limits.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", script, *argv], cwd=tmp_path, env=env, capture_output=True, text=True, check=True
+    )
+    code, *loaded = child.stdout.split()
+    assert code == "0"
+    assert loaded == ["hypermachine", *(f"hypermachine.{name}" for name in modules.split())]
