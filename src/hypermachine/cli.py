@@ -27,10 +27,17 @@ class UsageError(HypermachineError):
     """A command line that names no input or gives an option a malformed value."""
 
 
-def _load_spec(path: str):
+def _path(value: str, name: str) -> Path:
+    # Path('') is '.', a path the caller never gave
+    if not value:
+        raise UsageError(f"empty path '' given for {name}")
+    return Path(value)
+
+
+def _load_spec(path: str, name: str):
     from .dsl import parse_machine_spec
 
-    return parse_machine_spec(Path(path).read_text())
+    return parse_machine_spec(_path(path, name).read_text())
 
 
 def _load_description(args):
@@ -39,7 +46,7 @@ def _load_description(args):
     if args.bits is not None:
         return Description(args.bits)
     if args.description is not None:
-        return Description(Path(args.description).read_text().strip())
+        return Description(_path(args.description, "description").read_text().strip())
     raise UsageError("provide a description file or --bits")
 
 
@@ -53,26 +60,24 @@ def _outcome_fields(outcome) -> str:
     return f"status=halted-resultless\tsteps={outcome.steps}"
 
 
-def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
-
-
 def cmd_run(args) -> int:
     from .machine import BudgetExhausted, Machine
     from .reflexive import ReflexiveMachine, reflexive_run
 
-    doc = _load_spec(args.spec)
+    doc = _load_spec(args.spec, "spec")
     machine = doc.machine
     if isinstance(machine, Machine):
         machine = ReflexiveMachine(machine, {})
-    if args.trace:
+    if args.trace is not None:
         from .trace import emit_trace, traced_run
 
+        target = None if args.trace == "-" else _path(args.trace, "--trace")
         records, outcome, edit_log = traced_run(machine, args.input, args.budget)
-        _write_text(args.trace, emit_trace(records))
+        text = emit_trace(records)
+        if target is None:
+            sys.stdout.write(text)
+        else:
+            target.write_text(text)
     else:
         outcome, edit_log = reflexive_run(machine, args.input, args.budget)
     for at, action in edit_log.entries:
@@ -86,7 +91,7 @@ def cmd_watch(args) -> int:
     from .machine import InputError, Machine
     from .trace import watch
 
-    doc = _load_spec(args.spec)
+    doc = _load_spec(args.spec, "spec")
     machine = doc.machine
     if not isinstance(machine, Machine):
         raise InputError("watch needs a plain 3-tape machine")
@@ -100,7 +105,7 @@ def cmd_encode(args) -> int:
     from .codec import encode
     from .machine import InputError, Machine
 
-    doc = _load_spec(args.spec)
+    doc = _load_spec(args.spec, "spec")
     if not isinstance(doc.machine, Machine):
         raise InputError("reflexive machines are not encodable")
     print(encode(doc.machine).bits)
@@ -134,20 +139,16 @@ def cmd_halts(args) -> int:
 
 
 def _decider(spec: str):
-    from .inductive import budget_decider, certified_decider
+    from .inductive import budget_decider
 
     kind, _, value = spec.partition(":")
     try:
         budget = int(value)
     except ValueError:
         budget = 0
-    if budget < 1:
-        raise UsageError(f"bad decider spec {spec!r}: want budget:<steps> or certified:<steps>")
-    if kind == "budget":
-        return budget_decider(budget)
-    if kind == "certified":
-        return certified_decider(budget)
-    raise UsageError(f"unknown decider kind {kind!r}")
+    if kind != "budget" or budget < 1:
+        raise UsageError(f"bad decider spec {spec!r}: want budget:<steps>")
+    return budget_decider(budget)
 
 
 def cmd_diagonal(args) -> int:
@@ -184,8 +185,8 @@ def cmd_limit_eval(args) -> int:
 def cmd_equiv(args) -> int:
     from .machine import EquivalentUpTo, InputError, Machine, observational_equiv
 
-    m1 = _load_spec(args.spec1).machine
-    m2 = _load_spec(args.spec2).machine
+    m1 = _load_spec(args.spec1, "spec1").machine
+    m2 = _load_spec(args.spec2, "spec2").machine
     if not (isinstance(m1, Machine) and isinstance(m2, Machine)):
         raise InputError("equiv compares plain machines")
     result = observational_equiv(m1, m2, args.max_len, args.budget)
@@ -223,14 +224,15 @@ def cmd_separate(args) -> int:
 
 def cmd_bench(args) -> int:
     from .corpus import corpus_machine
-    from .machine import run_bounded
+    from .machine import Run, _check_budget
 
-    machine = corpus_machine("ping_pong")  # no sweep, so every step is stepped
-    started = time.perf_counter()
-    outcome = run_bounded(machine, "", args.steps)
+    _check_budget(args.steps)
+    run = Run(corpus_machine("ping_pong"), "")  # no sweep, so every step is stepped
+    started = time.perf_counter()  # the engine alone, not the rule compilation
+    run.advance(args.steps)
     elapsed = time.perf_counter() - started
-    rate = outcome.steps / elapsed if elapsed > 0 else float("inf")
-    print(f"steps={outcome.steps}\tseconds={elapsed:.3f}\trate={rate:.0f}")
+    rate = run.steps / elapsed if elapsed > 0 else float("inf")
+    print(f"steps={run.steps}\tseconds={elapsed:.3f}\trate={rate:.0f}")
     if rate < 1_000_000:
         print("WARNING: rate below 1000000 steps/s soft target", file=sys.stderr)
     return EXIT_OK
@@ -276,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagonal", help="anti-diagonal bit against a candidate decider")
     p.add_argument("--index", type=int, required=True)
-    p.add_argument("--decider", required=True, help="budget:<steps> or certified:<steps>")
+    p.add_argument("--decider", required=True, help="budget:<steps>")
     p.add_argument("--budget", type=int, default=10_000)
     p.set_defaults(func=cmd_diagonal)
 

@@ -570,18 +570,9 @@ def audit_decider(
 
 
 def budget_decider(budget: int) -> CandidateDecider:
-    """Claims a halt exactly when one occurs within ``budget`` steps."""
-
-    def claims_halt(description: Description, word: str) -> bool:
-        return not isinstance(universal_run(description, word, budget), BudgetExhausted)
-
-    return claims_halt
-
-
-def certified_decider(budget: int) -> CandidateDecider:
-    """Claims a halt exactly when ``budget_decider(budget)`` does, through an
-    observed run that a non-halting certificate stops early: a sound
-    certificate never comes before a halt, so only the cost differs."""
+    """Claims a halt exactly when one occurs within ``budget`` steps, through
+    an observed run that a non-halting certificate stops early: a sound
+    certificate never comes before a halt, so it changes no claim."""
 
     def claims_halt(description: Description, word: str) -> bool:
         return isinstance(certify_nonhalting(decode(description), word, budget), HaltsAt)

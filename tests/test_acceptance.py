@@ -39,7 +39,6 @@ from hypermachine.inductive import (
     Provisional,
     audit_decider,
     budget_decider,
-    certified_decider,
     certify_nonhalting,
     halting_limit_decider,
 )
@@ -160,7 +159,7 @@ def test_criterion_3_halting_limit_decider(family_truth):
 
 def test_criterion_4_diagonal_inequality():
     with criterion(4, "diagonal inequality"):
-        report = audit_decider(certified_decider(TRUTH_BUDGET), 50, TRUTH_BUDGET, TRUTH_BUDGET)
+        report = audit_decider(budget_decider(TRUTH_BUDGET), 50, TRUTH_BUDGET, TRUTH_BUDGET)
         assert report.contradictions == ()
         completed_results = 0
         for row in report.rows:

@@ -3,11 +3,13 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from hypermachine import limits, subrec
+from hypermachine import machine as engine
 from hypermachine.cli import main
 from hypermachine.codec import encode
 from hypermachine.corpus import CORPUS_SPECS, corpus_machine, delay_machine
@@ -243,10 +245,23 @@ def test_bench_command(capsys):
     assert "rate=" in out
 
 
+def test_bench_times_the_engine_not_the_set_up(capsys, monkeypatch):
+    init = engine.Run.__init__
+
+    def slow_init(self, *args, **kwargs):
+        time.sleep(0.05)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine.Run, "__init__", slow_init)
+    code, out, _ = run_cli(capsys, "bench", "--steps", "10")
+    assert code == 0
+    assert out.startswith("steps=10\tseconds=0.000\t")
+
+
 @pytest.mark.parametrize(
     "argv,code",
     [
-        (["audit", "--machines", "3", "--decider", "certified:50", "--truth-budget", "100"], 0),
+        (["audit", "--machines", "3", "--decider", "budget:50", "--truth-budget", "100"], 0),
         (["diagonal", "--index", "1", "--decider", "budget:abc"], 2),
         (["diagonal", "--index", "1", "--decider", "budget:0"], 2),
         (["watch", "{specializer}"], 1),  # a self-editing document
@@ -262,6 +277,7 @@ def test_bench_command(capsys):
         (["diagonal", "--index", "1018", "--decider", "budget:5", "--budget", "-7"], 1),
         (["separate", "--lang", "anbn", "--max-states", "2", "--max-len", "-5"], 1),
         (["halts", "--bits", "", "--input", "0"], 1),  # an empty description is given
+        (["audit", "--machines", "3", "--decider", "certified:50", "--truth-budget", "100"], 2),  # budget: is the one kind
     ],
 )
 def test_exit_codes(tmp_path, capsys, argv, code):
@@ -285,6 +301,30 @@ def test_exit_codes(tmp_path, capsys, argv, code):
     else:
         assert out == ""
         assert err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["decode", ""], "description"),
+        (["halts", ""], "description"),
+        (["run", ""], "spec"),
+        (["encode", ""], "spec"),
+        (["watch", ""], "spec"),
+        (["equiv", "", "flip.tm"], "spec1"),
+        (["equiv", "flip.tm", ""], "spec2"),
+        (["run", "flip.tm", "--input", "0", "--trace", ""], "--trace"),
+    ],
+)
+def test_an_empty_path_is_refused_by_name(tmp_path, capsys, monkeypatch, argv, name):
+    # Path('') is '.', a path the caller never gave
+    (tmp_path / "flip.tm").write_text(CORPUS_SPECS["flip"])
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: empty path '' given for {name}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["flip.tm"]
 
 
 def test_parser_choices_are_the_library_registries(capsys):

@@ -25,7 +25,6 @@ from hypermachine.inductive import (
     Unknown,
     audit_decider,
     budget_decider,
-    certified_decider,
     certify_nonhalting,
     diagonalize,
     halting_limit_decider,
@@ -620,17 +619,32 @@ def decode_t(n):
 
 
 @pytest.mark.parametrize("budget", [1, 5, 50, 1000])
-def test_the_certified_decider_claims_what_the_budget_decider_claims(budget):
-    # a sound certificate never comes before a halt, so stopping at one
-    # changes no claim, only the cost of making it; the first enumerated
-    # machines nearly all halt, so the rows are family machines, many of
-    # which are certified
+def test_the_budget_decider_claims_what_a_bounded_run_shows(budget):
+    # the decider claims through a run that a non-halting certificate stops
+    # early; a sound certificate never comes before a halt, so it claims what
+    # a plain bounded run shows; the first enumerated machines nearly all
+    # halt, so the rows are family machines, many of which are certified
     family = list(islice(two_state_family(), 0, None, 23))
     rows = [(encode(m), w) for m in family for w in ("", "01")]
-    certified = audit_decider(certified_decider(budget), 0, budget, budget, rows=rows)
-    assert certified.to_tsv() == audit_decider(budget_decider(budget), 0, budget, budget, rows=rows).to_tsv()
-    assert {row.claims_halt for row in certified.rows} == {True, False}
+    claims = [budget_decider(budget)(d, w) for d, w in rows]
+    assert claims == [not isinstance(universal_run(d, w, budget), BudgetExhausted) for d, w in rows]
+    assert set(claims) == {True, False}
     assert any(isinstance(certify_nonhalting(m, "", budget), Certificate) for m in family)
+
+
+def test_a_certified_non_halter_is_claimed_when_its_certificate_fires(monkeypatch):
+    # machine 1024 cycles from step 0 on its own word, so its claim is made
+    # at once rather than after the budget's million steps
+    reached = []
+    advance = engine.Run.advance
+
+    def recording_advance(self, budget):
+        advance(self, budget)
+        reached.append(self.steps)
+
+    monkeypatch.setattr(engine.Run, "advance", recording_advance)
+    assert budget_decider(10**6)(nth_description(1024), index_word(1024)) is False
+    assert reached and max(reached) <= 2
 
 
 def test_diagonal_branches_via_explicit_rows():
@@ -663,7 +677,7 @@ def test_empty_audit():
 
 
 def test_exact_decider_survives_the_audit():
-    report = audit_decider(certified_decider(10_000), 50, 10_000, 10_000)
+    report = audit_decider(budget_decider(10_000), 50, 10_000, 10_000)
     assert report.contradictions == ()
     for row in report.rows:
         if row.completed and isinstance(row.observed, HaltedWithResult):
@@ -693,15 +707,16 @@ def test_audit_validates_budgets():
 
 def test_an_audit_row_runs_its_machine_once_beyond_the_decider(monkeypatch):
     # budget_decider runs the machine itself; the audit then runs it once,
-    # for the truth, and reads the diagonal from that run
+    # for the truth, and reads the diagonal from that run; every run is
+    # counted, whichever module builds it
     constructed = []
+    init = engine.Run.__init__
 
-    class CountingRun(engine.Run):
-        def __init__(self, *args, **kwargs):
-            constructed.append(args)
-            super().__init__(*args, **kwargs)
+    def counting_init(self, *args, **kwargs):
+        constructed.append(args)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(engine, "Run", CountingRun)
+    monkeypatch.setattr(engine.Run, "__init__", counting_init)
     for row, claims_halt in (((encode(FLIP), "0"), True), ((encode(LOOP), ""), False)):
         constructed.clear()
         report = audit_decider(budget_decider(100), 0, 200, 100, rows=[row])
