@@ -356,18 +356,23 @@ def _multi_tape_check(machine: Machine, input_word: str, changes: list[tuple[int
     return check
 
 
-def _observe(machine: Machine, input_word: str, budget: int) -> tuple[Run, list[tuple[int, str]]]:
-    """Run until a halt, a certificate (kept in ``run.checked``) or the
-    budget.  On a multi-tape machine the hook also logs every change of the
+def _observed_run(machine: Machine, input_word: str) -> tuple[Run, list[tuple[int, str]]]:
+    """A run, not yet advanced, that a certificate (kept in ``run.checked``)
+    stops.  On a multi-tape machine the hook also logs every change of the
     trimmed output tape as the rule that makes it fires; the log starts at
     (0, "")."""
-    _check_budget(budget)
     changes = [(0, "")]
     if machine.tape_count == 1:
         hook = _single_tape_check(machine, input_word)
     else:
         hook = _multi_tape_check(machine, input_word, changes)
-    run = Run(machine, input_word, hook)
+    return Run(machine, input_word, hook), changes
+
+
+def _observe(machine: Machine, input_word: str, budget: int) -> tuple[Run, list[tuple[int, str]]]:
+    """The observed run, advanced until a halt, a certificate or the budget."""
+    _check_budget(budget)
+    run, changes = _observed_run(machine, input_word)
     run.advance(budget)
     return run, changes
 

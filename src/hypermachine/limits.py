@@ -12,16 +12,19 @@ A limit function also names the next stage at which its guess may change
 those stages.  By default that is every stage; the constant guess never
 changes, and the halting and divergence guesses change at most once, at the
 step where their run halts, so their reports cost O(changes) guess calls
-whatever the stage budget.
+whatever the stage budget.  Their run is the one that ``inductive`` observes,
+which a non-halting certificate stops: a certified non-halter answers at
+once, and only an uncertified one costs the steps up to the stage budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import lru_cache
 from typing import Callable
 
 from .codec import Description, decode, index_word, nth_description
+from .inductive import _observed_run
 from .machine import HypermachineError, InputError, Run
 
 
@@ -72,6 +75,8 @@ def limit_eval(f: LimitFunction, x: int, stage_budget: int, quiescence_window: i
     stage.  converged_within_budget holds exactly when the last
     quiescence_window guesses are identical.
     """
+    if x < 0:
+        raise InputError("x must be >= 0")
     if quiescence_window < 1:
         raise InputError("quiescence_window must be >= 1")
     if stage_budget < quiescence_window:
@@ -109,11 +114,13 @@ def _halting_guess(name: str, run_at: Callable[[int], Run], halting: bool, tag: 
 
     The guess changes at most once as t grows, at the step where the run
     halts, so its limit is 1 exactly on the halting (or, if not ``halting``,
-    the diverging) x.  ``run_at`` returns one run per x, which backs all
-    its stages, so a full stage sweep costs one advance to the last stage,
-    with guess calls only at stage 0 and at the change.  The run has no
-    hook, so a sweep past its written cells ends in one jump and its cells
-    are never written.
+    the diverging) x.  ``run_at`` returns one observed run per x, which
+    backs all its stages, so a full stage sweep costs one advance to the
+    last stage, with guess calls only at stage 0 and at the change.  A
+    non-halting certificate stops the run, as it proves that no halt
+    follows, so the guess is final there and ``next_change`` is None.  A
+    single-tape sweep that the hook passes beyond the written cells still
+    ends in one jump, and its cells are never written.
     """
 
     def guess(x: int, stage: int) -> str:
@@ -129,26 +136,27 @@ def _halting_guess(name: str, run_at: Callable[[int], Run], halting: bool, tag: 
 def halting_as_limit(description: Description, input_word: str) -> LimitFunction:
     """Guess 1 as soon as the described machine has halted within t+1 steps,
     whatever x; changes 0 -> 1 at most once."""
-    run = Run(decode(description), input_word)
+    run, _ = _observed_run(decode(description), input_word)
     return _halting_guess("halting", lambda _x: run, True, "Σ1")
 
 
 def divergence_as_limit(description: Description, input_word: str) -> LimitFunction:
     """Pointwise complement of halting_as_limit; changes 1 -> 0 at most once."""
-    run = Run(decode(description), input_word)
+    run, _ = _observed_run(decode(description), input_word)
     return _halting_guess("divergence", lambda _x: run, False, "Π1")
 
 
 def _indexed_run(x: int) -> Run:
-    """The x-th enumerated machine run on the x-th word."""
-    return Run(decode(nth_description(x)), index_word(x))
+    """The observed run of the x-th enumerated machine on the x-th word."""
+    return _observed_run(decode(nth_description(x)), index_word(x))[0]
 
 
 _BUILTINS: dict[str, Callable[[], LimitFunction]] = {
     "constant": lambda: LimitFunction("constant", lambda x, t: "1", next_change=lambda x, t, horizon: None),
     "oscillator": lambda: LimitFunction("oscillator", lambda x, t: str(t % 2)),
-    "halting": lambda: _halting_guess("halting", cache(_indexed_run), True, "Σ1"),
-    "divergence": lambda: _halting_guess("divergence", cache(_indexed_run), False, "Π1"),
+    # limit_eval asks about one x at a time, so each function keeps one run
+    "halting": lambda: _halting_guess("halting", lru_cache(maxsize=1)(_indexed_run), True, "Σ1"),
+    "divergence": lambda: _halting_guess("divergence", lru_cache(maxsize=1)(_indexed_run), False, "Π1"),
 }
 
 BUILTIN_LIMIT_FUNCTIONS = tuple(_BUILTINS)

@@ -513,8 +513,9 @@ class Run:
     def advance(self, budget: int) -> None:
         """Run until ``steps`` reaches ``budget``, the run halts (it reaches a
         state with no row or a missing rule) or the hook stops it.  A run
-        that has reached ``budget`` is left as it is."""
-        if budget <= self.steps:
+        that has reached ``budget``, halted or been stopped by its hook is
+        left as it is: the hook is not asked again at the step it stopped."""
+        if budget <= self.steps or self.halted or self.checked:
             return
         steps = self.steps
         jump = self._fill  # a jumped run goes on with its jump
@@ -609,10 +610,11 @@ class Run:
     def halted_by(self, budget: int) -> bool:
         """Answer exactly as ``run_bounded(machine, word, budget)`` would,
         advancing only as far as needed, so a sweep over growing budgets
-        costs one pass instead of one run per budget."""
+        costs one pass instead of one run per budget.  A run that its hook
+        stopped answers no halt at every budget, as a sound certificate
+        proves."""
         _check_budget(budget)
-        if not self.halted:
-            self.advance(budget)
+        self.advance(budget)
         # Halting is discovered by attempting the next step, so it needs a
         # budget strictly beyond the halt step.
         return self.halted and self.steps < budget

@@ -278,6 +278,9 @@ def test_bench_times_the_engine_not_the_set_up(capsys, monkeypatch):
         (["separate", "--lang", "anbn", "--max-states", "2", "--max-len", "-5"], 1),
         (["halts", "--bits", "", "--input", "0"], 1),  # an empty description is given
         (["audit", "--machines", "3", "--decider", "certified:50", "--truth-budget", "100"], 2),  # budget: is the one kind
+        (["limit-eval", "--fn", "constant", "--x", "-5", "--stages", "5", "--window", "2"], 1),  # x must be >= 0
+        (["limit-eval", "--fn", "oscillator", "--x", "-5", "--stages", "5", "--window", "2"], 1),
+        (["limit-eval", "--fn", "halting", "--x", "-1", "--stages", "5", "--window", "2"], 1),
     ],
 )
 def test_exit_codes(tmp_path, capsys, argv, code):
@@ -344,7 +347,7 @@ def test_parser_choices_are_the_library_registries(capsys):
     [
         (["enumerate", "--count", "1000"], "cli codec machine"),
         (["separate", "--lang", "anbn", "--max-states", "3"], "cli machine subrec"),
-        (["limit-eval", "--fn", "halting", "--x", "3", "--stages", "100", "--window", "10"], "cli codec limits machine"),
+        (["limit-eval", "--fn", "halting", "--x", "3", "--stages", "100", "--window", "10"], "cli codec inductive limits machine"),
         (["encode", "flip.tm"], "cli codec dsl machine reflexive"),
         (["decode", "--bits", "{flip}"], "cli codec dsl machine reflexive"),
         (["halts", "--bits", "{flip}", "--input", "1", "--budget", "10000"], "cli codec inductive machine reflexive trace"),

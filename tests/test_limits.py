@@ -17,7 +17,7 @@ from hypermachine.limits import (
     halting_as_limit,
     limit_eval,
 )
-from hypermachine.machine import InputError, single_tape_machine, words_over
+from hypermachine.machine import BudgetExhausted, InputError, run_bounded, single_tape_machine, words_over
 
 FLIP_D = encode(corpus_machine("flip"))
 LOOP_D = encode(corpus_machine("loop"))
@@ -91,6 +91,13 @@ def test_limit_eval_validates_window_and_budget():
         limit_eval(constant, 0, 5, 0)
     with pytest.raises(InputError):
         limit_eval(constant, 0, 3, 4)
+
+
+def test_limit_eval_refuses_a_negative_x():
+    functions = [builtin_limit_function(name) for name in ("constant", "oscillator", "halting", "divergence")]
+    for f in (*functions, halting_as_limit(FLIP_D, "0")):
+        with pytest.raises(InputError, match="^x must be >= 0$"):
+            limit_eval(f, -5, 10, 2)
 
 
 def test_window_of_one_is_vacuous():
@@ -187,6 +194,38 @@ def test_change_points_match_per_stage_on_the_indexed_builtins():
             _agree(lambda: builtin_limit_function(name), x, 200, 10)
 
 
+def _reference_log(machine, word, stages, halting):
+    """The guess log read off one bounded run: the guess is 1 from the halt
+    step on (or, for divergence, before it), and a halt at step h shows
+    first at stage h, whose run has h + 1 steps."""
+    outcome = run_bounded(machine, word, stages + 1)
+    up, down = ("1", "0") if halting else ("0", "1")
+    if isinstance(outcome, BudgetExhausted):
+        return ((0, down),)
+    return ((0, up),) if outcome.steps == 0 else ((0, down), (outcome.steps, up))
+
+
+def _agree_with_a_bounded_run(machine, word, stages):
+    description = encode(machine)
+    for as_limit, halting in ((halting_as_limit, True), (divergence_as_limit, False)):
+        report = limit_eval(as_limit(description, word), 0, stages, 5)
+        assert report.guesses_log == _reference_log(machine, word, stages, halting), (machine.name, word, stages)
+
+
+def test_halting_guesses_match_a_bounded_run_on_the_corpus():
+    for machine in encodable_corpus().values():
+        for word in words_over(("0", "1"), 3):
+            for stages in (40, 300):
+                _agree_with_a_bounded_run(machine, word, stages)
+
+
+def test_halting_guesses_match_a_bounded_run_on_a_family_sample():
+    for machine in islice(two_state_family(), 0, None, 8):
+        for word in words_over(("0", "1"), 2):
+            for stages in (40, 300):
+                _agree_with_a_bounded_run(machine, word, stages)
+
+
 def _counting(f):
     calls = []
 
@@ -205,6 +244,14 @@ def test_a_halting_limit_costs_its_changes_not_its_stages():
     assert report.stages_evaluated == 10**12 + 1
     assert report.converged_within_budget
 
+    # the rows below 2,000 that never halt each cycle from step 0: the
+    # certificate ends the run, so the guess is final at once
+    for x in (1024, 1455, 1483):
+        for name, guess in (("halting", "0"), ("divergence", "1")):
+            f, calls = _counting(builtin_limit_function(name))
+            assert limit_eval(f, x, 10**12, 10).guesses_log == ((0, guess),), (name, x)
+            assert len(calls) <= 2, (name, x)
+
     constant, calls = _counting(builtin_limit_function("constant"))
     assert limit_eval(constant, 0, 10**12, 10).guesses_log == ((0, "1"),)
     assert calls == [0]
@@ -214,9 +261,25 @@ def test_a_halting_limit_costs_its_changes_not_its_stages():
     assert calls == list(range(61))
 
 
+def test_a_builtin_keeps_only_the_current_run():
+    # each x has its own run, with its hook's hash history; a sweep over
+    # many x must not keep them all
+    tracemalloc.start()
+    try:
+        halting = builtin_limit_function("halting")
+        before = tracemalloc.get_traced_memory()[0]
+        for x in range(2000):
+            limit_eval(halting, x, 10**4, 10)
+        held_mb = (tracemalloc.get_traced_memory()[0] - before) / 1e6
+    finally:
+        tracemalloc.stop()
+    assert held_mb < 1
+
+
 def test_a_sweeper_limit_runs_in_constant_memory():
-    # it writes a 0 on a fresh blank at every step; the unhooked run ends the
-    # trillion steps in one jump and never writes the cells out
+    # it writes a 0 on a fresh blank at every step, so no certificate fires;
+    # the hook passes the sweep, so the observed run ends the trillion steps
+    # in one jump and never writes the cells out
     sweeper = single_tape_machine("sweeper", {("q1", "_"): ("q1", "0", "L")}, finals={"q2": False}, start="q1")
     reports = []
     tracemalloc.start()

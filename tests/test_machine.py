@@ -22,6 +22,7 @@ from hypermachine.inductive import (
     HaltsAt,
     _Cycles,
     _observe,
+    _single_tape_check,
     certify_nonhalting,
     inductive_run,
 )
@@ -1008,6 +1009,28 @@ def test_a_run_advanced_to_a_budget_that_it_has_reached_is_left_as_it_is():
     run.advance(500)
     assert run.steps == 1000 and run._tapes == ({0: "0"},)  # the jumped cells stay unwritten
     assert run.snapshot() == _last_config(_SWEEPER, "", 1000)
+
+
+def test_a_run_that_its_hook_stopped_is_left_as_it_is(monkeypatch):
+    # blink stays in place on a blank, so its hook finds the cycle at step 1;
+    # advancing the stopped run again must not ask the hook, nor confirm the
+    # cycle by another replay
+    machine = corpus_machine("blink")
+    check = _single_tape_check(machine, "")
+    hooked, replays = [], []
+
+    def hook(*args):
+        hooked.append(args[3])
+        return check(*args)
+
+    replay = _Cycles._replay
+    monkeypatch.setattr(_Cycles, "_replay", lambda self, steps: replays.append(steps) or replay(self, steps))
+    run = Run(machine, "", hook)
+    run.advance(1000)
+    assert (run.checked, run.steps, hooked, replays) == (ConfigurationCycle(1, 0), 1, [0, 1], [0])
+    run.advance(2000)
+    assert not run.halted_by(3000)
+    assert (run.checked, run.steps, hooked, replays) == (ConfigurationCycle(1, 0), 1, [0, 1], [0])
 
 
 def test_a_rule_patched_after_a_jump_reads_the_jumped_cells():
