@@ -24,7 +24,6 @@ from functools import lru_cache
 from typing import Callable
 
 from .codec import Description, decode, index_word, nth_description
-from .inductive import _observed_run
 from .machine import HypermachineError, InputError, Run
 
 
@@ -136,19 +135,30 @@ def _halting_guess(name: str, run_at: Callable[[int], Run], halting: bool, tag: 
 def halting_as_limit(description: Description, input_word: str) -> LimitFunction:
     """Guess 1 as soon as the described machine has halted within t+1 steps,
     whatever x; changes 0 -> 1 at most once."""
-    run, _ = _observed_run(decode(description), input_word)
+    run = _observed(description, input_word)
     return _halting_guess("halting", lambda _x: run, True, "Σ1")
 
 
 def divergence_as_limit(description: Description, input_word: str) -> LimitFunction:
     """Pointwise complement of halting_as_limit; changes 1 -> 0 at most once."""
-    run, _ = _observed_run(decode(description), input_word)
+    run = _observed(description, input_word)
     return _halting_guess("divergence", lambda _x: run, False, "Π1")
+
+
+def _observed(description: Description, input_word: str) -> Run:
+    """The run that ``inductive`` observes, not yet advanced.
+
+    Imported here, so that the constant and oscillator functions do not
+    load ``inductive``.
+    """
+    from .inductive import _observed_run
+
+    return _observed_run(decode(description), input_word)[0]
 
 
 def _indexed_run(x: int) -> Run:
     """The observed run of the x-th enumerated machine on the x-th word."""
-    return _observed_run(decode(nth_description(x)), index_word(x))[0]
+    return _observed(nth_description(x), index_word(x))
 
 
 _BUILTINS: dict[str, Callable[[], LimitFunction]] = {

@@ -347,12 +347,14 @@ def test_parser_choices_are_the_library_registries(capsys):
     [
         (["enumerate", "--count", "1000"], "cli codec machine"),
         (["separate", "--lang", "anbn", "--max-states", "3"], "cli machine subrec"),
-        (["limit-eval", "--fn", "halting", "--x", "3", "--stages", "100", "--window", "10"], "cli codec inductive limits machine"),
+        (["limit-eval", "--fn", "constant", "--x", "3", "--stages", "100", "--window", "10"], "cli codec limits machine"),
         (["encode", "flip.tm"], "cli codec dsl machine reflexive"),
         (["decode", "--bits", "{flip}"], "cli codec dsl machine reflexive"),
         (["halts", "--bits", "{flip}", "--input", "1", "--budget", "10000"], "cli codec inductive machine reflexive trace"),
         (["run", "flip.tm", "--input", "0", "--trace", "-"], "cli codec dsl inductive machine reflexive trace"),
         (["bench", "--steps", "10"], "cli corpus dsl machine reflexive"),
+        # the halting and divergence functions read the run that inductive observes
+        (["limit-eval", "--fn", "halting", "--x", "3", "--stages", "100", "--window", "10"], "cli codec inductive limits machine"),
     ],
 )
 def test_a_command_loads_only_the_modules_that_it_runs(tmp_path, argv, modules):
