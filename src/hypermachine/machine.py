@@ -23,9 +23,9 @@ finished in one jump (the macro-step of busy-beaver simulators, Marxen and
 Buntrock 1990), on one tape as on several: the rest of the budget moves each
 moving head that many cells, and the cells they pass are filled as the steps
 would fill them when the tapes are next read.  A jumped run advanced again
-moves its heads by the same jump.  On a single tape this holds observed or
-not, as a hook sees the step that the jump starts from; an observed run on
-several tapes steps every step.
+moves its heads by the same jump.  On a single tape this holds under a
+certificate hook, which sees the step that the jump starts from; a traced
+run, and an observed run on several tapes, steps every step.
 ``step`` and ``config_sequence`` are the reference semantics: small, pure
 and slow, kept for tests to compare the engine against.
 """
@@ -447,13 +447,14 @@ class Run:
     row.  ``hook(state, tapes, heads, steps, rule)`` is called before every
     rule fires when given (on a single tape it receives the tape and the head
     instead); a truthy result stops the run unfired and is kept in ``checked``.
-    On a single tape the hook sees every tracked step, one whose tape holds
-    at most _HOOK_CELLS cells, the most any hook tracks, and every sweep
-    (below); a sweep that it passes beyond the tape's extent ends in one
-    jump, whose steps it does not see.  On several tapes it sees every step,
-    and a run with a hook never jumps.  A state with no row stops the run as
-    a halt does, right after the rule that enters it fires: a final state, or
-    a next state that ``patch`` gave a rule and that the table does not hold.
+    On a single tape a certificate hook sees every tracked step, one whose
+    tape holds at most _HOOK_CELLS cells, the most any hook tracks, and every
+    sweep (below); a sweep that it passes beyond the tape's extent ends in one
+    jump, whose steps it does not see.  A ``_traced`` run's hook, an observer,
+    sees every step at any size, as every hook on several tapes does, and the
+    run never jumps.  A state with no row stops the run as a halt does, right
+    after the rule that enters it fires: a final state, or a next state that
+    ``patch`` gave a rule and that the table does not hold.
     Such a rule carries _NO_ROW, the one shared row that holds no rule.
 
     A compiled blank write is None on every tape count: a single-tape rule
@@ -481,7 +482,7 @@ class Run:
     the configuration it reports.
     """
 
-    __slots__ = ("machine", "state", "_tapes", "_fill", "heads", "steps", "halted", "checked", "_hook", "_rows")
+    __slots__ = ("machine", "state", "_tapes", "_fill", "heads", "steps", "halted", "checked", "_hook", "_traced", "_rows")
 
     def __init__(self, machine: Machine, input_word: str, hook: Callable[..., object] | None = None):
         self._rows = _compiled_rows(machine, machine.rules, {q: {} for q in machine.states if q not in machine.finals})
@@ -494,6 +495,7 @@ class Run:
         self.halted = False  # a state with no row or a missing rule was reached
         self.checked = None
         self._hook = hook
+        self._traced = False  # set by a trace: its hook sees every step, and the run never jumps
 
     def __del__(self) -> None:
         # the rows refer to one another through their rules; emptying them
@@ -533,6 +535,8 @@ class Run:
                 head = self.heads[0]
                 cap = _HOOK_CELLS
                 retry = steps + 1  # the first step that may try a jump: never an advance's first
+                if self._traced:  # beyond every tape size and every step of this advance
+                    cap = retry = budget + len(tape)
                 while steps < budget:
                     rule = row.get(get(head, blank))
                     if rule is None:

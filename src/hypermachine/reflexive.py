@@ -10,7 +10,7 @@ tables, edits included, are read-only, since the machine may be shared.
 
 An edit fires through that private table: its rule enters a pause, a state
 with no row, so the engine stops right after the rule fires; the run restores
-the real next state, patches in the edit's target and logs the edit.
+the real next state, patches in the edit's target, logs it and advances again.
 """
 
 from __future__ import annotations
@@ -112,19 +112,19 @@ def _paused(rm: ReflexiveMachine, key: RuleKey, body: RuleBody) -> RuleBody:
 
 
 def _run(
-    rm: ReflexiveMachine, input_word: str, budget: int, visit: Callable[[Run], None] | None = None
+    rm: ReflexiveMachine, input_word: str, budget: int, observe: Callable[..., None] | None = None
 ) -> tuple[RunOutcome, EditLog]:
-    """The bounded self-editing run; ``visit(run)``, when given, is called at
-    every visited configuration, the initial one included."""
+    """The bounded self-editing run, advanced once and again after each edit.
+    ``observe``, when given, is a traced run's hook (see ``Run``), also called
+    with the last configuration, and the rule None, once the run stops."""
     _check_budget(budget)
-    run = Run(rm.base, input_word)
+    run = Run(rm.base, input_word, observe)
+    run._traced = observe is not None
     for key in rm.edits:
         run.patch(key, _paused(rm, key, rm.base.rules[key]))
     log: list[tuple[int, EditAction]] = []
-    if visit is not None:
-        visit(run)
     while run.steps < budget and not run.halted:
-        run.advance(budget if visit is None else run.steps + 1)
+        run.advance(budget)
         pause = run.state
         if type(pause) is _Pause:
             # the rule that fired last carries an edit: restore its next state,
@@ -134,8 +134,9 @@ def _run(
             target, body = _action_rule(pause.action)
             run.patch(target, _paused(rm, target, body))
             log.append((run.steps, pause.action))
-        if visit is not None and not run.halted:
-            visit(run)
+    if observe is not None:
+        one = len(run.heads) == 1
+        observe(run.state, run.tapes[0] if one else run.tapes, run.heads[0] if one else run.heads, run.steps, None)
     return run.outcome(), EditLog(tuple(log))
 
 
@@ -153,7 +154,13 @@ def reflexive_config_sequence(
 ) -> tuple[list[Configuration], EditLog]:
     """The visited configurations (initial one included) plus the edit log."""
     record: list[Configuration] = []
-    _, log = _run(rm, input_word, budget, lambda run: record.append(run.snapshot()))
+
+    def observe(state, tapes, heads, step, rule):
+        if type(tapes) is dict:  # a hook on one tape is given the tape and the head
+            tapes, heads = (tapes,), (heads,)
+        record.append(Configuration(state, tuple(map(dict, tapes)), tuple(heads), step))
+
+    _, log = _run(rm, input_word, budget, observe)
     return record, log
 
 

@@ -3,19 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .inductive import (
-    BlankRunaway,
-    CertifiedStable,
-    ConfigurationCycle,
-    Halted,
-    InductiveOutcome,
-    Provisional,
-    inductive_run,
-)
-from .machine import InputError, Machine, Run, RunOutcome, _retrim, trimmed_word
+from .machine import InputError, Machine, RunOutcome, _retrim, trimmed_word
 from .reflexive import EditLog, ReflexiveMachine, _run
+
+if TYPE_CHECKING:  # inductive is loaded by the calls that run it, not by a trace
+    from .inductive import CertifiedStable, InductiveOutcome, Provisional
 
 
 @dataclass(frozen=True)
@@ -55,25 +49,37 @@ def traced_run(
     the run's outcome and edit log.  A plain machine runs as a reflexive one
     without edits, step for step the same.
 
-    Each tape's trimmed word is kept from step to step and updated only at
-    the cell its head left, the one cell the step wrote, so a record costs
-    the changed cells plus a copy of its words."""
+    The run's hook takes the records.  Each tape's trimmed word is kept from
+    record to record and updated only at the cell its head left, the one
+    cell the step wrote, so a record costs the changed cells and its words."""
     rm = machine if isinstance(machine, ReflexiveMachine) else ReflexiveMachine(machine, {})
-    base = rm.base
-    blank = base.blank
+    blank, n = rm.base.blank, rm.base.tape_count
     records: list[TraceRecord] = []
-    words = [input_word] + [""] * (base.tape_count - 1)  # the initial tapes, trimmed
-    los = [0] * base.tape_count
-    written: tuple[int, ...] = ()  # the head cells of the last record
+    if n == 1:
+        word, lo, cell = input_word, 0, 0  # the last record's trimmed word, its leftmost cell and head
+        new, put = object.__new__, object.__setattr__
 
-    def visit(run: Run) -> None:
-        nonlocal written
-        for i, cell in enumerate(written):
-            words[i], los[i] = _retrim(words[i], los[i], cell, run.tapes[i].get(cell, blank), blank)
-        written = tuple(run.heads)
-        records.append(TraceRecord(run.steps, run.state, written, tuple(words)))
+        def observe(state, tape, head, step, rule):
+            nonlocal word, lo, cell
+            word, lo = _retrim(word, lo, cell, tape.get(cell, blank), blank)
+            cell = head
+            record = new(TraceRecord)  # field by field as the frozen __init__ does, less its lookups
+            put(record, "step", step)
+            put(record, "state", state)
+            put(record, "heads", (head,))
+            put(record, "tapes", (word,))
+            records.append(record)
 
-    outcome, log = _run(rm, input_word, budget, visit)
+    else:
+        words, los, cells = [input_word] + [""] * (n - 1), [0] * n, [0] * n  # as word, lo and cell, per tape
+
+        def observe(state, tapes, heads, step, rule):
+            for i, cell in enumerate(cells):
+                words[i], los[i] = _retrim(words[i], los[i], cell, tapes[i].get(cell, blank), blank)
+            cells[:] = heads
+            records.append(TraceRecord(step, state, tuple(heads), tuple(words)))
+
+    outcome, log = _run(rm, input_word, budget, observe)
     return records, outcome, log
 
 
@@ -83,11 +89,17 @@ def trace_run(machine: Machine | ReflexiveMachine, input_word: str, budget: int)
 
 
 def emit_trace(records: list[TraceRecord]) -> str:
-    """Line-oriented rendering; an empty stream renders as empty output."""
-    return "".join(record.render() + "\n" for record in records)
+    """Line-oriented rendering, each record's ``render`` on a line of its
+    own; an empty stream renders as empty output."""
+    return "".join(
+        [f"step={r.step}\tstate={r.state}\thead={r.heads[0]}\ttape={r.tapes[0]}\n" if len(r.heads) == 1
+         else f"{r.render()}\n" for r in records]
+    )
 
 
 def describe_status(status: CertifiedStable | Provisional) -> str:
+    from .inductive import BlankRunaway, ConfigurationCycle, Halted, Provisional
+
     if isinstance(status, Provisional):
         return "provisional"
     reason = status.reason
@@ -115,6 +127,8 @@ def watch(machine: Machine, input_word: str, interval: int, budget: int) -> tupl
     follows the snapshots, and is the only line when the run ends before the
     first sampling point.
     """
+    from .inductive import inductive_run
+
     if interval < 1:
         raise InputError("interval must be >= 1")
     outcome = inductive_run(machine, input_word, budget)

@@ -351,7 +351,8 @@ def test_parser_choices_are_the_library_registries(capsys):
         (["encode", "flip.tm"], "cli codec dsl machine reflexive"),
         (["decode", "--bits", "{flip}"], "cli codec dsl machine reflexive"),
         (["halts", "--bits", "{flip}", "--input", "1", "--budget", "10000"], "cli codec inductive machine reflexive trace"),
-        (["run", "flip.tm", "--input", "0", "--trace", "-"], "cli codec dsl inductive machine reflexive trace"),
+        # a trace loads inductive only for the watch and status calls that run it
+        (["run", "flip.tm", "--input", "0", "--trace", "-"], "cli dsl machine reflexive trace"),
         (["bench", "--steps", "10"], "cli corpus dsl machine reflexive"),
         # the halting and divergence functions read the run that inductive observes
         (["limit-eval", "--fn", "halting", "--x", "3", "--stages", "100", "--window", "10"], "cli codec inductive limits machine"),

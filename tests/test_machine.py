@@ -54,7 +54,7 @@ from hypermachine.machine import (
     words_over,
 )
 from hypermachine.reflexive import EditLog, InstallRule, ReflexiveMachine, reflexive_config_sequence, reflexive_run
-from hypermachine.trace import record_of, trace_run, watch
+from hypermachine.trace import emit_trace, record_of, trace_run, watch
 
 FLIP = corpus_machine("flip")
 ERASER = corpus_machine("eraser")
@@ -588,8 +588,19 @@ def test_run_via_step_matches_fast_engine(machine):
 
         traced = trace_run(machine, word, budget)
         assert traced == [record_of(machine, c.state, c.tapes, c.heads, c.step) for c in seq]
+        assert emit_trace(traced) == "".join(record.render() + "\n" for record in traced)
         assert trace_run(ReflexiveMachine(machine, {}), word, budget) == traced
         assert reflexive_config_sequence(ReflexiveMachine(machine, {}), word, budget) == (seq, EditLog(()))
+
+
+@pytest.mark.parametrize("machine", [corpus_machine("trail"), corpus_machine("loop"), _SWEEPER3], ids=lambda m: m.name)
+def test_traced_runs_past_the_hook_gate_match_the_step_reference(machine):
+    # at budget 200 the tapes outgrow the 64 cells that gate a certificate
+    # hook, and each machine is a sweep that an unobserved run ends in a
+    # jump: a trace sees every step all the same
+    seq = config_sequence(machine, "", 200)
+    assert len(seq) == 201
+    assert trace_run(machine, "", 200) == [record_of(machine, c.state, c.tapes, c.heads, c.step) for c in seq]
 
 
 def test_delay_machine_halts_exactly_on_time():

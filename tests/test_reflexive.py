@@ -301,6 +301,15 @@ def test_self_editing_runs_match_the_step_reference(rm, word, budget):
     assert trace_run(rm, word, budget) == [record_of(rm.base, c.state, c.tapes, c.heads, c.step) for c in seq]
 
 
+def test_a_self_editing_trace_past_the_hook_gate_matches_the_step_reference():
+    # the specializer's 80-cell input outgrows the 64 cells that gate a
+    # certificate hook from the first step on
+    seq, log = _reference_run(SPECIALIZER, "0" * 80, 1000)
+    assert log.entries
+    assert reflexive_config_sequence(SPECIALIZER, "0" * 80, 1000) == (seq, log)
+    assert trace_run(SPECIALIZER, "0" * 80, 1000) == [record_of(SPECIALIZER.base, c.state, c.tapes, c.heads, c.step) for c in seq]
+
+
 def test_shared_corpus_machines_are_safe_under_threads():
     # the cached specializer is shared by every thread; each run patches only
     # its own private table

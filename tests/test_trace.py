@@ -2,10 +2,11 @@
 
 import pytest
 
+from hypermachine import machine as engine
 from hypermachine.corpus import corpus_machine
 from hypermachine.inductive import CertifiedStable, Provisional
 from hypermachine.machine import InputError
-from hypermachine.trace import emit_trace, trace_run, watch
+from hypermachine.trace import emit_trace, trace_run, traced_run, watch
 
 FLIP = corpus_machine("flip")
 
@@ -20,6 +21,25 @@ def test_loop_trace_heads_advance():
     assert [r.step for r in records] == [0, 1, 2, 3]
     assert [r.heads[0] for r in records] == [0, 1, 2, 3]
     assert all(r.tapes == ("",) for r in records)
+
+
+def test_a_traced_run_advances_once_per_edit(monkeypatch):
+    # the trace is taken by an observer that sees every step, so a run is
+    # advanced once to its budget, and again only after each edit it fires
+    calls = []
+    advance = engine.Run.advance
+
+    def counting_advance(self, budget):
+        calls.append(budget)
+        advance(self, budget)
+
+    monkeypatch.setattr(engine.Run, "advance", counting_advance)
+    assert len(trace_run(corpus_machine("ping_pong"), "", 1000)) == 1001
+    assert len(calls) <= 2
+    calls.clear()
+    records, _, log = traced_run(corpus_machine("specializer"), "0" * 16, 1000)
+    assert len(records) == 22 and log.entries
+    assert len(calls) <= len(log.entries) + 2
 
 
 def test_empty_stream_renders_empty():
