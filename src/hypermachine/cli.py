@@ -205,10 +205,14 @@ def cmd_separate(args) -> int:
     from .subrec import _WORK_BOUND, BUILTIN_SAMPLES, DfaFound, separation_search
 
     # a sample of more words than the search's work bound costs more to build
-    # than the search may spend, so it is refused before it is built
-    words = 2 ** (args.max_len + 1) - 1
-    if words > _WORK_BOUND:
-        raise InputError(f"--max-len {args.max_len} gives {words} sample words, over the work bound {_WORK_BOUND}")
+    # than the search may spend, so it is refused before it is built; the
+    # 2**(max_len + 1) - 1 words are counted no further than the first length
+    # over the bound, so a huge --max-len builds no huge number
+    longest = (_WORK_BOUND + 1).bit_length() - 2  # the longest words whose sample fits
+    if args.max_len > longest:
+        least = "" if args.max_len == longest + 1 else "at least "
+        words = 2 ** (longest + 2) - 1
+        raise InputError(f"--max-len {args.max_len} gives {least}{words} sample words, over the work bound {_WORK_BOUND}")
     report = separation_search(BUILTIN_SAMPLES[args.lang](args.max_len), args.max_states)
     print(f"lang={args.lang}\tmax_states={report.max_states}\tsearched={report.dfas_searched}")
     if isinstance(report.witness, DfaFound):

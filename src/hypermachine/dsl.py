@@ -40,6 +40,9 @@ def _split(line: str) -> tuple[list[str], list[int]]:
     return line.split(), starts
 
 
+_ONCE = ("machine", "tapes:", "alphabet:", "start:")  # the directives that a document gives at most once
+
+
 class _Builder:
     def __init__(self) -> None:
         self.name: str | None = None
@@ -98,7 +101,7 @@ def _parse_edit(clause: str, lineno: int, col: int) -> tuple[str, str, Symbols, 
 
 
 def _parse_rule(builder: _Builder, line: str, line_cols: list[int], lineno: int) -> None:
-    rule_text, _, edit_text = line.partition("!")
+    rule_text, mark, edit_text = line.partition("!")
     # the tokens before the edit clause's "!" start where the line's do
     tokens, cols = rule_text.split()[1:], line_cols[1:]
     k = builder.tapes
@@ -124,7 +127,7 @@ def _parse_rule(builder: _Builder, line: str, line_cols: list[int], lineno: int)
     builder.positions[("rule", state, syms)] = (lineno, cols[0])
     builder.note_state(state)
     builder.note_state(nstate)
-    if edit_text.strip():
+    if mark:  # a bare "!" is a malformed clause, not a plain rule
         col = len(rule_text) + 1  # the "!", where an edit clause's faults are reported
         kind, tq, tsyms, nq, ews, ems = _parse_edit(edit_text, lineno, col)
         _symbols(builder, list(tsyms + ews), [col] * len(tsyms + ews), lineno)
@@ -148,6 +151,8 @@ def parse_machine_spec(text: str) -> SpecDocument:
             continue
         tokens, cols = _split(line)
         head, at = tokens[0], cols[0]
+        if head in _ONCE and (head.rstrip(":"),) in builder.positions:
+            raise ParseError(f"duplicate {head} directive", lineno, at)
         if head == "machine":
             if len(tokens) != 2:
                 raise ParseError("expected 'machine <name>'", lineno, at)
@@ -172,13 +177,13 @@ def parse_machine_spec(text: str) -> SpecDocument:
                     raise ParseError(f"symbols are single characters, got {sym!r}", lineno, col)
                 if sym == BLANK:
                     raise ParseError("the blank symbol is implicit", lineno, col)
+                if sym == "!":
+                    raise ParseError("'!' marks an edit clause and is not a symbol", lineno, col)
             if len(set(symbols)) != len(symbols):
                 raise ParseError("duplicate alphabet symbol", lineno, at)
             builder.alphabet = symbols
             builder.positions[("alphabet",)] = (lineno, at)
         elif head == "start:":
-            if builder.start is not None:
-                raise ParseError("duplicate start: directive", lineno, at)
             if len(tokens) != 2:
                 raise ParseError("expected 'start: <state>'", lineno, at)
             builder.start = tokens[1]

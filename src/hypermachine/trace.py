@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .machine import InputError, Machine, RunOutcome, _retrim, trimmed_word
 from .reflexive import EditLog, ReflexiveMachine, _run
@@ -12,21 +11,20 @@ if TYPE_CHECKING:  # inductive is loaded by the calls that run it, not by a trac
     from .inductive import CertifiedStable, InductiveOutcome, Provisional
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     step: int
     state: str
     heads: tuple[int, ...]
     tapes: tuple[str, ...]  # trimmed contents
 
     def render(self) -> str:
-        parts = [f"step={self.step}", f"state={self.state}", f"head={self.heads[0]}", f"tape={self.tapes[0]}"]
-        for i in range(1, len(self.heads)):
-            parts.append(f"head{i + 1}={self.heads[i]}")
-            parts.append(f"tape{i + 1}={self.tapes[i]}")
-        if len(self.tapes) == 3:  # an inductive run's output tape
-            parts.append(f"out={self.tapes[2]}")
-        return "\t".join(parts)
+        step, state, heads, tapes = self
+        line = f"step={step}\tstate={state}\thead={heads[0]}\ttape={tapes[0]}"
+        if len(heads) == 1:
+            return line
+        for i in range(1, len(heads)):
+            line += f"\thead{i + 1}={heads[i]}\ttape{i + 1}={tapes[i]}"
+        return f"{line}\tout={tapes[2]}" if len(tapes) == 3 else line  # 3 tapes: an inductive run's output
 
 
 def record_of(
@@ -49,26 +47,20 @@ def traced_run(
     the run's outcome and edit log.  A plain machine runs as a reflexive one
     without edits, step for step the same.
 
-    The run's hook takes the records.  Each tape's trimmed word is kept from
-    record to record and updated only at the cell its head left, the one
-    cell the step wrote, so a record costs the changed cells and its words."""
+    The run's observer builds each record, a named tuple, and keeps each
+    tape's trimmed word, updated only at the cell its head left, the one
+    cell the step wrote: a record costs the changed cells and its words."""
     rm = machine if isinstance(machine, ReflexiveMachine) else ReflexiveMachine(machine, {})
     blank, n = rm.base.blank, rm.base.tape_count
     records: list[TraceRecord] = []
     if n == 1:
         word, lo, cell = input_word, 0, 0  # the last record's trimmed word, its leftmost cell and head
-        new, put = object.__new__, object.__setattr__
 
         def observe(state, tape, head, step, rule):
             nonlocal word, lo, cell
             word, lo = _retrim(word, lo, cell, tape.get(cell, blank), blank)
             cell = head
-            record = new(TraceRecord)  # field by field as the frozen __init__ does, less its lookups
-            put(record, "step", step)
-            put(record, "state", state)
-            put(record, "heads", (head,))
-            put(record, "tapes", (word,))
-            records.append(record)
+            records.append(TraceRecord(step, state, (head,), (word,)))
 
     else:
         words, los, cells = [input_word] + [""] * (n - 1), [0] * n, [0] * n  # as word, lo and cell, per tape
@@ -89,12 +81,9 @@ def trace_run(machine: Machine | ReflexiveMachine, input_word: str, budget: int)
 
 
 def emit_trace(records: list[TraceRecord]) -> str:
-    """Line-oriented rendering, each record's ``render`` on a line of its
-    own; an empty stream renders as empty output."""
-    return "".join(
-        [f"step={r.step}\tstate={r.state}\thead={r.heads[0]}\ttape={r.tapes[0]}\n" if len(r.heads) == 1
-         else f"{r.render()}\n" for r in records]
-    )
+    """Each record's ``render`` on a line of its own; an empty stream renders
+    as empty output."""
+    return "".join([f"{record.render()}\n" for record in records])
 
 
 def describe_status(status: CertifiedStable | Provisional) -> str:

@@ -238,6 +238,15 @@ def test_separate_refuses_an_oversized_sample_before_building_it(capsys, monkeyp
     assert err.startswith("error: --max-len 23 gives 16777215 sample words")
 
 
+def test_separate_refuses_a_huge_max_len_without_counting_its_words(capsys, monkeypatch):
+    # 2**100001 - 1 has some 30,000 digits, past the int-to-text limit
+    monkeypatch.setitem(subrec.BUILTIN_SAMPLES, "anbn", lambda max_len: pytest.fail("built a sample"))
+    code, out, err = run_cli(capsys, "separate", "--lang", "anbn", "--max-states", "1", "--max-len", "100000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bench_command(capsys):
     code, out, _ = run_cli(capsys, "bench", "--steps", "100000")
     assert code == 0

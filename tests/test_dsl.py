@@ -232,3 +232,23 @@ def test_duplicate_directives_rejected():
         parse_machine_spec("machine m\nstart: q0\nstart: q1\n")
     with pytest.raises(ParseError):
         parse_machine_spec("machine m\nstart: q0\nfinal: qf qf\n")
+
+
+@pytest.mark.parametrize(
+    "text,message,line,col",
+    [
+        ("machine m\nmachine n\nstart: q0\n", "duplicate machine directive", 2, 1),
+        ("machine m\ntapes: 1\n tapes: 2\nstart: q0\n", "duplicate tapes: directive", 3, 2),
+        ("machine m\nalphabet: 0 1\nalphabet: a\nstart: q0\n", "duplicate alphabet: directive", 3, 1),
+        ("machine m\nstart: q0\nrule q0 0 -> q0 1 R !\n", "malformed edit clause: expected install(...) or replace(...)", 3, 21),
+        ("machine m\nstart: q0\nrule q0 0 -> q0 1 R !  # a bare mark\n", "malformed edit clause: expected install(...) or replace(...)", 3, 21),
+        ("machine m\nalphabet: 0 !\nstart: q0\n", "'!' marks an edit clause and is not a symbol", 2, 13),
+    ],
+    ids=["machine", "tapes", "alphabet", "bare-mark", "bare-mark-before-comment", "mark-symbol"],
+)
+def test_a_document_the_parser_cannot_honour_is_refused_at_its_token(text, message, line, col):
+    # a repeated directive would let the last one win, a bare "!" would drop
+    # the edit that it marks, and a "!" symbol would break every rule using it
+    with pytest.raises(ParseError) as err:
+        parse_machine_spec(text)
+    assert str(err.value) == f"line {line}:{col}: {message}"

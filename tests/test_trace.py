@@ -4,6 +4,7 @@ import pytest
 
 from hypermachine import machine as engine
 from hypermachine.corpus import corpus_machine
+from hypermachine.dsl import parse_machine_spec
 from hypermachine.inductive import CertifiedStable, Provisional
 from hypermachine.machine import InputError
 from hypermachine.trace import emit_trace, trace_run, traced_run, watch
@@ -57,6 +58,33 @@ def test_three_tape_trace_carries_output_field():
     final = records[-1].render()
     assert "head2=" in final and "tape3=" in final
     assert final.endswith("out=10")
+
+
+def test_two_tape_trace_is_byte_exact():
+    copier = parse_machine_spec(
+        "machine copier\ntapes: 2\nstart: q0\nfinal: qf\n"
+        "rule q0 0 _ -> q0 0 0 R R\nrule q0 1 _ -> q0 1 1 R R\nrule q0 _ _ -> qf _ _ S L\n"
+    ).machine
+    assert emit_trace(trace_run(copier, "01", 10)) == (
+        "step=0\tstate=q0\thead=0\ttape=01\thead2=0\ttape2=\n"
+        "step=1\tstate=q0\thead=1\ttape=01\thead2=1\ttape2=0\n"
+        "step=2\tstate=q0\thead=2\ttape=01\thead2=2\ttape2=01\n"
+        "step=3\tstate=qf\thead=2\ttape=01\thead2=1\ttape2=01\n"
+    )
+
+
+def test_three_tape_trace_is_byte_exact():
+    assert emit_trace(trace_run(corpus_machine("halt3"), "", 100)) == (
+        "step=0\tstate=h0\thead=0\ttape=\thead2=0\ttape2=\thead3=0\ttape3=\tout=\n"
+        "step=1\tstate=h1\thead=0\ttape=\thead2=0\ttape2=\thead3=1\ttape3=1\tout=1\n"
+        "step=2\tstate=h2\thead=0\ttape=\thead2=0\ttape2=\thead3=1\ttape3=10\tout=10\n"
+        "step=3\tstate=h3\thead=0\ttape=\thead2=0\ttape2=\thead3=1\ttape3=10\tout=10\n"
+        "step=4\tstate=hf\thead=0\ttape=\thead2=0\ttape2=\thead3=1\ttape3=10\tout=10\n"
+    )
+
+
+def test_a_record_reprs_its_fields():
+    assert repr(trace_run(FLIP, "0", 10)[0]) == "TraceRecord(step=0, state='q0', heads=(0,), tapes=('0',))"
 
 
 def test_watch_samples_and_summarizes():
