@@ -10,8 +10,11 @@
 
 One directive per line; `#` starts a comment; the blank symbol is `_` and is
 always implicit in the alphabet.  A `*` suffix marks a result-bearing final
-state.  Multi-tape rules list one symbol per tape on each side and one move
-per tape.  A rule may carry a self-editing clause:
+state.  The states come in order of first use: the start, then those that
+rules and their edit clauses name, then the other finals.  A `states:` line
+gives them instead, in its order, and may add states that nothing uses.
+Multi-tape rules list one symbol per tape on each side and one move per
+tape.  A rule may carry a self-editing clause:
 
     rule wr 0 -> scan 1 R ! replace(scan, 0 -> scan, 1, R)
 
@@ -22,9 +25,9 @@ every diagnostic carries a line and column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .machine import BLANK, Machine, MOVES, ParseError, RuleKey, StructureError, Symbols
+from .machine import BLANK, Machine, MOVES, ParseError, RuleBody, RuleKey, StructureError
 from .reflexive import EditAction, InstallRule, ReflexiveMachine, ReplaceRule
 
 
@@ -40,7 +43,8 @@ def _split(line: str) -> tuple[list[str], list[int]]:
     return line.split(), starts
 
 
-_ONCE = ("machine", "tapes:", "alphabet:", "start:")  # the directives that a document gives at most once
+_ONCE = ("machine", "tapes:", "alphabet:", "start:", "states:")  # the directives that a document gives at most once
+_EDITS = {"install": InstallRule, "replace": ReplaceRule}  # an edit clause's keyword and its kind
 
 
 class _Builder:
@@ -53,11 +57,7 @@ class _Builder:
         self.rules: dict[RuleKey, tuple] = {}
         self.edits: dict[RuleKey, EditAction] = {}
         self.positions: dict[tuple, tuple[int, int]] = {}
-        self.states: list[str] = []
-
-    def note_state(self, q: str) -> None:
-        if q not in self.states:
-            self.states.append(q)
+        self.states: list[str] | None = None  # as a states: line gives them
 
 
 def _symbols(builder: _Builder, tokens: list[str], cols: list[int], lineno: int) -> list[str]:
@@ -75,16 +75,12 @@ def _edit_side(text: str, what: str, lineno: int, col: int) -> list[str]:
     return parts
 
 
-def _parse_edit(clause: str, lineno: int, col: int) -> tuple[str, str, Symbols, str, Symbols, Symbols]:
+def _parse_edit(clause: str, lineno: int, col: int) -> EditAction:
     clause = clause.strip()
-    kind = None
-    for prefix in ("install", "replace"):
-        if clause.startswith(prefix):
-            kind = prefix
-            clause = clause[len(prefix) :].strip()
-            break
+    kind = next((kind for kind in _EDITS if clause.startswith(kind)), None)
     if kind is None:
         raise ParseError("malformed edit clause: expected install(...) or replace(...)", lineno, col)
+    clause = clause[len(kind) :].strip()
     if not (clause.startswith("(") and clause.endswith(")")):
         raise ParseError("malformed edit clause: missing parentheses", lineno, col)
     inner = clause[1:-1]
@@ -95,9 +91,7 @@ def _parse_edit(clause: str, lineno: int, col: int) -> tuple[str, str, Symbols, 
     rhs = _edit_side(rhs_text, "replacement", lineno, col)
     if len(lhs) != 2 or len(rhs) != 3:
         raise ParseError("malformed edit clause: wrong number of parts", lineno, col)
-    target_state, target_syms = lhs[0], lhs[1].split()
-    next_state, writes, moves = rhs[0], rhs[1].split(), rhs[2].split()
-    return kind, target_state, tuple(target_syms), next_state, tuple(writes), tuple(moves)
+    return _EDITS[kind](lhs[0], tuple(lhs[1].split()), rhs[0], tuple(rhs[1].split()), tuple(rhs[2].split()))
 
 
 def _parse_rule(builder: _Builder, line: str, line_cols: list[int], lineno: int) -> None:
@@ -125,20 +119,26 @@ def _parse_rule(builder: _Builder, line: str, line_cols: list[int], lineno: int)
         raise ParseError(f"nondeterministic rule: ({state}, {' '.join(syms)}) already defined", lineno, cols[0])
     builder.rules[key] = (nstate, writes, moves)
     builder.positions[("rule", state, syms)] = (lineno, cols[0])
-    builder.note_state(state)
-    builder.note_state(nstate)
     if mark:  # a bare "!" is a malformed clause, not a plain rule
         col = len(rule_text) + 1  # the "!", where an edit clause's faults are reported
-        kind, tq, tsyms, nq, ews, ems = _parse_edit(edit_text, lineno, col)
-        _symbols(builder, list(tsyms + ews), [col] * len(tsyms + ews), lineno)
-        action: EditAction
-        if kind == "install":
-            action = InstallRule(tq, tsyms, nq, ews, ems)
-        else:
-            action = ReplaceRule(tq, tsyms, nq, ews, ems)
+        action = _parse_edit(edit_text, lineno, col)
+        edit_syms = action.target_symbols + action.writes
+        _symbols(builder, list(edit_syms), [col] * len(edit_syms), lineno)
         builder.edits[key] = action
-        builder.note_state(tq)
-        builder.note_state(nq)
+
+
+def _state_order(
+    start: str, finals: Iterable[str], rules: Mapping[RuleKey, RuleBody], edits: Mapping[RuleKey, EditAction]
+) -> tuple[str, ...]:
+    """The states in the order that a document without ``states:`` gives
+    them: the start, each state at its first use by a rule or then by the
+    rule's edit clause, and the finals that neither uses."""
+    order = [start]
+    for key, (nstate, _, _) in rules.items():
+        order += key[0], nstate
+        if key in edits:
+            order += edits[key].target_state, edits[key].next_state
+    return tuple(dict.fromkeys(order + list(finals)))
 
 
 def parse_machine_spec(text: str) -> SpecDocument:
@@ -151,13 +151,15 @@ def parse_machine_spec(text: str) -> SpecDocument:
             continue
         tokens, cols = _split(line)
         head, at = tokens[0], cols[0]
-        if head in _ONCE and (head.rstrip(":"),) in builder.positions:
-            raise ParseError(f"duplicate {head} directive", lineno, at)
+        if head in _ONCE:
+            once = (head.rstrip(":"),)
+            if once in builder.positions:
+                raise ParseError(f"duplicate {head} directive", lineno, at)
+            builder.positions[once] = (lineno, at)
         if head == "machine":
             if len(tokens) != 2:
                 raise ParseError("expected 'machine <name>'", lineno, at)
             builder.name = tokens[1]
-            builder.positions[("machine",)] = (lineno, at)
         elif head == "tapes:":
             if builder.rules:
                 raise ParseError("tapes: must precede rules", lineno, at)
@@ -167,7 +169,6 @@ def parse_machine_spec(text: str) -> SpecDocument:
                 builder.tapes = -1
             if builder.tapes < 1:
                 raise ParseError("expected 'tapes: <positive count>'", lineno, at)
-            builder.positions[("tapes",)] = (lineno, at)
         elif head == "alphabet:":
             if builder.rules:
                 raise ParseError("alphabet: must precede rules", lineno, at)
@@ -182,12 +183,14 @@ def parse_machine_spec(text: str) -> SpecDocument:
             if len(set(symbols)) != len(symbols):
                 raise ParseError("duplicate alphabet symbol", lineno, at)
             builder.alphabet = symbols
-            builder.positions[("alphabet",)] = (lineno, at)
         elif head == "start:":
             if len(tokens) != 2:
                 raise ParseError("expected 'start: <state>'", lineno, at)
             builder.start = tokens[1]
-            builder.positions[("start",)] = (lineno, at)
+        elif head == "states:":
+            builder.states = tokens[1:]
+            if len(set(builder.states)) != len(builder.states):
+                raise ParseError("duplicate state in states:", lineno, at)
         elif head == "final:":
             for tok, col in zip(tokens[1:], cols[1:]):
                 bearing = tok.endswith("*")
@@ -208,11 +211,11 @@ def parse_machine_spec(text: str) -> SpecDocument:
     if builder.start is None:
         raise ParseError("missing start state", max(1, text.count("\n") + 1))
 
-    states = list(builder.states)
-    for q in [builder.start] + list(builder.finals):
+    order = _state_order(builder.start, builder.finals, builder.rules, builder.edits)
+    states = order if builder.states is None else builder.states
+    for q in order:
         if q not in states:
-            states.append(q)
-    ordered = [builder.start] + [q for q in states if q != builder.start]
+            raise ParseError(f"states: omits state {q!r}", *builder.positions[("states",)])
     # the directives are checked above, so a structural fault here lies in
     # a rule or its edit clause
     try:
@@ -221,7 +224,7 @@ def parse_machine_spec(text: str) -> SpecDocument:
             tape_count=builder.tapes,
             alphabet=(BLANK,) + tuple(builder.alphabet),
             blank=BLANK,
-            states=tuple(ordered),
+            states=tuple(states),
             start=builder.start,
             finals=builder.finals,
             rules=builder.rules,
@@ -241,7 +244,9 @@ def _edit_clause(action: EditAction) -> str:
 
 
 def unparse(machine: Machine | ReflexiveMachine) -> str:
-    """Canonical document text; parse(unparse(m)) rebuilds m exactly."""
+    """Canonical document text; parse(unparse(m)) rebuilds m exactly.  A
+    ``states:`` line lists the states only when the other lines would give
+    them in another order or leave one out."""
     edits: Mapping[RuleKey, EditAction] = {}
     if isinstance(machine, ReflexiveMachine):
         edits = machine.edits
@@ -252,6 +257,8 @@ def unparse(machine: Machine | ReflexiveMachine) -> str:
         "alphabet: " + " ".join(machine.input_alphabet),
         f"start: {machine.start}",
     ]
+    if _state_order(machine.start, machine.finals, machine.rules, edits) != machine.states:
+        lines.append("states: " + " ".join(machine.states))
     if machine.finals:
         lines.append(
             "final: " + " ".join(q + ("*" if bearing else "") for q, bearing in machine.finals.items())

@@ -29,29 +29,28 @@ lockstep pass of two replays a period apart.  Every hash match is confirmed
 by replaying a fresh run and comparing configurations exactly, so a hash
 collision costs time but never yields a false or different certificate.
 
-The 64 cells are ``machine._HOOK_CELLS``, the engine's hook gate.  On a
-single tape the engine calls the check on tracked configurations and on
-every sweep, and ends a sweep that the check passes beyond the tape's
-extent in one jump; on several tapes it calls the check on every step, as
-the check logs the output, and never jumps.  There the check reads each
-tape's old symbol and the output change from the compiled rule, and it
-updates the hashes of only the tapes that the rule changes.  Passing a
-single-tape sweep is sound.  One that writes blank is a runaway, which the
-check reports.  One that writes a non-blank symbol adds a cell at every step
-forever, so none of its configurations equals an earlier one, which would
-start the same endless sweep with fewer cells, and no runaway or halt starts
-in it: no certificate can fire on the steps that the jump covers.  Either
-check hashes only tracked steps and rebuilds its hash on the first one after
-a gap, so the certificates are those of a check that hashes every step.
+The 64 cells are ``machine._HOOK_CELLS``, the engine's hook gate.  One
+factory builds the check for either tape count.  On a single tape the engine
+calls it on tracked configurations and on every sweep, and ends a sweep that
+the check passes beyond the tape's extent in one jump; on several tapes it
+calls it on every step, as the check logs the output, and never jumps.
+There the check reads each tape's old symbol and the output change from the
+compiled rule, and it updates the hashes of only the tapes that the rule
+changes.  On any tape count it looks a tracked step's key up the same way,
+hashes only tracked steps and rebuilds its hash on the first one after a
+gap, so the certificates are those of a check that hashes every step.
 
-Either check tests a sweep for a runaway once, at its first step.  A sweep
-writes only the cell under each moving head and then leaves it behind, and
-it ends at the first stored cell that a head reaches.  So the cells ahead of
-each moving head do not change while it lasts, and whether it is past the
-tape's end is settled at its first step.  On several tapes this holds for
-each moving head.  A sweep's heads that stay read and write blank, so they
-are past the end throughout; a rule on blanks whose staying head writes a
-non-blank symbol is no sweep, as it cannot fire twice in a row.
+One runaway test serves every tape count, once per sweep, at its first step:
+the sweep writes blank on every moving head, each of which is beyond its
+tape's extent.  A sweep writes only the cell under each moving head and then
+leaves it behind, and it ends at the first stored cell that a head reaches,
+so whether a head is past the tape's end is settled at the first step.  Its
+heads that stay read and write blank, so they are past the end throughout (a
+rule on blanks whose staying head writes non-blank cannot fire twice in a
+row, so it is no sweep).  Passing a single-tape sweep that writes non-blank
+is sound: it adds a cell at every step forever, so none of its
+configurations equals an earlier one, which would start the same endless
+sweep with fewer cells, and no runaway or halt starts in it.
 """
 
 from __future__ import annotations
@@ -274,64 +273,66 @@ class _Cycles:
         return run.steps
 
 
-def _single_tape_check(machine: Machine, input_word: str) -> Callable:
-    modulus = _MODULUS
-    (value,), move, offsets = _hash_constants(modulus, machine.alphabet, machine.blank, 1, machine.states)
-    blank = machine.blank
-    history = _HISTORY_STEPS
-    h, at = 0, -1  # the tape's hash, kept for the configuration of step ``at`` only
-    swept = -1  # the step after the last sweep step seen
-    cycles = _Cycles(machine, input_word)
-    seen = cycles.seen
-
-    def check(state, tape, head, steps, rule):
-        nonlocal h, at, swept
-        # a runaway repeats a sweep that writes blank, tested at its first step
-        _, wsym, delta, _, sweep = rule
-        if sweep is not None:
-            if steps != swept and wsym is None and _moving_heads_beyond(sweep, (tape,), (head,)):
-                return BlankRunaway(state, machine.rules[(state, (blank,))][2], steps)
-            swept = steps + 1
-        if len(tape) > _HOOK_CELLS:
+def _runaway(
+    machine: Machine, state: str, sweep: tuple, tapes: Sequence[dict], heads: Sequence[int], steps: int
+) -> BlankRunaway | None:
+    """The runaway that a compiled ``sweep`` starts at its first step, if it
+    writes blank on every moving head and each is beyond its tape's extent.
+    A sweep scans blank on every tape, so its rule is the one on blanks."""
+    for _, w, _ in sweep:
+        if w is not None:  # a loop: all() over a generator made certifying the family 2% slower
             return None
-        if at != steps:
-            h = _tape_hash(tape, head, value, move, modulus)
-        key = h + offsets[state]
-        if key in seen:
-            if found := cycles.visit(key, steps, state, (tape,), (head,)):
-                return found
-        elif steps < history:
-            seen[key] = steps
-        elif steps >= cycles.mark:
-            cycles.visit(key, steps, state, (tape,), (head,))
-        h = (h + value[wsym] - value[tape.get(head, blank)]) * move[delta] % modulus
-        at = steps + 1
-        return None
-
-    return check
+    if _moving_heads_beyond(sweep, tapes, heads):
+        return BlankRunaway(state, machine.rules[(state, (machine.blank,) * len(tapes))][2], steps)
+    return None
 
 
-def _multi_tape_check(machine: Machine, input_word: str, changes: list[tuple[int, str]]) -> Callable:
-    """The multi-tape hook; it also appends each output change to ``changes``."""
+def _check(machine: Machine, input_word: str, changes: list[tuple[int, str]]) -> Callable:
+    """The certificate hook for ``machine``'s tape count; on several tapes it
+    also appends each output change to ``changes``."""
     modulus = _MODULUS
-    tape_count = machine.tape_count
-    values, move, offsets = _hash_constants(modulus, machine.alphabet, machine.blank, tape_count, machine.states)
+    values, move, offsets = _hash_constants(modulus, machine.alphabet, machine.blank, machine.tape_count, machine.states)
     blank = machine.blank
     history = _HISTORY_STEPS
-    hashes, at = [], -1  # the tapes' hashes, kept for the configuration of step ``at`` only
+    h, hashes, at = 0, [], -1  # one tape's hash or several tapes' hashes, kept for step ``at`` only
     swept = -1  # the step after the last sweep step seen
+    word, lo = "", 0  # on several tapes the trimmed output, empty at the start, and its leftmost cell
     cycles = _Cycles(machine, input_word)
     seen = cycles.seen
-    word, lo = "", 0  # the trimmed output, empty at the start, and its leftmost cell
+    if machine.tape_count == 1:
+        (value,) = values
+
+        def check(state, tape, head, steps, rule):
+            nonlocal h, at, swept
+            _, wsym, delta, _, sweep = rule
+            if sweep is not None:
+                if steps != swept and (found := _runaway(machine, state, sweep, (tape,), (head,), steps)):
+                    return found
+                swept = steps + 1
+            if len(tape) > _HOOK_CELLS:
+                return None
+            if at != steps:
+                h = _tape_hash(tape, head, value, move, modulus)
+            key = h + offsets[state]
+            if key in seen:
+                if found := cycles.visit(key, steps, state, (tape,), (head,)):
+                    return found
+            elif steps < history:
+                seen[key] = steps
+            elif steps >= cycles.mark:
+                cycles.visit(key, steps, state, (tape,), (head,))
+            h = (h + value[wsym] - value[tape.get(head, blank)]) * move[delta] % modulus
+            at = steps + 1
+            return None
+
+        return check
 
     def check(state, tapes, heads, steps, rule):
         nonlocal hashes, at, swept, word, lo
-        # a runaway repeats a sweep that writes blank on every tape, tested at
-        # its first step
         _, syms, writes, effects, _, sweep = rule
         if sweep is not None:
-            if steps != swept and all(w is None for _, w, _ in sweep) and _moving_heads_beyond(sweep, tapes, heads):
-                return BlankRunaway(state, machine.rules[(state, syms)][2], steps)
+            if steps != swept and (found := _runaway(machine, state, sweep, tapes, heads, steps)):
+                return found
             swept = steps + 1
         if sum(map(len, tapes)) <= _HOOK_CELLS:
             if at != steps:
@@ -362,11 +363,7 @@ def _observed_run(machine: Machine, input_word: str) -> tuple[Run, list[tuple[in
     trimmed output tape as the rule that makes it fires; the log starts at
     (0, "")."""
     changes = [(0, "")]
-    if machine.tape_count == 1:
-        hook = _single_tape_check(machine, input_word)
-    else:
-        hook = _multi_tape_check(machine, input_word, changes)
-    return Run(machine, input_word, hook), changes
+    return Run(machine, input_word, _check(machine, input_word, changes)), changes
 
 
 def _observe(machine: Machine, input_word: str, budget: int) -> tuple[Run, list[tuple[int, str]]]:

@@ -37,28 +37,29 @@ from .machine import (
 
 
 @dataclass(frozen=True)
-class InstallRule:
-    """Add a rule for a pair that has none in the base table."""
+class EditAction:
+    """The rule that an edit puts in the live table; an edit is one of the
+    two kinds below, which compare unequal even on equal fields."""
 
     target_state: str
     target_symbols: Symbols
     next_state: str
     writes: Symbols
     moves: Symbols
+
+    @property
+    def rule(self) -> tuple[RuleKey, RuleBody]:
+        return (self.target_state, self.target_symbols), (self.next_state, self.writes, self.moves)
 
 
 @dataclass(frozen=True)
-class ReplaceRule:
+class InstallRule(EditAction):
+    """Add a rule for a pair that has none in the base table."""
+
+
+@dataclass(frozen=True)
+class ReplaceRule(EditAction):
     """Overwrite the rule of a pair that already has one."""
-
-    target_state: str
-    target_symbols: Symbols
-    next_state: str
-    writes: Symbols
-    moves: Symbols
-
-
-EditAction = InstallRule | ReplaceRule
 
 
 @dataclass(frozen=True)
@@ -74,27 +75,16 @@ class ReflexiveMachine:
     def __post_init__(self) -> None:
         object.__setattr__(self, "edits", MappingProxyType(dict(self.edits)))
         base = self.base
-        install_targets = {
-            (a.target_state, a.target_symbols)
-            for a in self.edits.values()
-            if isinstance(a, InstallRule)
-        }
+        install_targets = {a.rule[0] for a in self.edits.values() if isinstance(a, InstallRule)}
         for key, action in self.edits.items():
             if key not in base.rules:
                 raise StructureError(f"edit attached to nonexistent rule {key!r}", key)
-            target, body = _action_rule(action)
+            target, body = action.rule
             _check_rules(base, {target: body}, key)
             if isinstance(action, InstallRule) and target in base.rules:
                 raise StructureError(f"install edit targets existing rule {target!r}", key)
             if isinstance(action, ReplaceRule) and target not in base.rules and target not in install_targets:
                 raise StructureError(f"replace edit targets missing rule {target!r}", key)
-
-
-def _action_rule(action: EditAction) -> tuple[RuleKey, RuleBody]:
-    return (
-        (action.target_state, action.target_symbols),
-        (action.next_state, action.writes, action.moves),
-    )
 
 
 class _Pause(NamedTuple):
@@ -131,7 +121,7 @@ def _run(
             # patch in the target (paused again if it carries an edit) and log
             run.state = pause.next_state
             run.halted = False
-            target, body = _action_rule(pause.action)
+            target, body = pause.action.rule
             run.patch(target, _paused(rm, target, body))
             log.append((run.steps, pause.action))
     if observe is not None:

@@ -113,6 +113,21 @@ def test_encode_decode_pipeline(flip_spec, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "bits",
+    [
+        "011000101",  # q2 is named by no rule, start: or final:
+        "11000101001010",  # q2 and q3 are unreachable, and first use orders them otherwise
+    ],
+)
+def test_decode_then_encode_gives_the_bits_back(bits, tmp_path, capsys):
+    code, text, _ = run_cli(capsys, "decode", "--bits", bits)
+    assert code == 0 and "\nstates: " in text
+    path = tmp_path / "m.hm"
+    path.write_text(text)
+    assert run_cli(capsys, "encode", str(path)) == (0, bits + "\n", "")
+
+
+@pytest.mark.parametrize(
     "bits,message",
     [
         ("0110", "invalid encoding at bit 4: expected 1 terminating final state"),

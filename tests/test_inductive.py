@@ -217,6 +217,41 @@ def test_the_brent_phase_alone_gives_the_same_multi_tape_answers(monkeypatch):
     assert [inductive_run(m, w, 1000) for m, w in cases] == observed
 
 
+def _on_input_tape(machine):
+    """A 3-tape machine running the single-tape ``machine`` on its input
+    tape, its other two heads parked on blank."""
+    blank = machine.blank
+    return Machine(
+        name=machine.name,
+        tape_count=3,
+        alphabet=machine.alphabet,
+        blank=blank,
+        states=machine.states,
+        start=machine.start,
+        finals=machine.finals,
+        rules={
+            (q, (sym, blank, blank)): (nq, (write, blank, blank), (move, "S", "S"))
+            for (q, (sym,)), (nq, (write,), (move,)) in machine.rules.items()
+        },
+    )
+
+
+def test_a_machine_certifies_the_same_on_one_tape_as_on_the_input_tape_of_three():
+    # one runaway test and one key lookup serve every tape count, although
+    # one tape jumps the sweeps that three step through
+    kinds = Counter()
+    for machine in islice(two_state_family(), 0, None, 7):
+        lifted = _on_input_tape(machine)
+        for word in ("", "0110"):
+            answer = certify_nonhalting(machine, word, 1000)
+            kinds[type(getattr(answer, "certificate", answer)).__name__] += 1
+            if isinstance(answer, Certificate) and isinstance(answer.certificate, BlankRunaway):
+                runaway = answer.certificate
+                answer = Certificate(BlankRunaway(runaway.state, runaway.direction + ("S", "S"), runaway.onset_step))
+            assert certify_nonhalting(lifted, word, 1000) == answer, (encode(machine).bits, word)
+    assert sum(kinds.values()) == 3920 and set(kinds) == {"HaltsAt", "ConfigurationCycle", "BlankRunaway", "Unknown"}
+
+
 # Over 1, x and y, the shared rules turn the input 1^k into x^k y^2k, one 1 per
 # round: the leftmost 1 becomes x and yy is appended at the right end.  In
 # state s the head then stands on the first y.  With k = 50 the tape grows

@@ -21,8 +21,8 @@ from hypermachine.inductive import (
     UNKNOWN,
     HaltsAt,
     _Cycles,
+    _check,
     _observe,
-    _single_tape_check,
     certify_nonhalting,
     inductive_run,
 )
@@ -1027,7 +1027,7 @@ def test_a_run_that_its_hook_stopped_is_left_as_it_is(monkeypatch):
     # advancing the stopped run again must not ask the hook, nor confirm the
     # cycle by another replay
     machine = corpus_machine("blink")
-    check = _single_tape_check(machine, "")
+    check = _check(machine, "", [])
     hooked, replays = [], []
 
     def hook(*args):

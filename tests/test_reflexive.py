@@ -49,6 +49,19 @@ rule a _ -> a 1 R ! replace(a, _ -> a, 0, R)
 ).machine
 
 
+def test_the_two_edit_kinds_stay_distinct():
+    fields = ("q0", ("0",), "q1", ("1",), ("R",))
+    install, replace = InstallRule(*fields), ReplaceRule(*fields)
+    assert install != replace and install == InstallRule(*fields) and replace == ReplaceRule(*fields)
+    assert repr(install) == "InstallRule(target_state='q0', target_symbols=('0',), next_state='q1', writes=('1',), moves=('R',))"
+    assert repr(replace) == "ReplaceRule" + repr(install)[len("InstallRule") :]
+    for action in (install, replace):
+        assert [f.name for f in dataclasses.fields(action)] == ["target_state", "target_symbols", "next_state", "writes", "moves"]
+        for name in ("moves", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(action, name, ("L",))
+
+
 def test_no_edit_wrapper_is_bisimilar_to_its_base():
     for name, machine in encodable_corpus().items():
         wrapper = ReflexiveMachine(machine, {})
