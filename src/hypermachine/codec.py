@@ -60,6 +60,8 @@ class UnsupportedMachineError(HypermachineError):
 
 @dataclass(frozen=True)
 class Description:
+    """A machine's description: a word over {0,1} that ``decode`` reads."""
+
     bits: str
 
     def __post_init__(self) -> None:

@@ -33,6 +33,8 @@ from .reflexive import EditAction, InstallRule, ReflexiveMachine, ReplaceRule
 
 @dataclass(frozen=True)
 class SpecDocument:
+    """A parsed machine document: its machine, and the line and column where each rule and directive starts."""
+
     machine: Machine | ReflexiveMachine
     positions: dict[tuple, tuple[int, int]]
 

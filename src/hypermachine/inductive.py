@@ -31,14 +31,19 @@ collision costs time but never yields a false or different certificate.
 
 The 64 cells are ``machine._HOOK_CELLS``, the engine's hook gate.  One
 factory builds the check for either tape count.  On a single tape the engine
-calls it on tracked configurations and on every sweep, and ends a sweep that
-the check passes beyond the tape's extent in one jump; on several tapes it
-calls it on every step, as the check logs the output, and never jumps.
-There the check reads each tape's old symbol and the output change from the
-compiled rule, and it updates the hashes of only the tapes that the rule
-changes.  On any tape count it looks a tracked step's key up the same way,
-hashes only tracked steps and rebuilds its hash on the first one after a
-gap, so the certificates are those of a check that hashes every step.
+calls it on tracked configurations and on every sweep that moves a head, and
+ends a sweep that the check passes beyond the tape's extent in one jump; on
+several tapes it calls it on every step, as the check logs the output, and
+never jumps.  There the check reads each tape's old symbol and the output
+change from the compiled rule, and it updates the hashes of only the tapes
+that the rule changes.  On any tape count it looks a tracked step's key up
+the same way, hashes only tracked steps and rebuilds its hash on the first
+one after a gap, so the certificates are those of a check that hashes every
+step.  A fixed point, a rule that keeps the state, moves no head and
+rewrites no cell, is the sweep that moves no head, and only an unhooked run
+jumps it.  The runaway test needs a moving head, so the check takes a fixed
+point for no sweep: the cycle check reports ``ConfigurationCycle(1, s)`` at
+step s + 1 for a fixed point that starts at step s.
 
 One runaway test serves every tape count, once per sweep, at its first step:
 the sweep writes blank on every moving head, each of which is beyond its
@@ -112,7 +117,7 @@ NonHaltingCertificate = ConfigurationCycle | BlankRunaway
 
 @dataclass(frozen=True)
 class Halted:
-    pass
+    """The reason a halted run's output is final."""
 
 
 HALTED = Halted()
@@ -120,12 +125,14 @@ HALTED = Halted()
 
 @dataclass(frozen=True)
 class CertifiedStable:
+    """A status whose output can never change again, with the reason why."""
+
     reason: Halted | NonHaltingCertificate
 
 
 @dataclass(frozen=True)
 class Provisional:
-    pass
+    """A status whose output a longer run may still revise."""
 
 
 PROVISIONAL = Provisional()
@@ -141,6 +148,8 @@ class ObservationLog:
 
 @dataclass(frozen=True)
 class InductiveOutcome:
+    """An inductive run's current output, its last change, its steps, status and log."""
+
     current_output: str
     last_change_step: int
     steps_executed: int
@@ -278,11 +287,13 @@ def _runaway(
 ) -> BlankRunaway | None:
     """The runaway that a compiled ``sweep`` starts at its first step, if it
     writes blank on every moving head and each is beyond its tape's extent.
-    A sweep scans blank on every tape, so its rule is the one on blanks."""
+    A sweep scans blank on every tape, so its rule is the one on blanks.  A
+    runaway needs a moving head, so a fixed point, the sweep that moves no
+    head, is none."""
     for _, w, _ in sweep:
         if w is not None:  # a loop: all() over a generator made certifying the family 2% slower
             return None
-    if _moving_heads_beyond(sweep, tapes, heads):
+    if sweep and _moving_heads_beyond(sweep, tapes, heads):
         return BlankRunaway(state, machine.rules[(state, (machine.blank,) * len(tapes))][2], steps)
     return None
 
@@ -413,17 +424,21 @@ def inductive_run(machine: Machine, input_word: str, budget: int) -> InductiveOu
 
 @dataclass(frozen=True)
 class Certificate:
+    """A proof that the run never halts."""
+
     certificate: NonHaltingCertificate
 
 
 @dataclass(frozen=True)
 class HaltsAt:
+    """The run halts, at ``steps``."""
+
     steps: int
 
 
 @dataclass(frozen=True)
 class Unknown:
-    pass
+    """Neither a halt nor a certificate within the budget."""
 
 
 UNKNOWN = Unknown()
@@ -481,6 +496,8 @@ def diagonalize(decider: CandidateDecider, input_word: str, budget: int) -> str:
 
 @dataclass(frozen=True)
 class AuditRow:
+    """One audited (machine, word) pair: the claim, the truth run and the diagonal bit."""
+
     index: int
     word: str
     claims_halt: bool
@@ -493,6 +510,8 @@ class AuditRow:
 
 @dataclass(frozen=True)
 class AuditReport:
+    """Every audited row, with the truth and simulation budgets."""
+
     rows: tuple[AuditRow, ...]
     truth_budget: int
     sim_budget: int

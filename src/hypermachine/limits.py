@@ -58,6 +58,8 @@ class LimitFunction:
 
 @dataclass(frozen=True)
 class LimitReport:
+    """The change points of one limit function's guesses at one x, up to a stage budget."""
+
     x: int
     stages_evaluated: int  # the stages 0..stage_budget the report covers, not the guess calls
     guesses_log: tuple[tuple[int, str], ...]

@@ -23,7 +23,10 @@ finished in one jump (the macro-step of busy-beaver simulators, Marxen and
 Buntrock 1990), on one tape as on several: the rest of the budget moves each
 moving head that many cells, and the cells they pass are filled as the steps
 would fill them when the tapes are next read.  A jumped run advanced again
-moves its heads by the same jump.  On a single tape this holds under a
+moves its heads by the same jump.  A fixed point, a rule on any symbols that
+keeps the state, moves no head and rewrites no cell, is the sweep that moves
+no head, and only an unhooked run jumps it: the budget ends in one step, with
+nothing to fill.  On a single tape a moving sweep's jump holds under a
 certificate hook, which sees the step that the jump starts from; a traced
 run, and an observed run on several tapes, steps every step.
 ``step`` and ``config_sequence`` are the reference semantics: small, pure
@@ -199,17 +202,19 @@ class Configuration:
 
 @dataclass(frozen=True)
 class NextConfig:
+    """The configuration that one step leads to."""
+
     config: Configuration
 
 
 @dataclass(frozen=True)
 class NoRule:
-    pass
+    """No rule matches the scanned symbols: the run is stuck."""
 
 
 @dataclass(frozen=True)
 class AtFinal:
-    pass
+    """The configuration is in a final state."""
 
 
 NO_RULE = NoRule()
@@ -221,12 +226,16 @@ AT_FINAL = AtFinal()
 
 @dataclass(frozen=True)
 class HaltedWithResult:
+    """The run halted in a result-bearing final state, with its output word."""
+
     result: str
     steps: int
 
 
 @dataclass(frozen=True)
 class HaltedResultless:
+    """The run halted in a resultless final state or where no rule applies."""
+
     steps: int
 
 
@@ -402,7 +411,7 @@ def _compiled_rows(machine: Machine, rules: Mapping[RuleKey, RuleBody], rows: di
     A row maps the scanned symbol (single tape) or symbol tuple to a compiled
     rule, which ends in its next state's row (_NO_ROW when that state has
     none) and then in its moving heads if it is a sweep, else None, which
-    the loops test faster than the truth of an empty tuple.  A compiled blank
+    the loops test faster than the truth of a tuple.  A compiled blank
     write is None on every tape count, in a single-tape rule and in every
     sweep.  A single-tape rule is compiled from scalars, as one is per
     ``Run``: its next state, write and move.  A
@@ -413,6 +422,10 @@ def _compiled_rows(machine: Machine, rules: Mapping[RuleKey, RuleBody], rows: di
     blank, the state is kept and it has effects, each of which moves a head:
     some head moves and every head that stays writes blank.  Its effects are
     its moving heads, each with its write, so None is a blank write there.
+    A fixed point is the sweep that moves no head, and only an unhooked run
+    jumps it: a rule on any symbols that keeps the state and has no effects
+    (on one tape, moves no head and writes the symbol it scans), whose
+    moving heads are the empty tuple.
     """
     row_of = rows.get
     blank = machine.blank
@@ -421,8 +434,14 @@ def _compiled_rows(machine: Machine, rules: Mapping[RuleKey, RuleBody], rows: di
         for (state, (sym,)), (nstate, (wsym,), (move,)) in items:
             delta = _DELTA[move]
             write = None if wsym == blank else wsym
-            # the sweep test on one tape, whose one effect on blank must be a move
-            sweep = ((0, write, delta),) if sym == blank and nstate == state and delta else None
+            # the sweep test on one tape: its one effect, on blank, must be a
+            # move, or it is a fixed point, which keeps its cell and its head
+            sweep = (
+                None if nstate != state
+                else ((0, write, delta),) if delta and sym == blank
+                else () if not delta and wsym == sym
+                else None
+            )
             rows[state][sym] = (nstate, write, delta, row_of(nstate, _NO_ROW), sweep)
     else:
         blanks = (blank,) * machine.tape_count
@@ -432,7 +451,11 @@ def _compiled_rows(machine: Machine, rules: Mapping[RuleKey, RuleBody], rows: di
                 for i, (sym, wsym, move) in enumerate(zip(syms, writes, moves))
                 if wsym != sym or move != STAY
             )
-            sweep = effects if effects and syms == blanks and nstate == state and all(d for _, _, d in effects) else None
+            sweep = (
+                None if nstate != state
+                else effects if not effects or syms == blanks and all(d for _, _, d in effects)
+                else None
+            )
             rows[state][syms] = (nstate, syms, writes, effects, row_of(nstate, _NO_ROW), sweep)
     return rows
 
@@ -449,13 +472,14 @@ class Run:
     instead); a truthy result stops the run unfired and is kept in ``checked``.
     On a single tape a certificate hook sees every tracked step, one whose
     tape holds at most _HOOK_CELLS cells, the most any hook tracks, and every
-    sweep (below); a sweep that it passes beyond the tape's extent ends in one
-    jump, whose steps it does not see.  A ``_traced`` run's hook, an observer,
-    sees every step at any size, as every hook on several tapes does, and the
-    run never jumps.  A state with no row stops the run as a halt does, right
-    after the rule that enters it fires: a final state, or a next state that
-    ``patch`` gave a rule and that the table does not hold.
-    Such a rule carries _NO_ROW, the one shared row that holds no rule.
+    sweep that moves a head (below); one that it passes beyond the tape's
+    extent ends in one jump, whose steps it does not see.  A ``_traced``
+    run's hook, an observer, sees every step at any size, as every hook on
+    several tapes does, and the run never jumps.  A state with no row stops
+    the run as a halt does, right after the rule that enters it fires: a
+    final state, or a next state that ``patch`` gave a rule and that the
+    table does not hold.  Such a rule carries _NO_ROW, the one shared row
+    that holds no rule.
 
     A compiled blank write is None on every tape count: a single-tape rule
     writes None for blank, and so does each moving head of a sweep and of a
@@ -473,6 +497,11 @@ class Run:
     steps left outnumber the tapes' cells, which the scans for the extents
     cost; after a test that fails, not again within that many steps.
     The jump then moves each of the sweep's moving heads by the steps left.
+    A fixed point is the sweep that moves no head, and only an unhooked run
+    jumps it: the extent test holds with no moving head to test, no head
+    moves and nothing is left to fill.  A hooked run steps it, since the
+    hook's cycle check reports its repeat at the step after its first, and a
+    single-tape hook is not called on it above _HOOK_CELLS cells.
     When some moving head writes non-blank, the jump keeps, per moving head,
     its tape, write, move and the cell it jumped from in ``_fill``.  A later
     ``advance`` goes on with the same jump from there, so the cells of a
@@ -543,11 +572,14 @@ class Run:
                         self.halted = True
                         break
                     nstate, wsym, delta, nrow, sweep = rule
-                    if hook is not None and (len(tape) <= cap or sweep is not None):
+                    # a fixed point is no sweep to a hook; None is the faster test
+                    if hook is not None and (len(tape) <= cap or sweep is not None and sweep):
                         if found := hook(state, tape, head, steps, rule):
                             break
                     if sweep is not None and steps >= retry:
-                        if budget - steps > len(tape) and _moving_heads_beyond(sweep, tapes, (head,)):
+                        # a hooked run steps a fixed point, whose repeat is its hook's to find
+                        jumps = sweep or hook is None
+                        if jumps and budget - steps > len(tape) and _moving_heads_beyond(sweep, tapes, (head,)):
                             jump = sweep
                             break
                         retry = steps + len(tape)
@@ -599,7 +631,7 @@ class Run:
                     row = nrow
             self.state = state
             self.checked = found
-        if jump:
+        if jump is not None:
             # every step left fires the sweep on a fresh blank: each moving head
             # moves that many cells, and cells written non-blank wait in _fill
             heads = self.heads
@@ -672,12 +704,16 @@ def words_over(alphabet: Symbols, max_length: int) -> Iterator[str]:
 
 @dataclass(frozen=True)
 class EquivalentUpTo:
+    """Every word up to the length gave agreeing outcomes within the budget."""
+
     max_input_length: int
     budget: int
 
 
 @dataclass(frozen=True)
 class Counterexample:
+    """The first word whose bounded outcomes disagree, with both outcomes."""
+
     word: str
     outcome1: RunOutcome
     outcome2: RunOutcome

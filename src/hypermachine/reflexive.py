@@ -64,11 +64,15 @@ class ReplaceRule(EditAction):
 
 @dataclass(frozen=True)
 class EditLog:
+    """The edits a self-editing run fired, each with the step it fired at."""
+
     entries: tuple[tuple[int, EditAction], ...]
 
 
 @dataclass(frozen=True)
 class ReflexiveMachine:
+    """A base machine with edits attached to some of its rules."""
+
     base: Machine
     edits: Mapping[RuleKey, EditAction]
 
@@ -156,6 +160,8 @@ def reflexive_config_sequence(
 
 @dataclass(frozen=True)
 class EfficiencyRow:
+    """One input's step counts under the plain and the self-editing machine."""
+
     word: str
     static_steps: int
     reflexive_steps: int

@@ -45,6 +45,8 @@ class SearchSpaceError(HypermachineError):
 
 @dataclass(frozen=True)
 class Dfa:
+    """A complete deterministic finite automaton over ``alphabet``."""
+
     states: tuple[str, ...]
     start: str
     accepting: frozenset[str]
@@ -77,11 +79,13 @@ def dfa_run(dfa: Dfa, word: str) -> bool:
 
 @dataclass(frozen=True)
 class Equivalent:
-    pass
+    """The two DFAs accept the same language."""
 
 
 @dataclass(frozen=True)
 class Counterexample:
+    """A shortest word that one DFA accepts and the other rejects."""
+
     word: str
 
 
@@ -112,16 +116,20 @@ def dfa_equiv(d1: Dfa, d2: Dfa) -> Equivalent | Counterexample:
 
 @dataclass(frozen=True)
 class NoDfaMatches:
-    pass
+    """No DFA within the state bound fits the sample."""
 
 
 @dataclass(frozen=True)
 class DfaFound:
+    """The first DFA in canonical order that fits the sample."""
+
     dfa: Dfa
 
 
 @dataclass(frozen=True)
 class SeparationReport:
+    """A separation search's sample, state bound, DFA count and verdict."""
+
     sample: tuple[tuple[str, int], ...]
     max_states: int
     dfas_searched: int

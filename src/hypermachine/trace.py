@@ -5,10 +5,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .machine import InputError, Machine, RunOutcome, _retrim, trimmed_word
-from .reflexive import EditLog, ReflexiveMachine, _run
 
-if TYPE_CHECKING:  # inductive is loaded by the calls that run it, not by a trace
+if TYPE_CHECKING:  # inductive and reflexive are loaded by the calls that run them
     from .inductive import CertifiedStable, InductiveOutcome, Provisional
+    from .reflexive import EditLog, ReflexiveMachine
 
 
 class TraceRecord(NamedTuple):
@@ -50,6 +50,8 @@ def traced_run(
     The run's observer builds each record, a named tuple, and keeps each
     tape's trimmed word, updated only at the cell its head left, the one
     cell the step wrote: a record costs the changed cells and its words."""
+    from .reflexive import ReflexiveMachine, _run
+
     rm = machine if isinstance(machine, ReflexiveMachine) else ReflexiveMachine(machine, {})
     blank, n = rm.base.blank, rm.base.tape_count
     records: list[TraceRecord] = []

@@ -374,7 +374,7 @@ def test_parser_choices_are_the_library_registries(capsys):
         (["limit-eval", "--fn", "constant", "--x", "3", "--stages", "100", "--window", "10"], "cli codec limits machine"),
         (["encode", "flip.tm"], "cli codec dsl machine reflexive"),
         (["decode", "--bits", "{flip}"], "cli codec dsl machine reflexive"),
-        (["halts", "--bits", "{flip}", "--input", "1", "--budget", "10000"], "cli codec inductive machine reflexive trace"),
+        (["halts", "--bits", "{flip}", "--input", "1", "--budget", "10000"], "cli codec inductive machine trace"),
         # a trace loads inductive only for the watch and status calls that run it
         (["run", "flip.tm", "--input", "0", "--trace", "-"], "cli dsl machine reflexive trace"),
         (["bench", "--steps", "10"], "cli corpus dsl machine reflexive"),

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypermachine import machine as engine
-from hypermachine.codec import decode, encode
+from hypermachine.codec import decode, encode, universal_run
 from hypermachine.corpus import corpus_machine, delay_machine, encodable_corpus
 from hypermachine.inductive import (
     BlankRunaway,
     Certificate,
+    CertifiedStable,
     ConfigurationCycle,
     UNKNOWN,
     HaltsAt,
@@ -709,6 +710,39 @@ _BLANK_SWEEP3 = Machine(
 # and two of the three heads of the sweeper above
 _BLANK_SWEEPS = [(LOOP, ""), (corpus_machine("flicker"), ""), (_BLANK_SWEEP3, "")]
 
+BLINK = corpus_machine("blink")
+# writes 1 over each 0 of its input going right, then stays on the first 1
+# it meets: a fixed point on a non-blank cell, from step 2 on 001
+_SETTLE = single_tape_machine("settle", {("q0", "0"): ("q0", "1", "R"), ("q0", "1"): ("q0", "1", "S")})
+# a rule on blanks with no effects: it keeps its state and every cell and head
+_FIXED3 = Machine(
+    name="fixed3",
+    tape_count=3,
+    alphabet=_SYMS,
+    blank="_",
+    states=("q1",),
+    start="q1",
+    finals={},
+    rules={("q1", ("_", "_", "_")): ("q1", ("_", "_", "_"), ("S", "S", "S"))},
+)
+# writes a 1 on tape 2 and a 0 on the output, all heads staying, then keeps
+# every cell under its heads: a fixed point on non-blank cells from step 1
+_SETTLE3 = Machine(
+    name="settle3",
+    tape_count=3,
+    alphabet=_SYMS,
+    blank="_",
+    states=("a", "q1"),
+    start="a",
+    finals={},
+    rules={
+        ("a", ("0", "_", "_")): ("q1", ("0", "1", "0"), ("S", "S", "S")),
+        ("q1", ("0", "1", "0")): ("q1", ("0", "1", "0"), ("S", "S", "S")),
+    },
+)
+# rules that change nothing, each the sweep that moves no head
+_FIXED_POINTS = [(BLINK, ""), (_SETTLE, "001"), (_FIXED3, ""), (_SETTLE3, "0")]
+
 
 def _last_config(machine, word, budget):
     """The reference configuration after ``budget`` steps (or at the halt),
@@ -729,6 +763,57 @@ def _run_to(machine, word, *budgets):
 def test_blank_sweep_runs_a_trillion_steps_at_once():
     steps = 10**12
     assert run_bounded(LOOP, "", steps) == BudgetExhausted(steps, Configuration("q0", ({},), (steps,), steps))
+
+
+def test_a_fixed_point_runs_a_trillion_steps_at_once():
+    # a rule that keeps the state, moves no head and rewrites no cell fires
+    # for ever from its first step: an unhooked run ends the budget in a jump
+    steps = 10**12
+    assert run_bounded(BLINK, "", steps) == BudgetExhausted(steps, Configuration("q0", ({},), (0,), steps))
+    settled = Configuration("q0", ({0: "1", 1: "1", 2: "1"},), (2,), steps)
+    assert run_bounded(_SETTLE, "001", steps) == BudgetExhausted(steps, settled)
+    blank3 = Configuration("q1", ({}, {}, {}), (0, 0, 0), steps)
+    assert run_bounded(_FIXED3, "", steps) == BudgetExhausted(steps, blank3)
+    settled3 = Configuration("q1", ({0: "0"}, {0: "1"}, {0: "0"}), (0, 0, 0), steps)
+    assert run_bounded(_SETTLE3, "0", steps) == BudgetExhausted(steps, settled3)
+    assert reflexive_run(ReflexiveMachine(BLINK, {}), "", steps) == (run_bounded(BLINK, "", steps), EditLog(()))
+    assert observational_equiv(BLINK, BLINK, 1, steps) == EquivalentUpTo(1, steps)
+    assert observational_equiv(_SETTLE3, _SETTLE3, 1, steps) == EquivalentUpTo(1, steps)
+    assert universal_run(encode(BLINK), "", steps) == BudgetExhausted(steps, Configuration("q1", ({},), (0,), steps))
+
+
+@pytest.mark.parametrize(
+    "machine,word,onset",
+    [(BLINK, "", 0), (_SETTLE, "001", 2), (_FIXED3, "", 0), (_SETTLE3, "0", 1)],
+    ids=["blink", "settle", "fixed3", "settle3"],
+)
+def test_a_fixed_point_under_a_certificate_hook_is_a_cycle_at_its_first_repeat(machine, word, onset):
+    # the hook sees the fixed point's first step and the next, where the
+    # cycle check reports it, whatever the budget: a rule that moves no head
+    # is no runaway, and a hooked run never jumps it
+    for budget in (onset + 2, 1000, 10**12):
+        run, _ = _observe(machine, word, budget)
+        assert (run.checked, run.steps) == (ConfigurationCycle(1, onset), onset + 1)
+        assert certify_nonhalting(machine, word, budget) == Certificate(ConfigurationCycle(1, onset))
+    if machine.tape_count == 3:
+        observed = inductive_run(machine, word, 10**12)
+        assert observed.status == CertifiedStable(ConfigurationCycle(1, onset))
+        assert observed.steps_executed == onset + 1
+
+
+def test_a_fixed_point_past_the_hook_gate_is_stepped_under_a_hook():
+    # the head walks right over 70 cells and then stays on the blank past
+    # them: above the 64 cells that gate a certificate hook, the hook sees
+    # none of the fixed point's steps, which end at the budget unjumped
+    machine = single_tape_machine("walk-stay", {("q0", "0"): ("q0", "0", "R"), ("q0", "_"): ("q0", "_", "S")})
+    word = "0" * 70
+    check = _check(machine, word, [])
+    seen = []
+    run = Run(machine, word, lambda *args: seen.append(args[3]) or check(*args))
+    run.advance(500)
+    assert (seen, run.steps, run.checked, run.heads) == ([], 500, None, [70])
+    assert certify_nonhalting(machine, word, 500) == UNKNOWN
+    assert run_bounded(machine, word, 10**12).steps == 10**12
 
 
 @st.composite
@@ -768,6 +853,7 @@ def test_the_extent_test_finds_no_stored_cell_at_or_past_a_moving_head(case):
         (_WALK_SWEEP3, "00"),
         (_GAP_SWEEP3, "100001"),
         *_BLANK_SWEEPS,
+        *_FIXED_POINTS,
     ],
 )
 def test_sweep_jump_matches_the_reference(machine, word):
@@ -777,7 +863,15 @@ def test_sweep_jump_matches_the_reference(machine, word):
     assert _run_to(machine, word, 1, 2, 3, 2000) == expected
     assert run_bounded(machine, word, 2000) == BudgetExhausted(2000, expected)
     # a jump leaves cells to fill only when some moving head writes non-blank
-    assert ("config" in vars(run_bounded(machine, word, 2000))) == ((machine, word) in _BLANK_SWEEPS)
+    assert ("config" in vars(run_bounded(machine, word, 2000))) == ((machine, word) in _BLANK_SWEEPS + _FIXED_POINTS)
+    # the run ends in its jump: a trillion steps move each head as the last
+    # step did, each that many times over (its tapes are left unread, as
+    # reading them writes every cell a jump passed)
+    moves = [a - b for a, b in zip(expected.heads, _last_config(machine, word, 1999).heads)]
+    far = Run(machine, word)
+    far.advance(10**12)
+    assert (far.state, far.steps) == (expected.state, 10**12)
+    assert far.heads == [head + move * (10**12 - 2000) for head, move in zip(expected.heads, moves)]
     # the outcome writes the jumped cells when its configuration is read,
     # and keeps the configuration it reported as the run goes on
     run = Run(machine, word)
@@ -911,16 +1005,22 @@ def test_a_jumped_sweep_is_written_when_the_tapes_are_read(machine, word):
 def test_a_module_loads_only_the_modules_that_it_imports():
     # the package root re-exports nothing, so importing the engine, which
     # imports no other module, loads no other module; a fresh interpreter
-    # shows it, as this one has loaded them all
+    # shows it, as this one has loaded them all.  A trace loads the
+    # self-editing engine only for the traced runs that use it
     script = (
         "import sys\n"
         "def loaded(): print(sorted(m for m in sys.modules if m.startswith('hypermachine.')))\n"
         "import hypermachine.machine; loaded()\n"
         "import hypermachine.subrec; loaded()\n"
+        "import hypermachine.trace; loaded()\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(engine.__file__).parents[1])}
     child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert child.stdout.splitlines() == ["['hypermachine.machine']", "['hypermachine.machine', 'hypermachine.subrec']"]
+    assert child.stdout.splitlines() == [
+        "['hypermachine.machine']",
+        "['hypermachine.machine', 'hypermachine.subrec']",
+        "['hypermachine.machine', 'hypermachine.subrec', 'hypermachine.trace']",
+    ]
 
 
 def test_shared_machines_are_read_only():
