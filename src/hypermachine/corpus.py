@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .dsl import parse_machine_spec
 from .machine import MOVES, InputError, Machine, single_tape_machine
-from .reflexive import ReflexiveMachine
+
+if TYPE_CHECKING:
+    from .reflexive import ReflexiveMachine
 
 CORPUS_SPECS: dict[str, str] = {
     # halts immediately: no rules, not final, so the very first step finds no rule

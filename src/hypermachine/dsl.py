@@ -25,10 +25,12 @@ every diagnostic carries a line and column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .machine import BLANK, Machine, MOVES, ParseError, RuleBody, RuleKey, StructureError
-from .reflexive import EditAction, InstallRule, ReflexiveMachine, ReplaceRule
+
+if TYPE_CHECKING:  # the self-editing engine is loaded only for an edit clause
+    from .reflexive import EditAction, ReflexiveMachine
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,6 @@ def _split(line: str) -> tuple[list[str], list[int]]:
 
 
 _ONCE = ("machine", "tapes:", "alphabet:", "start:", "states:")  # the directives that a document gives at most once
-_EDITS = {"install": InstallRule, "replace": ReplaceRule}  # an edit clause's keyword and its kind
 
 
 class _Builder:
@@ -78,8 +79,11 @@ def _edit_side(text: str, what: str, lineno: int, col: int) -> list[str]:
 
 
 def _parse_edit(clause: str, lineno: int, col: int) -> EditAction:
+    from .reflexive import InstallRule, ReplaceRule
+
+    kinds = {"install": InstallRule, "replace": ReplaceRule}  # an edit clause's keyword and its kind
     clause = clause.strip()
-    kind = next((kind for kind in _EDITS if clause.startswith(kind)), None)
+    kind = next((kind for kind in kinds if clause.startswith(kind)), None)
     if kind is None:
         raise ParseError("malformed edit clause: expected install(...) or replace(...)", lineno, col)
     clause = clause[len(kind) :].strip()
@@ -93,7 +97,7 @@ def _parse_edit(clause: str, lineno: int, col: int) -> EditAction:
     rhs = _edit_side(rhs_text, "replacement", lineno, col)
     if len(lhs) != 2 or len(rhs) != 3:
         raise ParseError("malformed edit clause: wrong number of parts", lineno, col)
-    return _EDITS[kind](lhs[0], tuple(lhs[1].split()), rhs[0], tuple(rhs[1].split()), tuple(rhs[2].split()))
+    return kinds[kind](lhs[0], tuple(lhs[1].split()), rhs[0], tuple(rhs[1].split()), tuple(rhs[2].split()))
 
 
 def _parse_rule(builder: _Builder, line: str, line_cols: list[int], lineno: int) -> None:
@@ -231,18 +235,14 @@ def parse_machine_spec(text: str) -> SpecDocument:
             finals=builder.finals,
             rules=builder.rules,
         )
-        parsed: Machine | ReflexiveMachine = ReflexiveMachine(machine, builder.edits) if builder.edits else machine
+        parsed: Machine | ReflexiveMachine = machine
+        if builder.edits:
+            from .reflexive import ReflexiveMachine
+
+            parsed = ReflexiveMachine(machine, builder.edits)
     except StructureError as exc:
         raise ParseError(str(exc), *builder.positions[("rule", *exc.key)]) from exc
     return SpecDocument(machine=parsed, positions=builder.positions)
-
-
-def _edit_clause(action: EditAction) -> str:
-    kind = "install" if isinstance(action, InstallRule) else "replace"
-    return (
-        f" ! {kind}({action.target_state}, {' '.join(action.target_symbols)}"
-        f" -> {action.next_state}, {' '.join(action.writes)}, {' '.join(action.moves)})"
-    )
 
 
 def unparse(machine: Machine | ReflexiveMachine) -> str:
@@ -250,7 +250,9 @@ def unparse(machine: Machine | ReflexiveMachine) -> str:
     ``states:`` line lists the states only when the other lines would give
     them in another order or leave one out."""
     edits: Mapping[RuleKey, EditAction] = {}
-    if isinstance(machine, ReflexiveMachine):
+    if not isinstance(machine, Machine):  # a ReflexiveMachine
+        from .reflexive import InstallRule
+
         edits = machine.edits
         machine = machine.base
     lines = [
@@ -269,6 +271,10 @@ def unparse(machine: Machine | ReflexiveMachine) -> str:
         line = f"rule {state} {' '.join(syms)} -> {nstate} {' '.join(writes)} {' '.join(moves)}"
         action = edits.get((state, syms))
         if action is not None:
-            line += _edit_clause(action)
+            kind = "install" if isinstance(action, InstallRule) else "replace"
+            line += (
+                f" ! {kind}({action.target_state}, {' '.join(action.target_symbols)}"
+                f" -> {action.next_state}, {' '.join(action.writes)}, {' '.join(action.moves)})"
+            )
         lines.append(line)
     return "".join(line + "\n" for line in lines)

@@ -1,15 +1,16 @@
 """Finite automata as the weaker reference class, with exhaustive separation.
 
-The separation harness enumerates every DFA over {0,1} up to a state bound,
-in a fixed canonical order (start state first, breadth-first first-use
-numbering of targets, so renamings are never revisited), and checks whether
-any of them reproduces a labelled sample exactly.  Tables are built one
-transition at a time against the sample's prefix trie: once two sample words
-with opposite labels are sure to end in one state, every completion of that
-partial table is refuted, so it is skipped and its completions are counted
-exactly.  A NoDfaMatches verdict is a finite certificate: every DFA of that
-size disagrees with the sample somewhere.  Nothing here claims the general
-theorem; every claim is checked by exhaustion at desk scale.
+The separation harness enumerates every DFA over {0,1} up to a state bound, in
+a fixed canonical order (start state first, breadth-first first-use numbering
+of targets, so renamings are never revisited), and checks whether any of them
+reproduces a labelled sample exactly.  Tables are built one transition at a
+time against the sample's prefix trie, read once in any order, where a word
+given twice is a node labelled twice: once two sample words with opposite
+labels are sure to end in one state, every completion of that partial table is
+refuted, so it is skipped and its completions are counted exactly.  A
+NoDfaMatches verdict is a finite certificate: every DFA of that size disagrees
+with the sample somewhere.  Nothing here claims the general theorem; every
+claim is checked by exhaustion at desk scale.
 
 The search bounds the work it does, not the size of the space it covers:
 one call may place ``_WORK_BOUND`` trie nodes and partial tables in all,
@@ -128,28 +129,11 @@ class DfaFound:
 
 @dataclass(frozen=True)
 class SeparationReport:
-    """A separation search's sample, state bound, DFA count and verdict."""
+    """A separation search's state bound, DFA count and verdict."""
 
-    sample: tuple[tuple[str, int], ...]
     max_states: int
     dfas_searched: int
     witness: NoDfaMatches | DfaFound
-
-
-def _normalize_sample(sample: Mapping[str, int] | Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
-    items = sample.items() if isinstance(sample, Mapping) else sample
-    out = []
-    seen = set()
-    for word, bit in items:
-        if any(ch not in ALPHABET for ch in word):
-            raise InputError(f"sample word {word!r} is not over {{0,1}}")
-        if bit not in (0, 1):
-            raise InputError(f"sample label for {word!r} must be 0 or 1")
-        if word in seen:
-            raise InputError(f"sample labels {word!r} twice")
-        seen.add(word)
-        out.append((word, bit))
-    return tuple(sorted(out, key=lambda pair: (len(pair[0]), pair[0])))
 
 
 def _build_dfa(n: int, delta: tuple[int, ...], accepting: frozenset[int]) -> Dfa:
@@ -181,28 +165,34 @@ def _completion_counts(n: int) -> list[list[int]]:
     return counts
 
 
-def _sample_trie(sample: tuple[tuple[str, int], ...]) -> tuple[list[int], list[list[int]]]:
-    """The sample's prefix trie: per node its label (-1 if the prefix is not a
-    sample word) and its children on 0 and 1 (-1 if absent); node 0 is the
-    empty prefix."""
+def _sample_trie(sample: Mapping[str, int] | Iterable[tuple[str, int]]) -> tuple[list[int], list[int]]:
+    """The sample's prefix trie, built and checked in one pass, in any order:
+    per node its label (-1 if the prefix is not a sample word) and, flat at
+    ``2*node + bit``, its children (0 if absent: node 0, the empty prefix, is
+    no child).  A word given twice is a node labelled twice, and is refused."""
     labels = [-1]
-    children = [[-1, -1]]
-    for word, bit in sample:
+    children = [0, 0]
+    for word, bit in sample.items() if isinstance(sample, Mapping) else sample:
         node = 0
         for ch in word:
-            b = ch == "1"
-            child = children[node][b]
-            if child < 0:
-                child = children[node][b] = len(labels)
+            if ch not in ALPHABET:
+                raise InputError(f"sample word {word!r} is not over {{0,1}}")
+            cell = 2 * node + (ch == "1")
+            node = children[cell]
+            if not node:
+                node = children[cell] = len(labels)
                 labels.append(-1)
-                children.append([-1, -1])
-            node = child
+                children += (0, 0)
+        if bit not in (0, 1):
+            raise InputError(f"sample label for {word!r} must be 0 or 1")
+        if labels[node] >= 0:
+            raise InputError(f"sample labels {word!r} twice")
         labels[node] = bit
     return labels, children
 
 
 def _walk_tables(
-    n: int, labels: list[int], children: list[list[int]], budget: int
+    n: int, labels: list[int], children: list[int], budget: int
 ) -> tuple[int, int, tuple[tuple[int, ...], frozenset[int]] | None]:
     """Depth-first over the canonical tables of n states, fixing one cell at
     a time.  A table is flat, cell 2*state+bit holding the target, and
@@ -229,9 +219,9 @@ def _walk_tables(
     forced = [-1] * n  # the label a state is forced to, -1 while free
     forced[0] = labels[0]
     pending: list[list[int]] = [[] for _ in range(cells)]  # trie nodes reached through each unfixed cell
-    for b, child in enumerate(children[0]):
-        if child >= 0:
-            pending[b].append(child)
+    for b in (0, 1):
+        if children[b]:
+            pending[b].append(children[b])
     searched = 0
 
     def fix(idx: int) -> bool:
@@ -250,8 +240,8 @@ def _walk_tables(
                     forced[state] = label
                 elif forced[state] != label:
                     return False
-            for b, child in enumerate(children[node]):
-                if child >= 0:
+            for b in (0, 1):
+                if child := children[2 * node + b]:
                     cell = 2 * state + b
                     if cell <= idx:
                         work.append((child, table[cell]))
@@ -293,19 +283,20 @@ def separation_search(
 ) -> SeparationReport:
     """Exhaust all DFAs with up to max_states states against a labelled sample.
 
-    dfas_searched counts every (table, accepting set) pair the search covers;
-    accepting sets are resolved per table by constraint propagation, which
-    decides all 2^n of them at once without changing the verdict or the
-    canonical choice of witness.  Tables are built one cell at a time, and a
-    prefix on which two sample words already conflict is skipped with all its
-    completions, which are counted exactly, so the report equals that of
-    checking every canonical table, in ``_walk_tables``'s order, whole.
-    Past ``_WORK_BOUND`` units of work the call raises SearchSpaceError.
+    The sample is read once, in any order, into its prefix trie, where a word
+    given twice is a node labelled twice and is refused.  dfas_searched counts
+    every (table, accepting set) pair the search covers; accepting sets are
+    resolved per table by constraint propagation, which decides all 2^n of
+    them at once without changing the verdict or the canonical choice of
+    witness.  Tables are built one cell at a time, and a prefix on which two
+    sample words already conflict is skipped with all its completions, which
+    are counted exactly, so the report equals that of checking every
+    canonical table, in ``_walk_tables``'s order, whole.  Past
+    ``_WORK_BOUND`` units of work the call raises SearchSpaceError.
     """
     if max_states < 1:
         raise InputError("max_states must be >= 1")
-    normalized = _normalize_sample(sample)
-    labels, children = _sample_trie(normalized)
+    labels, children = _sample_trie(sample)
     searched = 0
     budget = _WORK_BOUND
     for n in range(1, max_states + 1):
@@ -313,8 +304,8 @@ def separation_search(
         searched += covered
         if found is not None:
             delta, accepting = found
-            return SeparationReport(normalized, max_states, searched, DfaFound(_build_dfa(n, delta, accepting)))
-    return SeparationReport(normalized, max_states, searched, NoDfaMatches())
+            return SeparationReport(max_states, searched, DfaFound(_build_dfa(n, delta, accepting)))
+    return SeparationReport(max_states, searched, NoDfaMatches())
 
 
 # --- built-in samples -------------------------------------------------------

@@ -372,12 +372,12 @@ def test_parser_choices_are_the_library_registries(capsys):
         (["enumerate", "--count", "1000"], "cli codec machine"),
         (["separate", "--lang", "anbn", "--max-states", "3"], "cli machine subrec"),
         (["limit-eval", "--fn", "constant", "--x", "3", "--stages", "100", "--window", "10"], "cli codec limits machine"),
-        (["encode", "flip.tm"], "cli codec dsl machine reflexive"),
-        (["decode", "--bits", "{flip}"], "cli codec dsl machine reflexive"),
+        (["encode", "flip.tm"], "cli codec dsl machine"),
+        (["decode", "--bits", "{flip}"], "cli codec dsl machine"),
         (["halts", "--bits", "{flip}", "--input", "1", "--budget", "10000"], "cli codec inductive machine trace"),
         # a trace loads inductive only for the watch and status calls that run it
         (["run", "flip.tm", "--input", "0", "--trace", "-"], "cli dsl machine reflexive trace"),
-        (["bench", "--steps", "10"], "cli corpus dsl machine reflexive"),
+        (["bench", "--steps", "10"], "cli corpus dsl machine"),
         # the halting and divergence functions read the run that inductive observes
         (["limit-eval", "--fn", "halting", "--x", "3", "--stages", "100", "--window", "10"], "cli codec inductive limits machine"),
     ],

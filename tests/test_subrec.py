@@ -1,6 +1,6 @@
 """DFA semantics, exact equivalence, and the exhaustive separation search."""
 
-from typing import Iterator
+from typing import Iterator, Mapping
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,7 +18,6 @@ from hypermachine.subrec import (
     SeparationReport,
     _build_dfa,
     _completion_counts,
-    _normalize_sample,
     dfa_equiv,
     dfa_run,
     sample_anbn,
@@ -183,6 +182,10 @@ def test_separation_search_validates_sample():
         separation_search({"0": 7}, 1)
     with pytest.raises(InputError):
         separation_search([("0", 1), ("0", 0)], 1)
+    with pytest.raises(InputError):
+        separation_search([("", 1), ("", 0)], 1)  # the root labelled twice
+    with pytest.raises(InputError):
+        separation_search([("0", 1), ("1", 1), ("0", 1)], 1)  # a repeat with an equal label
 
 
 def test_the_work_bound_counts_work_done_not_states_allowed(monkeypatch):
@@ -238,15 +241,15 @@ def _forced_accepting(delta: tuple[int, ...], sample: tuple[tuple[str, int], ...
 
 def _brute_force_search(sample, max_states):
     """The reference: every canonical table in order, each checked whole."""
-    normalized = _normalize_sample(sample)
+    pairs = tuple(sample.items() if isinstance(sample, Mapping) else sample)
     searched = 0
     for n in range(1, max_states + 1):
         for delta in _canonical_deltas(n):
             searched += 2**n
-            accepting = _forced_accepting(delta, normalized)
+            accepting = _forced_accepting(delta, pairs)
             if accepting is not None:
-                return SeparationReport(normalized, max_states, searched, DfaFound(_build_dfa(n, delta, accepting)))
-    return SeparationReport(normalized, max_states, searched, NoDfaMatches())
+                return SeparationReport(max_states, searched, DfaFound(_build_dfa(n, delta, accepting)))
+    return SeparationReport(max_states, searched, NoDfaMatches())
 
 
 @given(
@@ -258,7 +261,9 @@ def _brute_force_search(sample, max_states):
 @example(sample_anbn(6), 4)
 @settings(max_examples=300, deadline=None)
 def test_pruned_search_matches_brute_force(sample, max_states):
-    assert separation_search(sample, max_states) == _brute_force_search(sample, max_states)
+    expected = _brute_force_search(sample, max_states)
+    assert separation_search(sample, max_states) == expected
+    assert separation_search(list(reversed(sample.items())), max_states) == expected
 
 
 def test_completion_counts_match_the_canonical_tables():
