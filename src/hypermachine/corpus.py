@@ -254,13 +254,7 @@ def two_state_family() -> Iterator[Machine]:
                 target, write, move = option
                 rules[("q1", sym)] = (target, write, move)
         for bearing in (False, True):
-            yield single_tape_machine(
-                f"fam{index}",
-                rules,
-                finals={"q2": bearing},
-                start="q1",
-                extra_states=("q2",),
-            )
+            yield single_tape_machine(f"fam{index}", rules, finals={"q2": bearing}, start="q1")
             index += 1
 
 

@@ -12,19 +12,22 @@ A limit function also names the next stage at which its guess may change
 those stages.  By default that is every stage; the constant guess never
 changes, and the halting and divergence guesses change at most once, at the
 step where their run halts, so their reports cost O(changes) guess calls
-whatever the stage budget.  Their run is the one that ``inductive`` observes,
-which a non-halting certificate stops: a certified non-halter answers at
-once, and only an uncertified one costs the steps up to the stage budget.
+whatever the stage budget.  Both read the halting log of the run that
+``inductive`` observes, the log that ``halts`` prints; a non-halting
+certificate stops that run, so a certified non-halter answers at once, and
+only an uncertified one costs the steps up to the stage budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 from .codec import Description, decode, index_word, nth_description
-from .machine import HypermachineError, InputError, Run
+from .machine import HypermachineError, InputError
+
+_HaltingLog = Callable[[int], tuple[tuple[int, str], ...]]  # a run's halting log, by the budget it is advanced to
 
 
 class GuessEvaluationError(HypermachineError):
@@ -109,57 +112,61 @@ def limit_eval(f: LimitFunction, x: int, stage_budget: int, quiescence_window: i
     )
 
 
-def _halting_guess(name: str, run_at: Callable[[int], Run], halting: bool, tag: str) -> LimitFunction:
-    """Guess 1 at (x, t) when the run ``run_at(x)`` has halted within t+1
-    steps, or when it has not, if ``halting`` is false.
+def _halting(log_at: Callable[[int], _HaltingLog]) -> LimitFunction:
+    """Guess 1 at (x, t) once the observed run of x has halted within t+1
+    steps: the last entry at or before t of the run's halting log, which
+    ``halts`` prints, whose next entry is the next change.
 
-    The guess changes at most once as t grows, at the step where the run
-    halts, so its limit is 1 exactly on the halting (or, if not ``halting``,
-    the diverging) x.  ``run_at`` returns one observed run per x, which
-    backs all its stages, so a full stage sweep costs one advance to the
-    last stage, with guess calls only at stage 0 and at the change.  A
-    non-halting certificate stops the run, as it proves that no halt
-    follows, so the guess is final there and ``next_change`` is None.  A
-    single-tape sweep that the hook passes beyond the written cells still
-    ends in one jump, and its cells are never written.
+    ``log_at`` reads one observed run per x, which backs all its stages, so
+    a full stage sweep costs one advance to the last stage, with guess calls
+    only at stage 0 and at the change.  A non-halting certificate stops the
+    run, as it proves that no halt follows, so the guess is final there.
     """
 
-    def guess(x: int, stage: int) -> str:
-        return "1" if run_at(x).halted_by(stage + 1) == halting else "0"
+    def guess(x: int, t: int) -> str:
+        for s, g in reversed(log_at(x)(t + 1)):
+            if s <= t:
+                return g
 
     def next_change(x: int, t: int, horizon: int) -> int | None:
-        run = run_at(x)
-        return run.steps if run.halted_by(horizon + 1) and run.steps > t else None
+        for s, _ in log_at(x)(horizon + 1):
+            if t < s <= horizon:
+                return s
+        return None
 
-    return LimitFunction(name, guess, tag, next_change)
+    return LimitFunction("halting", guess, "Σ1", next_change)
+
+
+def _divergence(halting: LimitFunction) -> LimitFunction:
+    """The pointwise complement of ``halting``, with its change points."""
+    return LimitFunction("divergence", lambda x, t: "1" if halting.guess(x, t) == "0" else "0", "Π1", halting.next_change)
 
 
 def halting_as_limit(description: Description, input_word: str) -> LimitFunction:
     """Guess 1 as soon as the described machine has halted within t+1 steps,
     whatever x; changes 0 -> 1 at most once."""
-    run = _observed(description, input_word)
-    return _halting_guess("halting", lambda _x: run, True, "Σ1")
+    log = _observed(description, input_word)
+    return _halting(lambda _x: log)
 
 
 def divergence_as_limit(description: Description, input_word: str) -> LimitFunction:
     """Pointwise complement of halting_as_limit; changes 1 -> 0 at most once."""
-    run = _observed(description, input_word)
-    return _halting_guess("divergence", lambda _x: run, False, "Π1")
+    return _divergence(halting_as_limit(description, input_word))
 
 
-def _observed(description: Description, input_word: str) -> Run:
-    """The run that ``inductive`` observes, not yet advanced.
+def _observed(description: Description, input_word: str) -> _HaltingLog:
+    """The halting log, by budget, of a run that ``inductive`` observes.
 
     Imported here, so that the constant and oscillator functions do not
     load ``inductive``.
     """
-    from .inductive import _observed_run
+    from .inductive import _halting_log, _observed_run
 
-    return _observed_run(decode(description), input_word)[0]
+    return partial(_halting_log, _observed_run(decode(description), input_word)[0])
 
 
-def _indexed_run(x: int) -> Run:
-    """The observed run of the x-th enumerated machine on the x-th word."""
+def _indexed_log(x: int) -> _HaltingLog:
+    """The halting log of the x-th enumerated machine on the x-th word."""
     return _observed(nth_description(x), index_word(x))
 
 
@@ -167,8 +174,8 @@ _BUILTINS: dict[str, Callable[[], LimitFunction]] = {
     "constant": lambda: LimitFunction("constant", lambda x, t: "1", next_change=lambda x, t, horizon: None),
     "oscillator": lambda: LimitFunction("oscillator", lambda x, t: str(t % 2)),
     # limit_eval asks about one x at a time, so each function keeps one run
-    "halting": lambda: _halting_guess("halting", lru_cache(maxsize=1)(_indexed_run), True, "Σ1"),
-    "divergence": lambda: _halting_guess("divergence", lru_cache(maxsize=1)(_indexed_run), False, "Π1"),
+    "halting": lambda: _halting(lru_cache(maxsize=1)(_indexed_log)),
+    "divergence": lambda: _divergence(_halting(lru_cache(maxsize=1)(_indexed_log))),
 }
 
 BUILTIN_LIMIT_FUNCTIONS = tuple(_BUILTINS)

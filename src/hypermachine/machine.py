@@ -11,7 +11,7 @@ Tapes are stored sparsely as {cell: symbol} with blank cells absent, so every
 reachable configuration is finite and cheap to copy, compare, and replay.
 
 ``Run`` is the one engine: a resumable cursor over a machine compiled once
-per run, behind ``run_bounded``, the halting probes of ``Run.halted_by``
+per run, behind ``run_bounded``, the observed runs of ``inductive``
 and every client in the other modules.  Each compiled rule carries its next
 state's row, so a step never looks a state up; a state with no row shares
 one empty, read-only row.  A compiled blank write is None on every tape
@@ -642,18 +642,6 @@ class Run:
                 heads[entry[0]] += moved * entry[2]
             steps = budget
         self.steps = steps
-
-    def halted_by(self, budget: int) -> bool:
-        """Answer exactly as ``run_bounded(machine, word, budget)`` would,
-        advancing only as far as needed, so a sweep over growing budgets
-        costs one pass instead of one run per budget.  A run that its hook
-        stopped answers no halt at every budget, as a sound certificate
-        proves."""
-        _check_budget(budget)
-        self.advance(budget)
-        # Halting is discovered by attempting the next step, so it needs a
-        # budget strictly beyond the halt step.
-        return self.halted and self.steps < budget
 
     def snapshot(self) -> Configuration:
         """A copy of the current configuration."""

@@ -68,6 +68,16 @@ def test_machine_that_never_touches_its_output():
     assert outcome.steps_executed == 100
 
 
+def test_an_output_sweep_that_writes_is_never_stable():
+    # every head reads blank and only the output head moves, beyond the
+    # tape's extent, but it writes a 1 at every step: the run never halts,
+    # yet its output grows for ever, so no runaway may certify it stable
+    machine = parse_machine_spec("machine writer3\ntapes: 3\nstart: w0\nrule w0 _ _ _ -> w0 _ _ 1 S S R\n").machine
+    outcome = inductive_run(machine, "", 2000)
+    assert not isinstance(outcome.status, CertifiedStable)
+    assert outcome.current_output == "1" * 2000
+
+
 def test_inductive_run_requires_three_tapes():
     with pytest.raises(UnsupportedMachineError):
         inductive_run(FLIP, "0", 10)

@@ -7,7 +7,8 @@ from itertools import islice
 import pytest
 
 from hypermachine.codec import encode
-from hypermachine.corpus import corpus_machine, encodable_corpus, two_state_family
+from hypermachine.corpus import corpus_machine, delay_machine, encodable_corpus, two_state_family
+from hypermachine.inductive import halting_limit_decider
 from hypermachine.limits import (
     GuessEvaluationError,
     LimitFunction,
@@ -210,6 +211,9 @@ def _agree_with_a_bounded_run(machine, word, stages):
     for as_limit, halting in ((halting_as_limit, True), (divergence_as_limit, False)):
         report = limit_eval(as_limit(description, word), 0, stages, 5)
         assert report.guesses_log == _reference_log(machine, word, stages, halting), (machine.name, word, stages)
+    # halts prints the same log as the halting limit
+    decided = halting_limit_decider(description, word, stages + 1)
+    assert decided.log.entries == _reference_log(machine, word, stages, True), (machine.name, word, stages)
 
 
 def test_halting_guesses_match_a_bounded_run_on_the_corpus():
@@ -224,6 +228,19 @@ def test_halting_guesses_match_a_bounded_run_on_a_family_sample():
         for word in words_over(("0", "1"), 2):
             for stages in (40, 300):
                 _agree_with_a_bounded_run(machine, word, stages)
+
+
+def test_halting_guesses_answer_stages_out_of_order():
+    # the guesses of one function share one run: a stage asked after the run
+    # has passed it is read off the run's halting log, and a change past the
+    # horizon is no change
+    machine = encode(delay_machine(4))
+    halting, divergence = halting_as_limit(machine, ""), divergence_as_limit(machine, "")
+    assert [halting.guess(0, t) for t in (49, 3, 4)] == ["1", "0", "1"]
+    assert [divergence.guess(0, t) for t in (49, 3, 4)] == ["0", "1", "0"]
+    assert [halting.next_change(0, t, horizon) for t, horizon in ((0, 49), (0, 3), (3, 4), (4, 49))] == [4, None, 4, None]
+    with pytest.raises(InputError, match="^budget must be >= 1, got 0$"):
+        divergence.guess(0, -1)  # no stage precedes stage 0
 
 
 def _counting(f):

@@ -352,9 +352,13 @@ def test_budget_monotonicity(machine, word, b1, extra):
 
 @given(small_machines(), st.sampled_from(["", "0", "01"]), st.integers(1, 10))
 @settings(max_examples=60, deadline=None)
-def test_halted_by_agrees_with_run_bounded(machine, word, budget):
+def test_a_run_advanced_over_growing_budgets_agrees_with_run_bounded(machine, word, budget):
     run = Run(machine, word)
-    assert run.halted_by(budget) == (not isinstance(run_bounded(machine, word, budget), BudgetExhausted))
+    for b in range(1, budget + 1):
+        run.advance(b)
+        outcome = run_bounded(machine, word, b)
+        assert run.halted == (not isinstance(outcome, BudgetExhausted))
+        assert run.outcome() == outcome
 
 
 @st.composite
@@ -563,8 +567,10 @@ def test_run_via_step_matches_fast_engine(machine):
 
         halt = None if last.step == budget else last.step
         probe = Run(machine, word)
-        for b in [*range(1, budget + 1), *range(budget, 0, -1)]:
-            assert probe.halted_by(b) == (halt is not None and halt < b)
+        for b in range(1, budget + 1):
+            probe.advance(b)
+            assert probe.halted == (halt is not None and halt < b)
+            assert probe.steps == (halt if probe.halted else b)
 
         answer = certify_nonhalting(machine, word, budget)
         if halt is not None:
@@ -609,14 +615,6 @@ def test_delay_machine_halts_exactly_on_time():
         machine = delay_machine(k)
         assert run_bounded(machine, "", k + 1) == HaltedWithResult("", k)
         assert isinstance(run_bounded(machine, "", k), BudgetExhausted)
-
-
-def test_halted_by_answers_out_of_order_queries():
-    run = Run(delay_machine(4), "")
-    assert run.halted_by(50)
-    assert not run.halted_by(4)  # asked after the run advanced past it
-    assert run.halted_by(5)
-    assert run.halted and run.steps == 4
 
 
 # --- the sweep jump ---------------------------------------------------------
@@ -903,7 +901,9 @@ def test_a_multi_tape_rule_that_stops_repeating_is_stepped(machine, word):
 
 def test_a_jumped_multi_tape_run_advanced_again_stores_no_jumped_cell():
     run = Run(_SWEEPER3, "")
-    assert not run.halted_by(10**6) and not run.halted_by(2 * 10**6)
+    run.advance(10**6)
+    run.advance(2 * 10**6)
+    assert not run.halted
     assert run.steps == 2 * 10**6 and run.heads == [0, 0, -2 * 10**6]
     assert sum(map(len, run._tapes)) == 1  # the 0 of step 0, which the run stepped
 
@@ -1056,7 +1056,9 @@ _SWEEPER = single_tape_machine("sweeper", {("q1", "_"): ("q1", "0", "L")}, start
 
 def _growing_budgets(budget):
     run = Run(_SWEEPER, "")
-    return [run.halted_by(b) for b in (1, budget // 4, budget // 2, budget, budget // 2)]
+    for b in (1, budget // 4, budget // 2, budget, budget // 2):
+        run.advance(b)
+    return run.outcome()
 
 
 def _two_limit_evals(budget):
@@ -1079,7 +1081,7 @@ def _two_limit_evals(budget):
         "run_bounded",
         "reflexive_run",
         "observational_equiv",
-        "halted_by",
+        "growing_budgets",
         "limit_eval",
         "run_bounded_3_tapes",
         "observational_equiv_3_tapes",
@@ -1140,8 +1142,8 @@ def test_a_run_that_its_hook_stopped_is_left_as_it_is(monkeypatch):
     run.advance(1000)
     assert (run.checked, run.steps, hooked, replays) == (ConfigurationCycle(1, 0), 1, [0, 1], [0])
     run.advance(2000)
-    assert not run.halted_by(3000)
-    assert (run.checked, run.steps, hooked, replays) == (ConfigurationCycle(1, 0), 1, [0, 1], [0])
+    run.advance(3000)
+    assert (run.halted, run.checked, run.steps, hooked, replays) == (False, ConfigurationCycle(1, 0), 1, [0, 1], [0])
 
 
 def test_a_rule_patched_after_a_jump_reads_the_jumped_cells():
