@@ -87,7 +87,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_watch(args) -> int:
-    from .inductive import CertifiedStable
+    from .inductive import Provisional
     from .machine import InputError, Machine
     from .trace import watch
 
@@ -98,7 +98,7 @@ def cmd_watch(args) -> int:
     lines, outcome = watch(machine, args.input, args.interval, args.budget)
     for line in lines:
         print(line)
-    return EXIT_OK if isinstance(outcome.status, CertifiedStable) else EXIT_PROVISIONAL
+    return EXIT_PROVISIONAL if isinstance(outcome.status, Provisional) else EXIT_OK
 
 
 def cmd_encode(args) -> int:
@@ -130,12 +130,11 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_halts(args) -> int:
-    from .inductive import CertifiedStable, halting_limit_decider
-    from .trace import summary_line
+    from .inductive import Provisional, halting_limit_decider, summary_line
 
     outcome = halting_limit_decider(_load_description(args), args.input, args.budget)
     print(summary_line(outcome))
-    return EXIT_OK if isinstance(outcome.status, CertifiedStable) else EXIT_PROVISIONAL
+    return EXIT_PROVISIONAL if isinstance(outcome.status, Provisional) else EXIT_OK
 
 
 def _decider(spec: str):

@@ -29,21 +29,18 @@ lockstep pass of two replays a period apart.  Every hash match is confirmed
 by replaying a fresh run and comparing configurations exactly, so a hash
 collision costs time but never yields a false or different certificate.
 
-The 64 cells are ``machine._HOOK_CELLS``, the engine's hook gate.  One
-factory builds the check for either tape count.  On a single tape the engine
-calls it on tracked configurations and on every sweep that moves a head, and
-ends a sweep that the check passes beyond the tape's extent in one jump; on
-several tapes it calls it on every step, as the check logs the output, and
-never jumps.  There the check reads each tape's old symbol and the output
-change from the compiled rule, and it updates the hashes of only the tapes
-that the rule changes.  On any tape count it looks a tracked step's key up
-the same way, hashes only tracked steps and rebuilds its hash on the first
-one after a gap, so the certificates are those of a check that hashes every
-step.  A fixed point, a rule that keeps the state, moves no head and
-rewrites no cell, is the sweep that moves no head, and only an unhooked run
-jumps it.  The runaway test needs a moving head, so the check takes a fixed
-point for no sweep: the cycle check reports ``ConfigurationCycle(1, s)`` at
-step s + 1 for a fixed point that starts at step s.
+The 64 cells are ``machine._HOOK_CELLS``, the engine's hook gate; which
+steps the engine calls the check on, and which it jumps, ``machine.Run``
+states.  One factory builds the check for either tape count.  On several
+tapes the check also logs the output: it reads each tape's old symbol and
+the output change from the compiled rule, and it updates the hashes of only
+the tapes that the rule changes.  On any tape count it looks a tracked
+step's key up the same way, hashes only tracked steps and rebuilds its hash
+on the first one after a gap, so the certificates are those of a check that
+hashes every step.  The runaway test needs a moving head, so the check
+takes a fixed point for no sweep: the cycle check reports
+``ConfigurationCycle(1, s)`` at step s + 1 for a fixed point that starts at
+step s.
 
 One runaway test serves every tape count, once per sweep, at its first step:
 the sweep writes blank on every moving head, each of which is beyond its
@@ -405,6 +402,27 @@ def _status(run: Run, last_change_step: int) -> CertifiedStable | Provisional:
     ):
         return CertifiedStable(certificate)
     return PROVISIONAL
+
+
+def describe_status(status: CertifiedStable | Provisional) -> str:
+    if isinstance(status, Provisional):
+        return "provisional"
+    reason = status.reason
+    if isinstance(reason, Halted):
+        return "certified-halted"
+    if isinstance(reason, ConfigurationCycle):
+        return f"certified-nonhalting:cycle(period={reason.period},first_repeat={reason.first_repeat_step})"
+    if isinstance(reason, BlankRunaway):
+        direction = "".join(reason.direction)
+        return f"certified-nonhalting:runaway(state={reason.state},direction={direction},onset={reason.onset_step})"
+    raise AssertionError(f"unknown status {status!r}")
+
+
+def summary_line(outcome: InductiveOutcome) -> str:
+    return (
+        f"summary\tsteps={outcome.steps_executed}\tout={outcome.current_output}"
+        f"\tlast_change={outcome.last_change_step}\tstatus={describe_status(outcome.status)}"
+    )
 
 
 def _outcome(run: Run, entries: Sequence[tuple[int, str]]) -> InductiveOutcome:

@@ -12,23 +12,9 @@ reachable configuration is finite and cheap to copy, compare, and replay.
 
 ``Run`` is the one engine: a resumable cursor over a machine compiled once
 per run, behind ``run_bounded``, the observed runs of ``inductive``
-and every client in the other modules.  Each compiled rule carries its next
-state's row, so a step never looks a state up; a state with no row shares
-one empty, read-only row.  A compiled blank write is None on every tape
-count, in a single-tape rule and in every sweep.  A multi-tape rule applies
-only its effects, the tapes whose cell it rewrites with another symbol or
-whose head it moves.  A run that keeps one state while every head reads
-blank, some heads move outward and the others stay and write blank is
-finished in one jump (the macro-step of busy-beaver simulators, Marxen and
-Buntrock 1990), on one tape as on several: the rest of the budget moves each
-moving head that many cells, and the cells they pass are filled as the steps
-would fill them when the tapes are next read.  A jumped run advanced again
-moves its heads by the same jump.  A fixed point, a rule on any symbols that
-keeps the state, moves no head and rewrites no cell, is the sweep that moves
-no head, and only an unhooked run jumps it: the budget ends in one step, with
-nothing to fill.  On a single tape a moving sweep's jump holds under a
-certificate hook, which sees the step that the jump starts from; a traced
-run, and an observed run on several tapes, steps every step.
+and every client in the other modules.  Its docstring states the engine's
+contract once: the compiled rules and their blank writes, the sweep jump,
+fixed points and the steps that a hook sees.
 ``step`` and ``config_sequence`` are the reference semantics: small, pure
 and slow, kept for tests to compare the engine against.
 """
@@ -410,22 +396,17 @@ def _compiled_rows(machine: Machine, rules: Mapping[RuleKey, RuleBody], rows: di
 
     A row maps the scanned symbol (single tape) or symbol tuple to a compiled
     rule, which ends in its next state's row (_NO_ROW when that state has
-    none) and then in its moving heads if it is a sweep, else None, which
-    the loops test faster than the truth of a tuple.  A compiled blank
-    write is None on every tape count, in a single-tape rule and in every
-    sweep.  A single-tape rule is compiled from scalars, as one is per
-    ``Run``: its next state, write and move.  A
-    multi-tape rule carries its scanned symbols, its writes and its effects:
-    per tape whose cell it rewrites with another symbol or whose head it
-    moves, the tape, the symbol written or None when the cell keeps its own,
-    and the head's move.  A sweep is a rule under which every head reads
-    blank, the state is kept and it has effects, each of which moves a head:
-    some head moves and every head that stays writes blank.  Its effects are
-    its moving heads, each with its write, so None is a blank write there.
-    A fixed point is the sweep that moves no head, and only an unhooked run
-    jumps it: a rule on any symbols that keeps the state and has no effects
-    (on one tape, moves no head and writes the symbol it scans), whose
-    moving heads are the empty tuple.
+    none) and then in its moving heads if it is a sweep, as ``Run`` defines
+    one, else None, which the loops test faster than the truth of a tuple.
+    A single-tape rule is compiled from scalars, as one is per ``Run``: its
+    next state, write (None for blank) and move.  A multi-tape rule carries
+    its scanned symbols, its writes and its effects: per tape whose cell it
+    rewrites with another symbol or whose head it moves, the tape, the
+    symbol written or None when the cell keeps its own, and the head's move.
+    A sweep's moving heads are its effects, each with its write, so None is
+    a blank write there.  A fixed point, a rule that keeps the state and has
+    no effects (on one tape, moves no head and writes the symbol it scans),
+    has the empty tuple.
     """
     row_of = rows.get
     blank = machine.blank
@@ -463,7 +444,7 @@ def _compiled_rows(machine: Machine, rules: Mapping[RuleKey, RuleBody], rows: di
 class Run:
     """A resumable run from the standard initial configuration.
 
-    This is the one engine: every bounded run, probe, observation, trace and
+    This is the one engine: every bounded run, observation, trace and
     self-editing run advances a ``Run``, while ``step`` stays the reference
     semantics that tests compare against.  The machine is compiled once, into
     rows private to this run, and each compiled rule carries its next state's
@@ -491,14 +472,16 @@ class Run:
     A sweep (a rule under which every head reads blank, the state is kept,
     some head moves and every head that stays writes blank) that fires with
     each moving head beyond its tape's extent in its direction would fire on
-    fresh blanks at every step left, so the run ends the budget in one jump.
+    fresh blanks at every step left, so the run ends the budget in one jump
+    (the macro-step of busy-beaver simulators, Marxen and Buntrock 1990).
     Either loop only tests for it, through the one extent test that the
     certificate hooks share: from an advance's second step on, when the
     steps left outnumber the tapes' cells, which the scans for the extents
     cost; after a test that fails, not again within that many steps.
     The jump then moves each of the sweep's moving heads by the steps left.
-    A fixed point is the sweep that moves no head, and only an unhooked run
-    jumps it: the extent test holds with no moving head to test, no head
+    A fixed point, a rule on any symbols that keeps the state, moves no head
+    and rewrites no cell, is the sweep that moves no head, and only an
+    unhooked run jumps it: the extent test holds with no moving head to test, no head
     moves and nothing is left to fill.  A hooked run steps it, since the
     hook's cycle check reports its repeat at the step after its first, and a
     single-tape hook is not called on it above _HOOK_CELLS cells.

@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 from .machine import InputError, Machine, RunOutcome, _retrim, trimmed_word
 
 if TYPE_CHECKING:  # inductive and reflexive are loaded by the calls that run them
-    from .inductive import CertifiedStable, InductiveOutcome, Provisional
+    from .inductive import InductiveOutcome
     from .reflexive import EditLog, ReflexiveMachine
 
 
@@ -88,29 +88,6 @@ def emit_trace(records: list[TraceRecord]) -> str:
     return "".join([f"{record.render()}\n" for record in records])
 
 
-def describe_status(status: CertifiedStable | Provisional) -> str:
-    from .inductive import BlankRunaway, ConfigurationCycle, Halted, Provisional
-
-    if isinstance(status, Provisional):
-        return "provisional"
-    reason = status.reason
-    if isinstance(reason, Halted):
-        return "certified-halted"
-    if isinstance(reason, ConfigurationCycle):
-        return f"certified-nonhalting:cycle(period={reason.period},first_repeat={reason.first_repeat_step})"
-    if isinstance(reason, BlankRunaway):
-        direction = "".join(reason.direction)
-        return f"certified-nonhalting:runaway(state={reason.state},direction={direction},onset={reason.onset_step})"
-    raise AssertionError(f"unknown status {status!r}")
-
-
-def summary_line(outcome: InductiveOutcome) -> str:
-    return (
-        f"summary\tsteps={outcome.steps_executed}\tout={outcome.current_output}"
-        f"\tlast_change={outcome.last_change_step}\tstatus={describe_status(outcome.status)}"
-    )
-
-
 def watch(machine: Machine, input_word: str, interval: int, budget: int) -> tuple[list[str], InductiveOutcome]:
     """Run inductively, reporting the output every ``interval`` steps.
 
@@ -118,7 +95,7 @@ def watch(machine: Machine, input_word: str, interval: int, budget: int) -> tupl
     follows the snapshots, and is the only line when the run ends before the
     first sampling point.
     """
-    from .inductive import inductive_run
+    from .inductive import describe_status, inductive_run, summary_line
 
     if interval < 1:
         raise InputError("interval must be >= 1")

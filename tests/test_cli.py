@@ -374,9 +374,14 @@ def test_parser_choices_are_the_library_registries(capsys):
         (["limit-eval", "--fn", "constant", "--x", "3", "--stages", "100", "--window", "10"], "cli codec limits machine"),
         (["encode", "flip.tm"], "cli codec dsl machine"),
         (["decode", "--bits", "{flip}"], "cli codec dsl machine"),
-        (["halts", "--bits", "{flip}", "--input", "1", "--budget", "10000"], "cli codec inductive machine trace"),
-        # a trace loads inductive only for the watch and status calls that run it
+        (["halts", "--bits", "{flip}", "--input", "1", "--budget", "10000"], "cli codec inductive machine"),
+        (["audit", "--machines", "3", "--decider", "budget:5", "--truth-budget", "5"], "cli codec inductive machine"),
+        (["diagonal", "--index", "3", "--decider", "budget:5"], "cli codec inductive machine"),
+        (["equiv", "flip.tm", "flip.tm"], "cli dsl machine"),
+        (["run", "flip.tm", "--input", "0"], "cli dsl machine reflexive"),
+        # a trace loads inductive only for the watch calls that run it
         (["run", "flip.tm", "--input", "0", "--trace", "-"], "cli dsl machine reflexive trace"),
+        (["watch", "halt3.tm"], "cli codec dsl inductive machine trace"),
         (["bench", "--steps", "10"], "cli corpus dsl machine"),
         # the halting and divergence functions read the run that inductive observes
         (["limit-eval", "--fn", "halting", "--x", "3", "--stages", "100", "--window", "10"], "cli codec inductive limits machine"),
@@ -385,6 +390,7 @@ def test_parser_choices_are_the_library_registries(capsys):
 def test_a_command_loads_only_the_modules_that_it_runs(tmp_path, argv, modules):
     # a fresh interpreter shows it, as this one has loaded them all
     (tmp_path / "flip.tm").write_text(CORPUS_SPECS["flip"])
+    (tmp_path / "halt3.tm").write_text(CORPUS_SPECS["halt3"])
     argv = [arg.format(flip=encode(corpus_machine("flip")).bits) for arg in argv]
     script = (
         "import contextlib, io, sys\n"

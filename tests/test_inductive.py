@@ -15,6 +15,8 @@ from hypermachine.codec import UnsupportedMachineError, universal_run
 from hypermachine.corpus import corpus_machine, delay_machine, two_state_family
 from hypermachine.dsl import parse_machine_spec
 from hypermachine.inductive import (
+    HALTED,
+    PROVISIONAL,
     BlankRunaway,
     Certificate,
     CertifiedStable,
@@ -26,9 +28,11 @@ from hypermachine.inductive import (
     audit_decider,
     budget_decider,
     certify_nonhalting,
+    describe_status,
     diagonalize,
     halting_limit_decider,
     inductive_run,
+    summary_line,
 )
 from hypermachine.machine import BudgetExhausted, HaltedWithResult, InputError, Machine, run_bounded, single_tape_machine
 
@@ -57,6 +61,19 @@ def test_halting_three_tape_machine():
     assert outcome.last_change_step == 2
     assert outcome.steps_executed == 4
     assert outcome.status == CertifiedStable(Halted())
+
+
+def test_every_status_has_its_text():
+    assert describe_status(CertifiedStable(HALTED)) == "certified-halted"
+    cycle = CertifiedStable(ConfigurationCycle(2, 1))
+    assert describe_status(cycle) == "certified-nonhalting:cycle(period=2,first_repeat=1)"
+    runaway = CertifiedStable(BlankRunaway("q1", ("S", "R", "L"), 0))
+    assert describe_status(runaway) == "certified-nonhalting:runaway(state=q1,direction=SRL,onset=0)"
+    assert describe_status(PROVISIONAL) == "provisional"
+    outcome = inductive_run(corpus_machine("halt3"), "", 100)
+    assert summary_line(outcome) == "summary\tsteps=4\tout=10\tlast_change=2\tstatus=certified-halted"
+    with pytest.raises(AssertionError, match="unknown status"):
+        describe_status(CertifiedStable(Unknown()))
 
 
 def test_machine_that_never_touches_its_output():
@@ -321,25 +338,6 @@ FAR_RUNAWAY = _grown(
     "far_runaway",
     {("s", "y"): ("e", "y", "R"), ("e", "y"): ("e", "y", "R"), ("e", "_"): ("e", "_", "R")},
 )
-
-
-def _on_input_tape(machine):
-    """A 3-tape machine running the single-tape ``machine`` on its input
-    tape, with the other two heads parked on blank."""
-    blank = machine.blank
-    return Machine(
-        name=machine.name,
-        tape_count=3,
-        alphabet=machine.alphabet,
-        blank=blank,
-        states=machine.states,
-        start=machine.start,
-        finals=machine.finals,
-        rules={
-            (q, (sym, blank, blank)): (nq, (write, blank, blank), (move, "S", "S"))
-            for (q, (sym,)), (nq, (write,), (move,)) in machine.rules.items()
-        },
-    )
 
 
 def test_cycles_through_a_large_tape_are_found_once_it_shrinks():
