@@ -35,6 +35,7 @@ from .machine import (
     InputError,
     Machine,
     RunOutcome,
+    _prechecked,
     run_bounded,
 )
 
@@ -224,7 +225,6 @@ def _parse(bits: str) -> tuple[list[tuple[int, int]], list[tuple[int, int, int, 
 
 
 # decoded machines share these tuples and their state names
-_ALPHABET = (BLANK, "0", "1")
 _SYMBOL_TUPLES = {code: (sym,) for sym, code in SYMBOL_CODES.items()}
 _MOVE_TUPLES = {code: (move,) for move, code in MOVE_CODES.items()}
 
@@ -235,34 +235,17 @@ def _state_names(n: int) -> tuple[str, ...]:
     return tuple(f"q{i}" for i in range(1, n + 1))
 
 
-def _machine_from_structure(
-    finals: list[tuple[int, int]], rules: list[tuple[int, int, int, int, int]]
-) -> Machine:
-    """The machine of parsed final entries and rules, built without
-    ``Machine.__post_init__``: _parse already guarantees all that it checks
-    (states q1..qn with q1 the start, every final declared and without a
-    rule, one symbol and one move per rule, each in range), so the fields
-    are set directly, the tables as read-only views as that method leaves
-    them."""
+def _machine_from_structure(finals: list[tuple[int, int]], rules: list[tuple[int, int, int, int, int]]) -> Machine:
+    """The machine of parsed final entries and rules, built by ``_prechecked``:
+    _parse already guarantees all that ``Machine.__post_init__`` checks (states
+    q1..qn with q1 the start, every final declared and without a rule, one
+    symbol and one move per rule, each in range)."""
     n = max([1] + [q for q, _ in finals] + [max(i, k) for i, _, k, _, _ in rules])
     states = _state_names(n)
-    machine = object.__new__(Machine)
-    vars(machine).update(
-        name="decoded",
-        tape_count=1,
-        alphabet=_ALPHABET,
-        blank=BLANK,
-        states=states,
-        start=states[0],
-        finals=MappingProxyType({states[q - 1]: g == 2 for q, g in finals}),
-        rules=MappingProxyType(
-            {
-                (states[i - 1], _SYMBOL_TUPLES[j]): (states[k - 1], _SYMBOL_TUPLES[l], _MOVE_TUPLES[m])
-                for i, j, k, l, m in rules
-            }
-        ),
+    rules_view = MappingProxyType(
+        {(states[i - 1], _SYMBOL_TUPLES[j]): (states[k - 1], _SYMBOL_TUPLES[l], _MOVE_TUPLES[m]) for i, j, k, l, m in rules}
     )
-    return machine
+    return _prechecked("decoded", states, MappingProxyType({states[q - 1]: g == 2 for q, g in finals}), rules_view)
 
 
 # a caller decodes one description at most three times in a row and does

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterator
 
 from .dsl import parse_machine_spec
-from .machine import MOVES, InputError, Machine, single_tape_machine
+from .machine import MOVES, InputError, Machine, _prechecked, single_tape_machine
 
 if TYPE_CHECKING:
     from .reflexive import ReflexiveMachine
@@ -231,10 +232,12 @@ def delay_machine(steps: int) -> Machine:
 
 
 _SYMS = ("_", "0", "1")
-_TARGETS = ("q1", "q2")
+_STATES = ("q1", "q2")  # also the rule targets
+_KEYS = tuple(("q1", (sym,)) for sym in _SYMS)
 
-# per-symbol rule options: absent, or (target, write, move)
-_RULE_OPTIONS = (None,) + tuple(product(_TARGETS, _SYMS, MOVES))
+# per-symbol rule bodies: absent, or (target, (write,), (move,))
+_BODIES = (None,) + tuple((target, (write,), (move,)) for target, write, move in product(_STATES, _SYMS, MOVES))
+_FINALS = (MappingProxyType({"q2": False}), MappingProxyType({"q2": True}))
 
 
 def two_state_family() -> Iterator[Machine]:
@@ -244,19 +247,16 @@ def two_state_family() -> Iterator[Machine]:
 
     This is the exhaustive desk-scale study set: it produces immediate and
     delayed halts, configuration cycles, blank runaways, and uncertifiable
-    divergence.
+    divergence.  Each is valid by construction, so ``_prechecked`` builds it
+    from the tables above, both result flags of a table on one rules view.
     """
     index = 0
-    for table in product(_RULE_OPTIONS, repeat=3):
-        rules = {}
-        for sym, option in zip(_SYMS, table):
-            if option is not None:
-                target, write, move = option
-                rules[("q1", sym)] = (target, write, move)
-        for bearing in (False, True):
-            yield single_tape_machine(f"fam{index}", rules, finals={"q2": bearing}, start="q1")
+    for table in product(_BODIES, repeat=3):
+        rules = MappingProxyType({key: body for key, body in zip(_KEYS, table) if body is not None})
+        for finals in _FINALS:
+            yield _prechecked(f"fam{index}", _STATES, finals, rules)
             index += 1
 
 
 def two_state_family_size() -> int:
-    return len(_RULE_OPTIONS) ** 3 * 2
+    return len(_BODIES) ** 3 * 2

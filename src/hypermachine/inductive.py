@@ -472,21 +472,29 @@ def certify_nonhalting(machine: Machine, input_word: str, budget: int) -> Certif
     return UNKNOWN
 
 
-def _halting_log(run: Run, budget: int) -> tuple[tuple[int, str], ...]:
-    """The halting guess of an observed run, advanced to ``budget``, as a
-    change log: "0" from step 0, then "1" from the halt step if it halted."""
-    _check_budget(budget)
-    run.advance(budget)
-    if not run.halted:
-        return ((0, "0"),)
-    return ((0, "0"), (run.steps, "1")) if run.steps else ((0, "1"),)
+def _halting_log(run: Run) -> Callable[[int], tuple[tuple[int, str], ...]]:
+    """The halting guess of an observed run, by the budget that it is advanced
+    to, as a change log: "0" from step 0, then "1" from the halt step if it
+    halted; kept with the run, it is built again only when an advance halts it."""
+    log = ((0, "0"),)
+
+    def advanced_to(budget: int) -> tuple[tuple[int, str], ...]:
+        nonlocal log
+        _check_budget(budget)
+        if not run.halted:
+            run.advance(budget)
+            if run.halted:
+                log = ((0, "0"), (run.steps, "1")) if run.steps else ((0, "1"),)
+        return log
+
+    return advanced_to
 
 
 def halting_limit_decider(description: Description, input_word: str, budget: int) -> InductiveOutcome:
     """Limit-style halting decision: output 0 while the simulated machine
     runs, flipping to 1 exactly when it halts within the budget."""
     run, _ = _observed_run(decode(description), input_word)
-    return _outcome(run, _halting_log(run, budget))
+    return _outcome(run, _halting_log(run)(budget))
 
 
 # --- diagonalization --------------------------------------------------------

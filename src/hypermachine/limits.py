@@ -21,7 +21,7 @@ only an uncertified one costs the steps up to the stage budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 from .codec import Description, decode, index_word, nth_description
@@ -162,7 +162,7 @@ def _observed(description: Description, input_word: str) -> _HaltingLog:
     """
     from .inductive import _halting_log, _observed_run
 
-    return partial(_halting_log, _observed_run(decode(description), input_word)[0])
+    return _halting_log(_observed_run(decode(description), input_word)[0])
 
 
 def _indexed_log(x: int) -> _HaltingLog:

@@ -31,6 +31,7 @@ RIGHT = "R"
 STAY = "S"
 MOVES = (LEFT, RIGHT, STAY)
 BLANK = "_"
+_BINARY = (BLANK, "0", "1")  # the alphabet of every prechecked machine
 
 _DELTA = {LEFT: -1, RIGHT: 1, STAY: 0}
 _HOOK_CELLS = 64  # certificate hooks track configurations of at most this many cells
@@ -77,8 +78,8 @@ class Machine:
     ``rules`` maps (state, scanned-symbol tuple) to (next state, written
     symbols, moves); the tuple arity always equals ``tape_count``.  ``finals``
     maps each final state to True (result-bearing) or False (resultless).
-    Both are read-only views of the machine's own copies, so a machine that
-    a cache shares cannot be changed by one caller for the others.
+    Both are read-only views of tables that no caller holds, so a machine
+    that a cache shares cannot be changed by one caller for the others.
     """
 
     name: str
@@ -115,6 +116,19 @@ class Machine:
     @property
     def input_alphabet(self) -> Symbols:
         return tuple(sym for sym in self.alphabet if sym != self.blank)
+
+
+def _prechecked(
+    name: str, states: tuple[str, ...], finals: Mapping[str, bool], rules: Mapping[RuleKey, RuleBody]
+) -> Machine:
+    """A single-tape machine over {_, 0, 1} that starts in ``states[0]``, built
+    without ``Machine.__post_init__``: the caller guarantees all that it checks
+    and hands over ``finals`` and ``rules`` as read-only views, to be shared."""
+    machine = object.__new__(Machine)
+    vars(machine).update(
+        name=name, tape_count=1, alphabet=_BINARY, blank=BLANK, states=states, start=states[0], finals=finals, rules=rules
+    )
+    return machine
 
 
 def _check_rules(machine: Machine, rules: Mapping[RuleKey, RuleBody], at: RuleKey | None = None) -> None:

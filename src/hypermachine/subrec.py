@@ -175,9 +175,12 @@ def _sample_trie(sample: Mapping[str, int] | Iterable[tuple[str, int]]) -> tuple
     for word, bit in sample.items() if isinstance(sample, Mapping) else sample:
         node = 0
         for ch in word:
-            if ch not in ALPHABET:
+            if ch == "0":
+                cell = 2 * node
+            elif ch == "1":
+                cell = 2 * node + 1
+            else:
                 raise InputError(f"sample word {word!r} is not over {{0,1}}")
-            cell = 2 * node + (ch == "1")
             node = children[cell]
             if not node:
                 node = children[cell] = len(labels)

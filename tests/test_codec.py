@@ -5,6 +5,7 @@ import functools
 import itertools
 import sys
 import threading
+import tracemalloc
 from types import MappingProxyType
 
 import pytest
@@ -25,7 +26,14 @@ from hypermachine.codec import (
     word_index,
 )
 from hypermachine.codec import _decode_bits, _descriptions_of, _numbering_canonical
-from hypermachine.corpus import LOCATABLE, corpus_machine, delay_machine, encodable_corpus, two_state_family
+from hypermachine.corpus import (
+    LOCATABLE,
+    corpus_machine,
+    delay_machine,
+    encodable_corpus,
+    two_state_family,
+    two_state_family_size,
+)
 from hypermachine.machine import (
     BLANK,
     BudgetExhausted,
@@ -306,6 +314,43 @@ def _same_verdict(bits):
     assert dataclasses.replace(machine) == machine, bits
     assert type(machine.rules) is type(machine.finals) is MappingProxyType, bits
     return True
+
+
+def _validated_family():
+    """The two-state family rebuilt through ``single_tape_machine``, in its
+    documented order: tables over the rule options of q1 on _, 0 and 1, each
+    with the resultless and then the result-bearing q2."""
+    options = [None] + list(itertools.product(("q1", "q2"), "_01", "LRS"))
+    for n, table in enumerate(itertools.product(options, repeat=3)):
+        rules = {("q1", sym): option for sym, option in zip("_01", table) if option is not None}
+        for bearing in (False, True):
+            yield single_tape_machine(f"fam{2 * n + bearing}", rules, finals={"q2": bearing}, start="q1")
+
+
+def test_the_family_is_built_as_if_validated():
+    # the family, too, is built without Machine's checks, from shared tables
+    family = list(two_state_family())
+    rebuilt = list(_validated_family())
+    assert len(family) == len(rebuilt) == two_state_family_size()
+    for machine, twin in zip(family, rebuilt):
+        assert machine == twin, twin.name
+        assert (machine.name, machine.states, list(machine.rules)) == (twin.name, twin.states, list(twin.rules))
+        assert dataclasses.replace(machine) == machine, twin.name
+        assert type(machine.rules) is type(machine.finals) is MappingProxyType, twin.name
+
+
+def test_the_family_is_held_in_little_memory():
+    # its machines share their rule bodies, states, alphabet and finals, and
+    # a table's two machines its rules view: 7.2 MB, where private copies of
+    # every table took 21.5 MB
+    tracemalloc.start()
+    try:
+        family = list(two_state_family())
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert len(family) == two_state_family_size()
+    assert peak_mb < 12
 
 
 def test_enumeration_matches_brute_force_filter():

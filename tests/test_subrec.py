@@ -176,8 +176,9 @@ def test_separation_search_is_deterministic():
 
 
 def test_separation_search_validates_sample():
-    with pytest.raises(InputError):
-        separation_search({"2": 1}, 1)
+    for word in ("2", "012", "1 "):
+        with pytest.raises(InputError, match=f"sample word {word!r} is not over"):
+            separation_search({"0": 1, word: 1}, 1)
     with pytest.raises(InputError):
         separation_search({"0": 7}, 1)
     with pytest.raises(InputError):
