@@ -23,7 +23,6 @@ description that is not canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from types import MappingProxyType
@@ -36,6 +35,7 @@ from .machine import (
     Machine,
     RunOutcome,
     _prechecked,
+    _Record,
     run_bounded,
 )
 
@@ -59,8 +59,7 @@ class UnsupportedMachineError(HypermachineError):
     """The machine lies outside the encodable class."""
 
 
-@dataclass(frozen=True)
-class Description:
+class Description(_Record):
     """A machine's description: a word over {0,1} that ``decode`` reads."""
 
     bits: str

@@ -24,17 +24,15 @@ every diagnostic carries a line and column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .machine import BLANK, Machine, MOVES, ParseError, RuleBody, RuleKey, StructureError
+from .machine import BLANK, Machine, MOVES, ParseError, RuleBody, RuleKey, StructureError, _Record
 
 if TYPE_CHECKING:  # the self-editing engine is loaded only for an edit clause
     from .reflexive import EditAction, ReflexiveMachine
 
 
-@dataclass(frozen=True)
-class SpecDocument:
+class SpecDocument(_Record):
     """A parsed machine document: its machine, and the line and column where each rule and directive starts."""
 
     machine: Machine | ReflexiveMachine

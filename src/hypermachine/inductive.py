@@ -57,7 +57,7 @@ sweep with fewer cells, and no runaway or halt starts in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from _thread import allocate_lock  # threading.Lock, without loading threading
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -74,6 +74,7 @@ from .machine import (
     _HOOK_CELLS,
     _check_budget,
     _moving_heads_beyond,
+    _Record,
     _retrim,
     BudgetExhausted,
     HaltedWithResult,
@@ -89,8 +90,7 @@ CandidateDecider = Callable[[Description, str], bool]
 # --- certificates and statuses ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConfigurationCycle:
+class ConfigurationCycle(_Record):
     """Normalised configurations at first_repeat_step and first_repeat_step +
     period are identical, so the run is exactly periodic from there on."""
 
@@ -98,8 +98,7 @@ class ConfigurationCycle:
     first_repeat_step: int
 
 
-@dataclass(frozen=True)
-class BlankRunaway:
+class BlankRunaway(_Record):
     """From onset_step the machine sits in ``state`` forever: every head reads
     blank and either stays put or moves away from the non-blank extent, and
     the single applicable rule returns to ``state`` writing only blanks."""
@@ -112,39 +111,34 @@ class BlankRunaway:
 NonHaltingCertificate = ConfigurationCycle | BlankRunaway
 
 
-@dataclass(frozen=True)
-class Halted:
+class Halted(_Record):
     """The reason a halted run's output is final."""
 
 
 HALTED = Halted()
 
 
-@dataclass(frozen=True)
-class CertifiedStable:
+class CertifiedStable(_Record):
     """A status whose output can never change again, with the reason why."""
 
     reason: Halted | NonHaltingCertificate
 
 
-@dataclass(frozen=True)
-class Provisional:
+class Provisional(_Record):
     """A status whose output a longer run may still revise."""
 
 
 PROVISIONAL = Provisional()
 
 
-@dataclass(frozen=True)
-class ObservationLog:
+class ObservationLog(_Record):
     """Output snapshots at step 0 and at every step where the trimmed output
     changed; steps strictly increase and consecutive snapshots differ."""
 
     entries: tuple[tuple[int, str], ...]
 
 
-@dataclass(frozen=True)
-class InductiveOutcome:
+class InductiveOutcome(_Record):
     """An inductive run's current output, its last change, its steps, status and log."""
 
     current_output: str
@@ -440,22 +434,19 @@ def inductive_run(machine: Machine, input_word: str, budget: int) -> InductiveOu
     return _outcome(run, changes)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """A proof that the run never halts."""
 
     certificate: NonHaltingCertificate
 
 
-@dataclass(frozen=True)
-class HaltsAt:
+class HaltsAt(_Record):
     """The run halts, at ``steps``."""
 
     steps: int
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(_Record):
     """Neither a halt nor a certificate within the budget."""
 
 
@@ -475,16 +466,21 @@ def certify_nonhalting(machine: Machine, input_word: str, budget: int) -> Certif
 def _halting_log(run: Run) -> Callable[[int], tuple[tuple[int, str], ...]]:
     """The halting guess of an observed run, by the budget that it is advanced
     to, as a change log: "0" from step 0, then "1" from the halt step if it
-    halted; kept with the run, it is built again only when an advance halts it."""
+    halted; kept with the run, it is built again only when an advance halts it.
+    Threads that share the log take turns to advance the run; a log that ends
+    in "1" is final, so reading it takes no turn."""
     log = ((0, "0"),)
+    lock = allocate_lock()
 
     def advanced_to(budget: int) -> tuple[tuple[int, str], ...]:
         nonlocal log
         _check_budget(budget)
-        if not run.halted:
-            run.advance(budget)
-            if run.halted:
-                log = ((0, "0"), (run.steps, "1")) if run.steps else ((0, "1"),)
+        if log[-1][1] == "0":
+            with lock:
+                if not run.halted:
+                    run.advance(budget)
+                    if run.halted:
+                        log = ((0, "0"), (run.steps, "1")) if run.steps else ((0, "1"),)
         return log
 
     return advanced_to
@@ -526,8 +522,7 @@ def diagonalize(decider: CandidateDecider, input_word: str, budget: int) -> str:
     return _diagonal_bit(claims_halt, outcome, budget)[0]
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(_Record):
     """One audited (machine, word) pair: the claim, the truth run and the diagonal bit."""
 
     index: int
@@ -540,8 +535,7 @@ class AuditRow:
     tie_break: bool
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(_Record):
     """Every audited row, with the truth and simulation budgets."""
 
     rows: tuple[AuditRow, ...]

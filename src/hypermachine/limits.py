@@ -20,12 +20,11 @@ only an uncertified one costs the steps up to the stage budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
 from .codec import Description, decode, index_word, nth_description
-from .machine import HypermachineError, InputError
+from .machine import HypermachineError, InputError, _Record
 
 _HaltingLog = Callable[[int], tuple[tuple[int, str], ...]]  # a run's halting log, by the budget it is advanced to
 
@@ -44,8 +43,7 @@ def _every_stage(x: int, t: int, horizon: int) -> int | None:
     return t + 1 if t < horizon else None
 
 
-@dataclass(frozen=True)
-class LimitFunction:
+class LimitFunction(_Record, compare=("name", "hierarchy_tag"), repr=("name", "guess", "hierarchy_tag")):
     """A total guess g(x, t) with a change-point rule.
 
     ``next_change(x, t, horizon)`` is the least stage in (t, horizon] at
@@ -54,13 +52,12 @@ class LimitFunction:
     """
 
     name: str
-    guess: Callable[[int, int], str] = field(compare=False)
+    guess: Callable[[int, int], str]
     hierarchy_tag: str = "none"  # descriptive metadata, never verified
-    next_change: Callable[[int, int, int], int | None] = field(default=_every_stage, compare=False, repr=False)
+    next_change: Callable[[int, int, int], int | None] = _every_stage
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(_Record):
     """The change points of one limit function's guesses at one x, up to a stage budget."""
 
     x: int
@@ -102,14 +99,8 @@ def limit_eval(f: LimitFunction, x: int, stage_budget: int, quiescence_window: i
             log.append((t, g))
             last = g
         t = after
-    return LimitReport(
-        x=x,
-        stages_evaluated=stage_budget + 1,
-        guesses_log=tuple(log),
-        final_guess=log[-1][1],
-        changes=len(log) - 1,
-        converged_within_budget=log[-1][0] <= stage_budget - quiescence_window + 1,
-    )
+    converged = log[-1][0] <= stage_budget - quiescence_window + 1
+    return LimitReport(x, stage_budget + 1, tuple(log), log[-1][1], len(log) - 1, converged)
 
 
 def _halting(log_at: Callable[[int], _HaltingLog]) -> LimitFunction:

@@ -17,12 +17,20 @@ contract once: the compiled rules and their blank writes, the sweep jump,
 fixed points and the steps that a hook sees.
 ``step`` and ``config_sequence`` are the reference semantics: small, pure
 and slow, kept for tests to compare the engine against.
+
+Every value record of the package, from ``Machine`` to the statuses and
+reports, derives from ``_Record``.  A record is immutable (assigning or
+deleting an attribute raises AttributeError), equals only a record of its
+exact type with equal fields, hashes by those fields and shows them as
+Python's data classes do, ``Name(field=value, ...)``.  It is built from
+its fields by position or keyword, with defaults, and no code is generated
+at import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product, repeat
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -71,8 +79,135 @@ class ParseError(HypermachineError):
         self.col = col
 
 
-@dataclass(frozen=True, eq=True)
-class Machine:
+_set = object.__setattr__  # how a record sets a field, as its own __setattr__ refuses
+_UNSET = object()  # a positional value that a call did not give
+
+
+class _Record:
+    """The base of every value record.  A subclass names its fields as class
+    annotations, after its base's, with any defaults as class attributes.
+    Class keywords: ``frozen=False`` allows assignment and makes the record
+    unhashable; ``compare`` and ``repr`` name the fields that equality, hash
+    and repr read, by default all.  A ``__post_init__`` checks the fields."""
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+    __post_init__: Callable[[], None] | None = None
+
+    def __init_subclass__(cls, frozen: bool = True, compare: tuple[str, ...] | None = None, repr: tuple[str, ...] | None = None) -> None:
+        own = vars(cls).get("__annotations__", {})
+        cls._fields = fields = cls._fields + tuple(own)
+        cls._defaults = {**cls._defaults, **{f: vars(cls)[f] for f in own if f in vars(cls)}}
+        cls._key = staticmethod(_values(fields if compare is None else compare))
+        cls._shown = fields if repr is None else repr
+        if not frozen:
+            cls.__setattr__, cls.__delattr__, cls.__hash__ = object.__setattr__, object.__delattr__, None
+        if 0 < len(fields) < 7 and "__init__" not in vars(cls):
+            cls.__init__ = _positional_init(fields, cls.__post_init__ is not None)
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+            if len(args) > len(fields) or values.keys() != set(fields) or not kwargs.keys().isdisjoint(fields[: len(args)]):
+                raise TypeError(f"{type(self).__name__}() takes the fields {fields}, not {args} and {kwargs}")
+            args = [values[f] for f in fields]
+        vars(self).update(zip(fields, args))
+        if self.__post_init__ is not None:
+            self.__post_init__()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join([f'{f}={getattr(self, f)!r}' for f in self._shown])})"
+
+    def __eq__(self, other: object) -> bool:
+        return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+
+def _values(names: tuple[str, ...]) -> Callable[[_Record], tuple]:
+    """A function from a record to the tuple of its fields ``names``."""
+    if len(names) == 1:
+        get = attrgetter(*names)
+        return lambda record: (get(record),)
+    return attrgetter(*names) if names else lambda record: ()
+
+
+def _positional_init(fields: tuple[str, ...], checked: bool) -> Callable[..., None]:
+    """The ``__init__`` of a record of one to six fields: a call that gives
+    every field by position sets them one by one, as written-out code would
+    and as fast, and any other call goes to the generic one."""
+    f1, f2, f3, f4, f5, f6 = (*fields, "", "", "", "", "")[:6]
+
+    def init1(self: _Record, a=_UNSET, /, **kwargs: object) -> None:
+        if kwargs or a is _UNSET:
+            return _Record.__init__(self, *[v for v in (a,) if v is not _UNSET], **kwargs)
+        _set(self, f1, a)
+        if checked:
+            self.__post_init__()
+
+    def init2(self: _Record, a=_UNSET, b=_UNSET, /, **kwargs: object) -> None:
+        if kwargs or b is _UNSET:
+            return _Record.__init__(self, *[v for v in (a, b) if v is not _UNSET], **kwargs)
+        _set(self, f1, a)
+        _set(self, f2, b)
+        if checked:
+            self.__post_init__()
+
+    def init3(self: _Record, a=_UNSET, b=_UNSET, c=_UNSET, /, **kwargs: object) -> None:
+        if kwargs or c is _UNSET:
+            return _Record.__init__(self, *[v for v in (a, b, c) if v is not _UNSET], **kwargs)
+        _set(self, f1, a)
+        _set(self, f2, b)
+        _set(self, f3, c)
+        if checked:
+            self.__post_init__()
+
+    def init4(self: _Record, a=_UNSET, b=_UNSET, c=_UNSET, d=_UNSET, /, **kwargs: object) -> None:
+        if kwargs or d is _UNSET:
+            return _Record.__init__(self, *[v for v in (a, b, c, d) if v is not _UNSET], **kwargs)
+        _set(self, f1, a)
+        _set(self, f2, b)
+        _set(self, f3, c)
+        _set(self, f4, d)
+        if checked:
+            self.__post_init__()
+
+    def init5(self: _Record, a=_UNSET, b=_UNSET, c=_UNSET, d=_UNSET, e=_UNSET, /, **kwargs: object) -> None:
+        if kwargs or e is _UNSET:
+            return _Record.__init__(self, *[v for v in (a, b, c, d, e) if v is not _UNSET], **kwargs)
+        _set(self, f1, a)
+        _set(self, f2, b)
+        _set(self, f3, c)
+        _set(self, f4, d)
+        _set(self, f5, e)
+        if checked:
+            self.__post_init__()
+
+    def init6(self: _Record, a=_UNSET, b=_UNSET, c=_UNSET, d=_UNSET, e=_UNSET, f=_UNSET, /, **kwargs: object) -> None:
+        if kwargs or f is _UNSET:
+            return _Record.__init__(self, *[v for v in (a, b, c, d, e, f) if v is not _UNSET], **kwargs)
+        _set(self, f1, a)
+        _set(self, f2, b)
+        _set(self, f3, c)
+        _set(self, f4, d)
+        _set(self, f5, e)
+        _set(self, f6, f)
+        if checked:
+            self.__post_init__()
+
+    return (init1, init2, init3, init4, init5, init6)[len(fields) - 1]
+
+
+class Machine(_Record):
     """A deterministic machine.
 
     ``rules`` maps (state, scanned-symbol tuple) to (next state, written
@@ -187,8 +322,7 @@ def single_tape_machine(
     )
 
 
-@dataclass
-class Configuration:
+class Configuration(_Record, frozen=False):
     """A full instantaneous description: state, tapes, heads, step count."""
 
     state: str
@@ -196,24 +330,27 @@ class Configuration:
     heads: tuple[int, ...]
     step: int = 0
 
+    def __init__(self, state: str, tapes: tuple[dict[int, str], ...], heads: tuple[int, ...], step: int = 0) -> None:
+        self.state = state
+        self.tapes = tapes
+        self.heads = heads
+        self.step = step
+
 
 # --- step results ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NextConfig:
+class NextConfig(_Record):
     """The configuration that one step leads to."""
 
     config: Configuration
 
 
-@dataclass(frozen=True)
-class NoRule:
+class NoRule(_Record):
     """No rule matches the scanned symbols: the run is stuck."""
 
 
-@dataclass(frozen=True)
-class AtFinal:
+class AtFinal(_Record):
     """The configuration is in a final state."""
 
 
@@ -224,23 +361,20 @@ AT_FINAL = AtFinal()
 # --- run outcomes ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HaltedWithResult:
+class HaltedWithResult(_Record):
     """The run halted in a result-bearing final state, with its output word."""
 
     result: str
     steps: int
 
 
-@dataclass(frozen=True)
-class HaltedResultless:
+class HaltedResultless(_Record):
     """The run halted in a resultless final state or where no rule applies."""
 
     steps: int
 
 
-@dataclass(frozen=True)
-class BudgetExhausted:
+class BudgetExhausted(_Record):
     """The budget ran out before the run halted, in configuration ``config``.
 
     ``Run.outcome`` leaves the cells of a jumped sweep unwritten; reading
@@ -687,16 +821,14 @@ def words_over(alphabet: Symbols, max_length: int) -> Iterator[str]:
     return ("".join(chars) for length in range(max_length + 1) for chars in product(alphabet, repeat=length))
 
 
-@dataclass(frozen=True)
-class EquivalentUpTo:
+class EquivalentUpTo(_Record):
     """Every word up to the length gave agreeing outcomes within the budget."""
 
     max_input_length: int
     budget: int
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(_Record):
     """The first word whose bounded outcomes disagree, with both outcomes."""
 
     word: str

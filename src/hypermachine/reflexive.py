@@ -15,7 +15,6 @@ the real next state, patches in the edit's target, logs it and advances again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
@@ -32,12 +31,12 @@ from .machine import (
     Symbols,
     _check_budget,
     _check_rules,
+    _Record,
     run_bounded,
 )
 
 
-@dataclass(frozen=True)
-class EditAction:
+class EditAction(_Record):
     """The rule that an edit puts in the live table; an edit is one of the
     two kinds below, which compare unequal even on equal fields."""
 
@@ -52,25 +51,21 @@ class EditAction:
         return (self.target_state, self.target_symbols), (self.next_state, self.writes, self.moves)
 
 
-@dataclass(frozen=True)
 class InstallRule(EditAction):
     """Add a rule for a pair that has none in the base table."""
 
 
-@dataclass(frozen=True)
 class ReplaceRule(EditAction):
     """Overwrite the rule of a pair that already has one."""
 
 
-@dataclass(frozen=True)
-class EditLog:
+class EditLog(_Record):
     """The edits a self-editing run fired, each with the step it fired at."""
 
     entries: tuple[tuple[int, EditAction], ...]
 
 
-@dataclass(frozen=True)
-class ReflexiveMachine:
+class ReflexiveMachine(_Record):
     """A base machine with edits attached to some of its rules."""
 
     base: Machine
@@ -158,8 +153,7 @@ def reflexive_config_sequence(
     return record, log
 
 
-@dataclass(frozen=True)
-class EfficiencyRow:
+class EfficiencyRow(_Record):
     """One input's step counts under the plain and the self-editing machine."""
 
     word: str

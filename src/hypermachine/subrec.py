@@ -21,10 +21,9 @@ Time tracks this count, and where it stops depends only on the inputs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .machine import HypermachineError, InputError, words_over
+from .machine import HypermachineError, InputError, _Record, words_over
 
 ALPHABET = ("0", "1")
 
@@ -44,8 +43,7 @@ class SearchSpaceError(HypermachineError):
         self.states = states
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(_Record):
     """A complete deterministic finite automaton over ``alphabet``."""
 
     states: tuple[str, ...]
@@ -78,13 +76,11 @@ def dfa_run(dfa: Dfa, word: str) -> bool:
     return state in dfa.accepting
 
 
-@dataclass(frozen=True)
-class Equivalent:
+class Equivalent(_Record):
     """The two DFAs accept the same language."""
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(_Record):
     """A shortest word that one DFA accepts and the other rejects."""
 
     word: str
@@ -115,20 +111,17 @@ def dfa_equiv(d1: Dfa, d2: Dfa) -> Equivalent | Counterexample:
 # --- separation search ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NoDfaMatches:
+class NoDfaMatches(_Record):
     """No DFA within the state bound fits the sample."""
 
 
-@dataclass(frozen=True)
-class DfaFound:
+class DfaFound(_Record):
     """The first DFA in canonical order that fits the sample."""
 
     dfa: Dfa
 
 
-@dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(_Record):
     """A separation search's state bound, DFA count and verdict."""
 
     max_states: int

@@ -388,21 +388,27 @@ def test_parser_choices_are_the_library_registries(capsys):
     ],
 )
 def test_a_command_loads_only_the_modules_that_it_runs(tmp_path, argv, modules):
-    # a fresh interpreter shows it, as this one has loaded them all
+    # a fresh interpreter shows it, as this one has loaded them all; the
+    # snapshot taken before the import lets the standard library's costly
+    # dataclasses and inspect count only if the package or command loads them
     (tmp_path / "flip.tm").write_text(CORPUS_SPECS["flip"])
     (tmp_path / "halt3.tm").write_text(CORPUS_SPECS["halt3"])
     argv = [arg.format(flip=encode(corpus_machine("flip")).bits) for arg in argv]
     script = (
         "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
         "from hypermachine.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(sys.argv[1:])\n"
         "print(code, *sorted(m for m in sys.modules if m.startswith('hypermachine')))\n"
+        "print('added:', *sorted({'dataclasses', 'inspect'} - before & set(sys.modules)))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(limits.__file__).parents[1])}
     child = subprocess.run(
         [sys.executable, "-c", script, *argv], cwd=tmp_path, env=env, capture_output=True, text=True, check=True
     )
-    code, *loaded = child.stdout.split()
+    ran, added = child.stdout.splitlines()
+    code, *loaded = ran.split()
     assert code == "0"
     assert loaded == ["hypermachine", *(f"hypermachine.{name}" for name in modules.split())]
+    assert added == "added:"

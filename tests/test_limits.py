@@ -1,6 +1,7 @@
 """Limit-function evaluation and the halting/divergence pair."""
 
-import dataclasses
+import sys
+import threading
 import tracemalloc
 from itertools import islice
 
@@ -162,7 +163,7 @@ def test_hierarchy_tags_are_descriptive_metadata():
 
 
 def _per_stage(f):
-    return dataclasses.replace(f, next_change=_every_stage)
+    return LimitFunction(**{**vars(f), "next_change": _every_stage})
 
 
 def _agree(make, x, stages, window):
@@ -250,7 +251,7 @@ def _counting(f):
         calls.append(t)
         return f.guess(x, t)
 
-    return dataclasses.replace(f, guess=guess), calls
+    return LimitFunction(**{**vars(f), "guess": guess}), calls
 
 
 def test_a_halting_limit_costs_its_changes_not_its_stages():
@@ -322,3 +323,55 @@ def test_a_change_point_rule_that_stalls_or_fails_names_the_stage():
         with pytest.raises(GuessEvaluationError) as err:
             limit_eval(LimitFunction("bad", lambda x, t: "0", next_change=rule), 7, 10, 2)
         assert (err.value.x, err.value.stage) == (7, stage)
+
+
+def test_a_shared_halting_limit_is_safe_under_threads():
+    # a binary counter that halts when its count overflows; four threads ask
+    # one limit function for guesses on both sides of the halt, so they
+    # contend for advancing its one observed run
+    counter = single_tape_machine(
+        "counter",
+        {
+            ("go", "0"): ("go", "0", "R"),
+            ("go", "1"): ("go", "1", "R"),
+            ("go", "_"): ("inc", "_", "L"),
+            ("inc", "1"): ("inc", "0", "L"),
+            ("inc", "0"): ("ret", "1", "R"),
+            ("inc", "_"): ("done", "_", "S"),
+            ("ret", "0"): ("ret", "0", "R"),
+            ("ret", "1"): ("ret", "1", "R"),
+            ("ret", "_"): ("inc", "_", "L"),
+        },
+        finals={"done": False},
+        start="go",
+    )
+    description, word = encode(counter), "0" * 11
+    halt = run_bounded(counter, word, 10**6).steps
+    assert halt == 8190
+    stages = (halt + 5, halt - 1, halt + 5, halt // 2)
+    expected = ["1" if t >= halt else "0" for t in stages]
+    wrong = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(50):
+            halting = halting_as_limit(description, word)
+            guesses = [None] * len(stages)
+
+            def ask(i):
+                try:
+                    guesses[i] = halting.guess(0, stages[i])
+                except Exception as exc:  # reported below
+                    guesses[i] = exc
+
+            threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(stages))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            if guesses != expected:
+                wrong.append((trial, guesses))
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []

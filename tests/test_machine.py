@@ -1,6 +1,5 @@
 """Core engine tests: stepping, bounded runs, and behavioural comparison."""
 
-import dataclasses
 import itertools
 import os
 import subprocess
@@ -536,7 +535,7 @@ _SWEEPER3 = Machine(
 
 
 # keeps its state on blanks and changes nothing: it loops in place, no sweep
-_STILL3 = dataclasses.replace(_SWEEPER3, name="still3", rules={("q1", ("_",) * 3): ("q1", ("_",) * 3, ("S",) * 3)})
+_STILL3 = Machine(**{**vars(_SWEEPER3), "name": "still3", "rules": {("q1", ("_",) * 3): ("q1", ("_",) * 3, ("S",) * 3)}})
 
 
 @given(st.one_of(small_machines(), small_multi_tape_machines()))
@@ -911,7 +910,7 @@ def test_a_jumped_multi_tape_run_advanced_again_stores_no_jumped_cell():
 def test_a_hooked_multi_tape_sweep_is_stepped():
     # an output sweeper that writes 1 changes the output at every step, which
     # the hook logs, so an observed run never jumps
-    writer = dataclasses.replace(_SWEEPER3, rules={("q1", ("_",) * 3): ("q1", ("_", "_", "1"), ("S", "S", "L"))})
+    writer = Machine(**{**vars(_SWEEPER3), "rules": {("q1", ("_",) * 3): ("q1", ("_", "_", "1"), ("S", "S", "L"))}})
     observed = inductive_run(writer, "", 300)
     seq = config_sequence(writer, "", 300)
     assert observed.steps_executed == 300
@@ -1151,7 +1150,7 @@ def test_a_rule_patched_after_a_jump_reads_the_jumped_cells():
     # jump, a patched rule turns it back over them, rewriting each 0 as 1
     machine = single_tape_machine("turn", {("q1", "_"): ("q1", "0", "L"), ("back", "0"): ("back", "1", "R")}, start="q1")
     key, body = ("q1", ("_",)), ("back", ("1",), ("R",))
-    patched = dataclasses.replace(machine, rules={**machine.rules, key: body})
+    patched = Machine(**{**vars(machine), "rules": {**machine.rules, key: body}})
     run = Run(machine, "")
     run.advance(100)
     run.patch(key, body)

@@ -1,0 +1,182 @@
+"""The behaviour that every value record of the package shows its callers:
+exact-type equality, value hashing, immutability, construction by position,
+keyword and default, the compare and repr exclusions of ``LimitFunction``,
+and the repr format that the goldens pin."""
+
+import pytest
+
+from hypermachine import machine, subrec
+from hypermachine.codec import Description
+from hypermachine.inductive import (
+    HALTED,
+    PROVISIONAL,
+    BlankRunaway,
+    CertifiedStable,
+    ConfigurationCycle,
+    HaltsAt,
+    InductiveOutcome,
+    ObservationLog,
+    Unknown,
+)
+from hypermachine.limits import LimitFunction, LimitReport, _every_stage
+from hypermachine.machine import (
+    BudgetExhausted,
+    Configuration,
+    HaltedResultless,
+    HaltedWithResult,
+    InputError,
+    Machine,
+    StructureError,
+    single_tape_machine,
+)
+from hypermachine.reflexive import InstallRule, ReflexiveMachine, ReplaceRule
+from hypermachine.subrec import Dfa, DfaFound
+
+_EDIT = ("q0", ("0",), "q1", ("1",), ("R",))
+_DFA = dict(states=("s0", "s1"), start="s0", accepting=frozenset({"s1"}), delta={
+    ("s0", "0"): "s1", ("s0", "1"): "s0", ("s1", "0"): "s1", ("s1", "1"): "s0",
+})
+
+
+def _guess(x, t):
+    return "0"
+
+
+def test_records_of_different_types_never_compare_equal():
+    assert HALTED != PROVISIONAL and PROVISIONAL != HALTED
+    outcome = HaltedResultless(1)
+    assert machine.Counterexample("0", outcome, outcome) != subrec.Counterexample("0")
+    assert subrec.Counterexample("0") != machine.Counterexample("0", outcome, outcome)
+    install, replace = InstallRule(*_EDIT), ReplaceRule(*_EDIT)
+    assert install != replace and replace != install
+    assert install == InstallRule(*_EDIT) and replace == ReplaceRule(*_EDIT)
+    assert HaltsAt(3) != 3 and HaltsAt(3) != (3,)
+
+
+def test_frozen_records_hash_by_value():
+    assert hash(HaltsAt(3)) == hash(HaltsAt(3)) == hash((3,))
+    assert hash(HaltedWithResult("1", 2)) == hash(("1", 2))
+    assert hash(Unknown()) == hash(())
+    assert len({HaltsAt(3), HaltsAt(3), HaltsAt(4), CertifiedStable(HALTED), CertifiedStable(HALTED)}) == 3
+    assert {InstallRule(*_EDIT): 1}[InstallRule(*_EDIT)] == 1
+    with pytest.raises(TypeError):
+        hash(Configuration("q0", ({},), (0,)))
+
+
+@pytest.mark.parametrize(
+    "record,name",
+    [
+        (HaltsAt(3), "steps"),
+        (HaltedWithResult("1", 2), "result"),
+        (Description("01"), "bits"),
+        (InstallRule(*_EDIT), "moves"),
+        (LimitFunction("f", _guess), "next_change"),
+        (single_tape_machine("m", {}), "rules"),
+    ],
+)
+def test_a_field_can_be_neither_assigned_nor_deleted(record, name):
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.other = None
+    assert name in vars(record)
+
+
+def test_defaults():
+    assert Configuration("q0", ({},), (0,)).step == 0
+    assert Configuration("q0", ({},), (0,), 5).step == 5
+    assert LimitFunction("f", _guess).hierarchy_tag == "none"
+    assert LimitFunction("f", _guess).next_change is _every_stage
+    assert Dfa(**_DFA).alphabet == ("0", "1")
+
+
+def test_keyword_construction():
+    assert HaltedWithResult(result="1", steps=2) == HaltedWithResult("1", 2)
+    assert HaltedWithResult("1", steps=2) == HaltedWithResult("1", 2)
+    assert Configuration("q0", heads=(1,), tapes=({},), step=2) == Configuration("q0", ({},), (1,), 2)
+    assert ReplaceRule(**dict(zip(("target_state", "target_symbols", "next_state", "writes", "moves"), _EDIT))) == ReplaceRule(*_EDIT)
+    report = LimitReport(x=1, stages_evaluated=3, guesses_log=((0, "0"),), final_guess="0", changes=0, converged_within_budget=True)
+    assert report == LimitReport(1, 3, ((0, "0"),), "0", 0, True)
+    assert list(vars(report)) == ["x", "stages_evaluated", "guesses_log", "final_guess", "changes", "converged_within_budget"]
+    assert list(vars(InstallRule(*_EDIT))) == ["target_state", "target_symbols", "next_state", "writes", "moves"]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: HaltsAt(),
+        lambda: HaltsAt(1, 2),
+        lambda: HaltsAt(1, steps=1),
+        lambda: HaltsAt(step=1),
+        lambda: Configuration("q0", ({},)),
+        lambda: Unknown(1),
+    ],
+    ids=["missing", "extra", "twice", "unknown-keyword", "missing-before-default", "no-fields"],
+)
+def test_a_wrong_call_raises_type_error(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_construction_still_validates():
+    with pytest.raises(StructureError):
+        single_tape_machine("m", {("q0", "0"): ("q1", "2", "R")})
+    with pytest.raises(StructureError):
+        Machine("m", 0, ("_", "0"), "_", ("q0",), "q0", {}, {})
+    with pytest.raises(InputError):
+        Description("012")
+    with pytest.raises(InputError):
+        Dfa(**{**_DFA, "start": "s9"})
+    base = single_tape_machine("m", {("q0", "0"): ("q0", "0", "R")})
+    with pytest.raises(StructureError):
+        ReflexiveMachine(base, {("q0", ("1",)): InstallRule(*_EDIT)})
+
+
+def test_a_limit_function_compares_and_shows_only_its_name_guess_and_tag():
+    def other(x, t):
+        return "1"
+
+    f = LimitFunction("f", _guess, "Σ1")
+    assert f == LimitFunction("f", other, "Σ1", lambda x, t, horizon: None)
+    assert hash(f) == hash(LimitFunction("f", other, "Σ1")) == hash(("f", "Σ1"))
+    assert f != LimitFunction("g", _guess, "Σ1") and f != LimitFunction("f", _guess)
+    assert repr(f) == f"LimitFunction(name='f', guess={_guess!r}, hierarchy_tag='Σ1')"
+
+
+def test_reprs():
+    config = Configuration("q1", ({0: "1"},), (1,), 3)
+    outcome = InductiveOutcome("1", 2, 5, PROVISIONAL, ObservationLog(((0, ""), (2, "1"))))
+    cases = [
+        (ConfigurationCycle(2, 7), "ConfigurationCycle(period=2, first_repeat_step=7)"),
+        (BlankRunaway("q1", ("L", "S"), 4), "BlankRunaway(state='q1', direction=('L', 'S'), onset_step=4)"),
+        (CertifiedStable(reason=HALTED), "CertifiedStable(reason=Halted())"),
+        (PROVISIONAL, "Provisional()"),
+        (
+            LimitReport(1, 3, ((0, "0"), (2, "1")), "1", 1, False),
+            "LimitReport(x=1, stages_evaluated=3, guesses_log=((0, '0'), (2, '1')), final_guess='1', changes=1, "
+            "converged_within_budget=False)",
+        ),
+        (
+            outcome,
+            "InductiveOutcome(current_output='1', last_change_step=2, steps_executed=5, status=Provisional(), "
+            "log=ObservationLog(entries=((0, ''), (2, '1'))))",
+        ),
+        (
+            DfaFound(dfa=Dfa(**_DFA)),
+            "DfaFound(dfa=Dfa(states=('s0', 's1'), start='s0', accepting=frozenset({'s1'}), delta={('s0', '0'): 's1', "
+            "('s0', '1'): 's0', ('s1', '0'): 's1', ('s1', '1'): 's0'}, alphabet=('0', '1')))",
+        ),
+        (
+            InstallRule(*_EDIT),
+            "InstallRule(target_state='q0', target_symbols=('0',), next_state='q1', writes=('1',), moves=('R',))",
+        ),
+        (
+            BudgetExhausted(3, config),
+            "BudgetExhausted(steps=3, config=Configuration(state='q1', tapes=({0: '1'},), heads=(1,), step=3))",
+        ),
+        (Unknown(), "Unknown()"),
+    ]
+    for record, text in cases:
+        assert repr(record) == text

@@ -1,7 +1,6 @@
 """Self-editing machines: bisimulation with the base, the specializer pair,
 the efficiency harness, and the step reference for runs that fire edits."""
 
-import dataclasses
 import itertools
 import sys
 import threading
@@ -56,9 +55,9 @@ def test_the_two_edit_kinds_stay_distinct():
     assert repr(install) == "InstallRule(target_state='q0', target_symbols=('0',), next_state='q1', writes=('1',), moves=('R',))"
     assert repr(replace) == "ReplaceRule" + repr(install)[len("InstallRule") :]
     for action in (install, replace):
-        assert [f.name for f in dataclasses.fields(action)] == ["target_state", "target_symbols", "next_state", "writes", "moves"]
+        assert list(vars(action)) == ["target_state", "target_symbols", "next_state", "writes", "moves"]
         for name in ("moves", "other"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(action, name, ("L",))
 
 
@@ -233,7 +232,7 @@ def _reference_run(rm, word, budget):
     log = []
     while config.step < budget:
         key = (config.state, tuple(t.get(h, base.blank) for t, h in zip(config.tapes, config.heads)))
-        nxt = step(dataclasses.replace(base, rules=live), config)
+        nxt = step(Machine(**{**vars(base), "rules": live}), config)
         if not isinstance(nxt, NextConfig):
             break
         config = nxt.config
