@@ -463,24 +463,30 @@ def certify_nonhalting(machine: Machine, input_word: str, budget: int) -> Certif
     return UNKNOWN
 
 
+def _halting_changes(run: Run) -> tuple[tuple[int, str], ...]:
+    """The halting guess of an observed run, as advanced so far, as a change
+    log: "0" from step 0, then "1" from the halt step if it halted."""
+    if not run.halted:
+        return ((0, "0"),)
+    return ((0, "0"), (run.steps, "1")) if run.steps else ((0, "1"),)
+
+
 def _halting_log(run: Run) -> Callable[[int], tuple[tuple[int, str], ...]]:
-    """The halting guess of an observed run, by the budget that it is advanced
-    to, as a change log: "0" from step 0, then "1" from the halt step if it
-    halted; kept with the run, it is built again only when an advance halts it.
-    Threads that share the log take turns to advance the run; a log that ends
-    in "1" is final, so reading it takes no turn."""
+    """The halting change log of an observed run, by the budget that it is
+    advanced to, kept with the run.  Threads that share the log take turns
+    to advance the run; a run that halted or that a certificate stopped is
+    final, so reading its log takes no turn."""
     log = ((0, "0"),)
     lock = allocate_lock()
 
     def advanced_to(budget: int) -> tuple[tuple[int, str], ...]:
         nonlocal log
         _check_budget(budget)
-        if log[-1][1] == "0":
+        if log[-1][1] == "0" and not run.checked:
             with lock:
                 if not run.halted:
                     run.advance(budget)
-                    if run.halted:
-                        log = ((0, "0"), (run.steps, "1")) if run.steps else ((0, "1"),)
+                    log = _halting_changes(run)
         return log
 
     return advanced_to
@@ -489,8 +495,8 @@ def _halting_log(run: Run) -> Callable[[int], tuple[tuple[int, str], ...]]:
 def halting_limit_decider(description: Description, input_word: str, budget: int) -> InductiveOutcome:
     """Limit-style halting decision: output 0 while the simulated machine
     runs, flipping to 1 exactly when it halts within the budget."""
-    run, _ = _observed_run(decode(description), input_word)
-    return _outcome(run, _halting_log(run)(budget))
+    run, _ = _observe(decode(description), input_word, budget)
+    return _outcome(run, _halting_changes(run))
 
 
 # --- diagonalization --------------------------------------------------------

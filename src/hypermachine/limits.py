@@ -99,8 +99,14 @@ def limit_eval(f: LimitFunction, x: int, stage_budget: int, quiescence_window: i
             log.append((t, g))
             last = g
         t = after
-    converged = log[-1][0] <= stage_budget - quiescence_window + 1
-    return LimitReport(x, stage_budget + 1, tuple(log), log[-1][1], len(log) - 1, converged)
+    return LimitReport(
+        x=x,
+        stages_evaluated=stage_budget + 1,
+        guesses_log=tuple(log),
+        final_guess=log[-1][1],
+        changes=len(log) - 1,
+        converged_within_budget=log[-1][0] <= stage_budget - quiescence_window + 1,
+    )
 
 
 def _halting(log_at: Callable[[int], _HaltingLog]) -> LimitFunction:

@@ -80,7 +80,6 @@ class ParseError(HypermachineError):
 
 
 _set = object.__setattr__  # how a record sets a field, as its own __setattr__ refuses
-_UNSET = object()  # a positional value that a call did not give
 
 
 class _Record:
@@ -102,9 +101,6 @@ class _Record:
         cls._shown = fields if repr is None else repr
         if not frozen:
             cls.__setattr__, cls.__delattr__, cls.__hash__ = object.__setattr__, object.__delattr__, None
-        if 0 < len(fields) < 7 and "__init__" not in vars(cls):
-            cls.__init__ = _positional_init(fields, cls.__post_init__ is not None)
-            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         fields = self._fields
@@ -113,7 +109,8 @@ class _Record:
             if len(args) > len(fields) or values.keys() != set(fields) or not kwargs.keys().isdisjoint(fields[: len(args)]):
                 raise TypeError(f"{type(self).__name__}() takes the fields {fields}, not {args} and {kwargs}")
             args = [values[f] for f in fields]
-        vars(self).update(zip(fields, args))
+        for name, value in zip(fields, args):  # not vars().update, which would give each record a dict of its own
+            _set(self, name, value)
         if self.__post_init__ is not None:
             self.__post_init__()
 
@@ -139,72 +136,6 @@ def _values(names: tuple[str, ...]) -> Callable[[_Record], tuple]:
         get = attrgetter(*names)
         return lambda record: (get(record),)
     return attrgetter(*names) if names else lambda record: ()
-
-
-def _positional_init(fields: tuple[str, ...], checked: bool) -> Callable[..., None]:
-    """The ``__init__`` of a record of one to six fields: a call that gives
-    every field by position sets them one by one, as written-out code would
-    and as fast, and any other call goes to the generic one."""
-    f1, f2, f3, f4, f5, f6 = (*fields, "", "", "", "", "")[:6]
-
-    def init1(self: _Record, a=_UNSET, /, **kwargs: object) -> None:
-        if kwargs or a is _UNSET:
-            return _Record.__init__(self, *[v for v in (a,) if v is not _UNSET], **kwargs)
-        _set(self, f1, a)
-        if checked:
-            self.__post_init__()
-
-    def init2(self: _Record, a=_UNSET, b=_UNSET, /, **kwargs: object) -> None:
-        if kwargs or b is _UNSET:
-            return _Record.__init__(self, *[v for v in (a, b) if v is not _UNSET], **kwargs)
-        _set(self, f1, a)
-        _set(self, f2, b)
-        if checked:
-            self.__post_init__()
-
-    def init3(self: _Record, a=_UNSET, b=_UNSET, c=_UNSET, /, **kwargs: object) -> None:
-        if kwargs or c is _UNSET:
-            return _Record.__init__(self, *[v for v in (a, b, c) if v is not _UNSET], **kwargs)
-        _set(self, f1, a)
-        _set(self, f2, b)
-        _set(self, f3, c)
-        if checked:
-            self.__post_init__()
-
-    def init4(self: _Record, a=_UNSET, b=_UNSET, c=_UNSET, d=_UNSET, /, **kwargs: object) -> None:
-        if kwargs or d is _UNSET:
-            return _Record.__init__(self, *[v for v in (a, b, c, d) if v is not _UNSET], **kwargs)
-        _set(self, f1, a)
-        _set(self, f2, b)
-        _set(self, f3, c)
-        _set(self, f4, d)
-        if checked:
-            self.__post_init__()
-
-    def init5(self: _Record, a=_UNSET, b=_UNSET, c=_UNSET, d=_UNSET, e=_UNSET, /, **kwargs: object) -> None:
-        if kwargs or e is _UNSET:
-            return _Record.__init__(self, *[v for v in (a, b, c, d, e) if v is not _UNSET], **kwargs)
-        _set(self, f1, a)
-        _set(self, f2, b)
-        _set(self, f3, c)
-        _set(self, f4, d)
-        _set(self, f5, e)
-        if checked:
-            self.__post_init__()
-
-    def init6(self: _Record, a=_UNSET, b=_UNSET, c=_UNSET, d=_UNSET, e=_UNSET, f=_UNSET, /, **kwargs: object) -> None:
-        if kwargs or f is _UNSET:
-            return _Record.__init__(self, *[v for v in (a, b, c, d, e, f) if v is not _UNSET], **kwargs)
-        _set(self, f1, a)
-        _set(self, f2, b)
-        _set(self, f3, c)
-        _set(self, f4, d)
-        _set(self, f5, e)
-        _set(self, f6, f)
-        if checked:
-            self.__post_init__()
-
-    return (init1, init2, init3, init4, init5, init6)[len(fields) - 1]
 
 
 class Machine(_Record):
