@@ -23,8 +23,8 @@ reports, derives from ``_Record``.  A record is immutable (assigning or
 deleting an attribute raises AttributeError), equals only a record of its
 exact type with equal fields, hashes by those fields and shows them as
 Python's data classes do, ``Name(field=value, ...)``.  It is built from
-its fields by position or keyword, with defaults, and no code is generated
-at import.
+its fields by position or keyword, with defaults.  A record class compiles
+its ``__init__`` when its first record is built, not at import.
 """
 
 from __future__ import annotations
@@ -84,10 +84,12 @@ _set = object.__setattr__  # how a record sets a field, as its own __setattr__ r
 
 class _Record:
     """The base of every value record.  A subclass names its fields as class
-    annotations, after its base's, with any defaults as class attributes.
-    Class keywords: ``frozen=False`` allows assignment and makes the record
-    unhashable; ``compare`` and ``repr`` name the fields that equality, hash
-    and repr read, by default all.  A ``__post_init__`` checks the fields."""
+    annotations, after its base's, with any defaults as class attributes;
+    defaults must trail.  Class keywords: ``frozen=False`` allows assignment
+    and makes the record unhashable; ``compare`` and ``repr`` name the fields
+    that equality, hash and repr read, by default all.  A ``__post_init__``
+    checks the fields.  A class compiles its ``__init__`` when its first
+    record is built; one that writes its own sets its fields itself."""
 
     _fields: tuple[str, ...] = ()
     _defaults: dict[str, object] = {}
@@ -96,23 +98,25 @@ class _Record:
     def __init_subclass__(cls, frozen: bool = True, compare: tuple[str, ...] | None = None, repr: tuple[str, ...] | None = None) -> None:
         own = vars(cls).get("__annotations__", {})
         cls._fields = fields = cls._fields + tuple(own)
-        cls._defaults = {**cls._defaults, **{f: vars(cls)[f] for f in own if f in vars(cls)}}
+        cls._defaults = defaults = {**cls._defaults, **{f: vars(cls)[f] for f in own if f in vars(cls)}}
+        if set(fields[len(fields) - len(defaults) :]) != defaults.keys() or {"self", "_set"} & set(fields):
+            raise TypeError(f"{cls.__name__}: fields without defaults must come first, and none may be named self or _set")
         cls._key = staticmethod(_values(fields if compare is None else compare))
         cls._shown = fields if repr is None else repr
         if not frozen:
             cls.__setattr__, cls.__delattr__, cls.__hash__ = object.__setattr__, object.__delattr__, None
+        if "__init__" not in vars(cls):
+            cls.__init__ = _Record.__init__
 
     def __init__(self, *args: object, **kwargs: object) -> None:
-        fields = self._fields
-        if kwargs or len(args) != len(fields):
-            values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
-            if len(args) > len(fields) or values.keys() != set(fields) or not kwargs.keys().isdisjoint(fields[: len(args)]):
-                raise TypeError(f"{type(self).__name__}() takes the fields {fields}, not {args} and {kwargs}")
-            args = [values[f] for f in fields]
-        for name, value in zip(fields, args):  # not vars().update, which would give each record a dict of its own
-            _set(self, name, value)
-        if self.__post_init__ is not None:
-            self.__post_init__()
+        cls = type(self)  # the first record of its class: compile the class's __init__, install it and call it
+        body = [f"_set(self, {f!r}, {f})" for f in cls._fields] + (["self.__post_init__()"] if cls.__post_init__ else [])
+        namespace = {"_set": _set}  # _set, not vars().update, which would give each record a dict of its own
+        exec(f"def __init__(self, {', '.join(cls._fields)}):\n    " + "\n    ".join(body or ["pass"]), namespace)
+        init = namespace["__init__"]
+        init.__qualname__, init.__defaults__ = f"{cls.__qualname__}.__init__", tuple(cls._defaults.values())
+        cls.__init__ = init
+        init(self, *args, **kwargs)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -261,6 +265,7 @@ class Configuration(_Record, frozen=False):
     heads: tuple[int, ...]
     step: int = 0
 
+    # written out: on an unfrozen record plain assignment is 2-3 times as fast as a compiled _set per field
     def __init__(self, state: str, tapes: tuple[dict[int, str], ...], heads: tuple[int, ...], step: int = 0) -> None:
         self.state = state
         self.tapes = tapes

@@ -1,7 +1,14 @@
 """The behaviour that every value record of the package shows its callers:
 exact-type equality, value hashing, immutability, construction by position,
 keyword and default, the compare and repr exclusions of ``LimitFunction``,
-and the repr format that the goldens pin."""
+and the repr format that the goldens pin, and the ``__init__`` that each
+record class compiles when its first record is built."""
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -180,3 +187,102 @@ def test_reprs():
     ]
     for record, text in cases:
         assert repr(record) == text
+
+
+def _fresh_interpreter(script):
+    env = {**os.environ, "PYTHONPATH": str(Path(machine.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "a: int = 0\n    b: int",
+        "self: int",
+        "_set: int",
+    ],
+    ids=["default-then-required", "named-self", "named-setter"],
+)
+def test_a_record_class_that_its_init_would_bind_wrongly_is_refused(body):
+    with pytest.raises(TypeError):
+        exec(f"class Bad(_Record):\n    {body}", {"_Record": machine._Record})
+
+
+def test_eight_threads_can_build_the_first_records_of_a_class_at_once():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(20):
+
+            class Pair(machine._Record):
+                left: int
+                right: str = "r"
+
+                def __post_init__(self):
+                    if self.left < 0:
+                        raise ValueError(self.left)
+
+            start = threading.Barrier(8)
+            built = [None] * 8
+
+            def build(i):
+                start.wait(timeout=60)
+                built[i] = Pair(i) if i % 2 else Pair(right=str(i), left=i)
+
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert [vars(record) for record in built] == [
+                {"left": i, "right": "r" if i % 2 else str(i)} for i in range(8)
+            ]
+            with pytest.raises(ValueError):
+                Pair(-1)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("first", ["EditAction", "InstallRule", "ReplaceRule"])
+def test_a_subclass_builds_with_its_own_fields_whichever_class_is_built_first(first):
+    script = (
+        "from hypermachine import reflexive\n"
+        f"edit = {_EDIT!r}\n"
+        f"names = [{first!r}] + ['EditAction', 'InstallRule', 'ReplaceRule']\n"
+        "for name in names:\n"
+        "    record = getattr(reflexive, name)(*edit)\n"
+        "    print(type(record).__name__, *vars(record).values())\n"
+    )
+    lines = _fresh_interpreter(script).splitlines()
+    values = "q0 ('0',) q1 ('1',) ('R',)"
+    assert lines == [f"{name} {values}" for name in (first, "EditAction", "InstallRule", "ReplaceRule")]
+
+    class Base(machine._Record):
+        a: int
+
+    class Wider(Base):
+        b: int = 2
+
+    assert vars(Base(1)) == {"a": 1} and vars(Wider(1)) == {"a": 1, "b": 2} and vars(Wider(1, 3)) == {"a": 1, "b": 3}
+
+
+def test_importing_every_module_compiles_only_the_singletons_classes():
+    # a record class compiles its __init__ when its first record is built, so
+    # that a CLI call pays only for the classes that it uses; the module-level
+    # singletons are built at import, and Configuration writes its own
+    script = (
+        "import importlib, pkgutil, hypermachine\n"
+        "from hypermachine.machine import _Record\n"
+        "for module in pkgutil.iter_modules(hypermachine.__path__):\n"
+        "    importlib.import_module('hypermachine.' + module.name)\n"
+        "def below(cls):\n"
+        "    for sub in cls.__subclasses__():\n"
+        "        yield sub\n"
+        "        yield from below(sub)\n"
+        "classes = set(below(_Record))\n"
+        "print(len(classes), *sorted(c.__qualname__ for c in classes if vars(c)['__init__'] is not _Record.__init__))\n"
+    )
+    count, *built = _fresh_interpreter(script).split()
+    assert int(count) >= 38
+    assert built == ["AtFinal", "Configuration", "Halted", "NoRule", "Provisional", "Unknown"]
