@@ -43,17 +43,18 @@ def _every_stage(x: int, t: int, horizon: int) -> int | None:
     return t + 1 if t < horizon else None
 
 
-class LimitFunction(_Record, compare=("name", "hierarchy_tag"), repr=("name", "guess", "hierarchy_tag")):
+class LimitFunction(_Record):
     """A total guess g(x, t) with a change-point rule.
 
     ``next_change(x, t, horizon)`` is the least stage in (t, horizon] at
     which ``guess(x, ·)`` may differ from ``guess(x, t)``, or ``None`` when
-    the guess equals ``guess(x, t)`` all the way to ``horizon``.
+    the guess equals ``guess(x, t)`` all the way to ``horizon``.  Two limit
+    functions are equal only when they share their name, their guess and
+    their change-point function.
     """
 
     name: str
     guess: Callable[[int, int], str]
-    hierarchy_tag: str = "none"  # descriptive metadata, never verified
     next_change: Callable[[int, int, int], int | None] = _every_stage
 
 
@@ -131,12 +132,12 @@ def _halting(log_at: Callable[[int], _HaltingLog]) -> LimitFunction:
                 return s
         return None
 
-    return LimitFunction("halting", guess, "Σ1", next_change)
+    return LimitFunction("halting", guess, next_change)
 
 
 def _divergence(halting: LimitFunction) -> LimitFunction:
     """The pointwise complement of ``halting``, with its change points."""
-    return LimitFunction("divergence", lambda x, t: "1" if halting.guess(x, t) == "0" else "0", "Π1", halting.next_change)
+    return LimitFunction("divergence", lambda x, t: "1" if halting.guess(x, t) == "0" else "0", halting.next_change)
 
 
 def halting_as_limit(description: Description, input_word: str) -> LimitFunction:

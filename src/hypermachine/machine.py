@@ -85,28 +85,22 @@ _set = object.__setattr__  # how a record sets a field, as its own __setattr__ r
 class _Record:
     """The base of every value record.  A subclass names its fields as class
     annotations, after its base's, with any defaults as class attributes;
-    defaults must trail.  Class keywords: ``frozen=False`` allows assignment
-    and makes the record unhashable; ``compare`` and ``repr`` name the fields
-    that equality, hash and repr read, by default all.  A ``__post_init__``
-    checks the fields.  A class compiles its ``__init__`` when its first
-    record is built; one that writes its own sets its fields itself."""
+    defaults must trail.  A ``__post_init__`` checks the fields.  A class
+    writes no ``__init__``: it compiles one when its first record is built."""
 
     _fields: tuple[str, ...] = ()
     _defaults: dict[str, object] = {}
     __post_init__: Callable[[], None] | None = None
 
-    def __init_subclass__(cls, frozen: bool = True, compare: tuple[str, ...] | None = None, repr: tuple[str, ...] | None = None) -> None:
+    def __init_subclass__(cls) -> None:
         own = vars(cls).get("__annotations__", {})
         cls._fields = fields = cls._fields + tuple(own)
         cls._defaults = defaults = {**cls._defaults, **{f: vars(cls)[f] for f in own if f in vars(cls)}}
-        if set(fields[len(fields) - len(defaults) :]) != defaults.keys() or {"self", "_set"} & set(fields):
-            raise TypeError(f"{cls.__name__}: fields without defaults must come first, and none may be named self or _set")
-        cls._key = staticmethod(_values(fields if compare is None else compare))
-        cls._shown = fields if repr is None else repr
-        if not frozen:
-            cls.__setattr__, cls.__delattr__, cls.__hash__ = object.__setattr__, object.__delattr__, None
-        if "__init__" not in vars(cls):
-            cls.__init__ = _Record.__init__
+        names = {*fields, *vars(cls)}  # "__init__" among them: the class writes its own
+        if set(fields[len(fields) - len(defaults) :]) != defaults.keys() or {"self", "_set", "__init__"} & names:
+            raise TypeError(f"{cls.__name__}: defaults must trail, no field is self or _set, and no __init__ is written")
+        cls._key = staticmethod(_values(fields))
+        cls.__init__ = _Record.__init__
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         cls = type(self)  # the first record of its class: compile the class's __init__, install it and call it
@@ -125,7 +119,7 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        return f"{type(self).__qualname__}({', '.join([f'{f}={getattr(self, f)!r}' for f in self._shown])})"
+        return f"{type(self).__qualname__}({', '.join([f'{f}={getattr(self, f)!r}' for f in self._fields])})"
 
     def __eq__(self, other: object) -> bool:
         return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
@@ -257,20 +251,13 @@ def single_tape_machine(
     )
 
 
-class Configuration(_Record, frozen=False):
+class Configuration(_Record):
     """A full instantaneous description: state, tapes, heads, step count."""
 
     state: str
     tapes: tuple[dict[int, str], ...]
     heads: tuple[int, ...]
     step: int = 0
-
-    # written out: on an unfrozen record plain assignment is 2-3 times as fast as a compiled _set per field
-    def __init__(self, state: str, tapes: tuple[dict[int, str], ...], heads: tuple[int, ...], step: int = 0) -> None:
-        self.state = state
-        self.tapes = tapes
-        self.heads = heads
-        self.step = step
 
 
 # --- step results ---------------------------------------------------------

@@ -153,12 +153,6 @@ def test_bad_description_is_rejected_up_front():
         divergence_as_limit(Description("10"), "")
 
 
-def test_hierarchy_tags_are_descriptive_metadata():
-    assert halting_as_limit(FLIP_D, "").hierarchy_tag == "Σ1"
-    assert divergence_as_limit(FLIP_D, "").hierarchy_tag == "Π1"
-    assert builtin_limit_function("constant").hierarchy_tag == "none"
-
-
 # Change-point evaluation: the per-stage rule is the reference.
 
 

@@ -1,19 +1,20 @@
 """The behaviour that every value record of the package shows its callers:
 exact-type equality, value hashing, immutability, construction by position,
-keyword and default, the compare and repr exclusions of ``LimitFunction``,
-and the repr format that the goldens pin, and the ``__init__`` that each
-record class compiles when its first record is built."""
+keyword and default, the repr format that the goldens pin, and the
+``__init__`` that each record class compiles when its first record is built."""
 
 import os
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 
 import pytest
 
 from hypermachine import machine, subrec
-from hypermachine.codec import Description
+from hypermachine.codec import Description, encode
+from hypermachine.corpus import corpus_machine
 from hypermachine.inductive import (
     HALTED,
     PROVISIONAL,
@@ -25,7 +26,7 @@ from hypermachine.inductive import (
     ObservationLog,
     Unknown,
 )
-from hypermachine.limits import LimitFunction, LimitReport, _every_stage
+from hypermachine.limits import LimitFunction, LimitReport, _every_stage, halting_as_limit
 from hypermachine.machine import (
     BudgetExhausted,
     Configuration,
@@ -79,6 +80,7 @@ def test_frozen_records_hash_by_value():
         (InstallRule(*_EDIT), "moves"),
         (LimitFunction("f", _guess), "next_change"),
         (single_tape_machine("m", {}), "rules"),
+        (Configuration("q0", ({},), (0,)), "step"),
     ],
 )
 def test_a_field_can_be_neither_assigned_nor_deleted(record, name):
@@ -94,7 +96,6 @@ def test_a_field_can_be_neither_assigned_nor_deleted(record, name):
 def test_defaults():
     assert Configuration("q0", ({},), (0,)).step == 0
     assert Configuration("q0", ({},), (0,), 5).step == 5
-    assert LimitFunction("f", _guess).hierarchy_tag == "none"
     assert LimitFunction("f", _guess).next_change is _every_stage
     assert Dfa(**_DFA).alphabet == ("0", "1")
 
@@ -141,15 +142,31 @@ def test_construction_still_validates():
         ReflexiveMachine(base, {("q0", ("1",)): InstallRule(*_EDIT)})
 
 
-def test_a_limit_function_compares_and_shows_only_its_name_guess_and_tag():
+def test_a_limit_function_compares_hashes_and_shows_all_its_fields():
     def other(x, t):
         return "1"
 
-    f = LimitFunction("f", _guess, "Σ1")
-    assert f == LimitFunction("f", other, "Σ1", lambda x, t, horizon: None)
-    assert hash(f) == hash(LimitFunction("f", other, "Σ1")) == hash(("f", "Σ1"))
-    assert f != LimitFunction("g", _guess, "Σ1") and f != LimitFunction("f", _guess)
-    assert repr(f) == f"LimitFunction(name='f', guess={_guess!r}, hierarchy_tag='Σ1')"
+    def never(x, t, horizon):
+        return None
+
+    f = LimitFunction("f", _guess, never)
+    assert f == LimitFunction("f", _guess, never) and hash(f) == hash(("f", _guess, never))
+    assert f != LimitFunction("g", _guess, never) and f != LimitFunction("f", other, never) and f != LimitFunction("f", _guess)
+    assert repr(f) == f"LimitFunction(name='f', guess={_guess!r}, next_change={never!r})"
+
+
+def test_limit_functions_of_different_machines_are_unequal():
+    flip = halting_as_limit(encode(corpus_machine("flip")), "0")
+    loop = halting_as_limit(encode(corpus_machine("loop")), "")
+    assert flip != loop and len({flip, loop}) == 2
+    assert flip == flip and {flip: 1}[flip] == 1
+    assert flip.guess(0, 5) == "1" and loop.guess(0, 5) == "0"
+
+
+@pytest.mark.parametrize("keyword", [{"frozen": False}, {"compare": ("a",)}, {"repr": ("a",)}], ids=["frozen", "compare", "repr"])
+def test_a_record_class_takes_no_keyword(keyword):
+    with pytest.raises(TypeError):
+        types.new_class("Loose", (machine._Record,), keyword)
 
 
 def test_reprs():
@@ -200,8 +217,9 @@ def _fresh_interpreter(script):
         "a: int = 0\n    b: int",
         "self: int",
         "_set: int",
+        "a: int\n    def __init__(self, a):\n        pass",
     ],
-    ids=["default-then-required", "named-self", "named-setter"],
+    ids=["default-then-required", "named-self", "named-setter", "own-init"],
 )
 def test_a_record_class_that_its_init_would_bind_wrongly_is_refused(body):
     with pytest.raises(TypeError):
@@ -270,7 +288,7 @@ def test_a_subclass_builds_with_its_own_fields_whichever_class_is_built_first(fi
 def test_importing_every_module_compiles_only_the_singletons_classes():
     # a record class compiles its __init__ when its first record is built, so
     # that a CLI call pays only for the classes that it uses; the module-level
-    # singletons are built at import, and Configuration writes its own
+    # singletons are built at import
     script = (
         "import importlib, pkgutil, hypermachine\n"
         "from hypermachine.machine import _Record\n"
@@ -285,4 +303,4 @@ def test_importing_every_module_compiles_only_the_singletons_classes():
     )
     count, *built = _fresh_interpreter(script).split()
     assert int(count) >= 38
-    assert built == ["AtFinal", "Configuration", "Halted", "NoRule", "Provisional", "Unknown"]
+    assert built == ["AtFinal", "Halted", "NoRule", "Provisional", "Unknown"]
