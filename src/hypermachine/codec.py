@@ -13,12 +13,13 @@ with states numbered from 1 (the start state), symbol codes blank=1, "0"=2,
 "1"=3, and move codes L=1, R=2, S=3.  Rules are listed in ascending
 (state, symbol) order.  State numbering is canonical: breadth-first order of
 first use from the start state, unreachable states appended in declaration
-order.  Decoding decides validity on the parsed numbers: entries and rules
-in ascending order and the canonical numbering.  That holds exactly when
-re-encoding the result reproduces the same bit string, so `encode O decode`
-is the identity on valid descriptions and encoding is constant on renaming
-classes.  Re-encoding is done only to locate the first wrong bit of a
-description that is not canonical.
+order.  Decoding decides validity in the one pass that reads the bits and
+builds the machine's tables: each field is checked as it is read, entries
+and rules must ascend, and the numbering must be canonical.  That holds
+exactly when re-encoding the result reproduces the same bit string, so
+`encode O decode` is the identity on valid descriptions and encoding is
+constant on renaming classes.  Re-encoding is done only to locate the first
+wrong bit of a description that is not canonical.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .machine import (
     HypermachineError,
     InputError,
     Machine,
+    RuleBody,
+    RuleKey,
     RunOutcome,
     _prechecked,
     _Record,
@@ -147,13 +150,16 @@ def encode(machine: Machine) -> Description:
 # --- decoding -------------------------------------------------------------
 
 
-_RULE_FIELDS = (("state", 0), ("symbol", 3), ("state", 0), ("symbol", 3))  # (name, largest value or 0)
+def _parse(bits: str) -> tuple[tuple[str, ...], dict[str, bool], dict[RuleKey, RuleBody], bool]:
+    """The states, finals and rules of ``bits`` and whether it is canonical,
+    read in one pass over its runs of zeros; each run but the last is ended
+    by one 1, and ``pos`` is the bit where the current run starts.
 
-
-def _parse(bits: str) -> tuple[list[tuple[int, int]], list[tuple[int, int, int, int, int]]]:
-    """The final entries and rules of ``bits``, read in one pass over its runs
-    of zeros; each run but the last is ended by one 1, and ``pos`` is the bit
-    where the current run starts."""
+    Each field is checked as it is read, so the tables hold all that
+    ``Machine.__post_init__`` checks, and they are filled under ``names``,
+    which doubles whenever a state number outgrows it.  Entries or rules out
+    of order are noted and read on, so that a later field that does not
+    parse is still the error reported."""
     runs = list(map(len, bits.split("1")))
     last = len(runs) - 1
     f = runs[0]
@@ -164,8 +170,11 @@ def _parse(bits: str) -> tuple[list[tuple[int, int]], list[tuple[int, int, int, 
         raise InvalidEncoding("expected 1 terminating header", pos)
     pos += 1
     t = 2
-    finals: list[tuple[int, int]] = []
-    seen_finals: set[int] = set()
+    names = _state_names(8)
+    n = 1  # the largest state number so far
+    top = 0  # the largest final state, then the largest rule key 4i + j, so far
+    ascending = True
+    finals: dict[str, bool] = {}
     for _ in range(f):
         q = runs[t]
         if not q:
@@ -179,40 +188,71 @@ def _parse(bits: str) -> tuple[list[tuple[int, int]], list[tuple[int, int, int, 
             raise InvalidEncoding("final flag must be 1 or 2", pos)
         if t == last:
             raise InvalidEncoding("expected 1 terminating final flag", pos + g)
-        if q in seen_finals:
-            raise InvalidEncoding(f"state {q} declared final twice", pos)
-        seen_finals.add(q)
-        finals.append((q, g))
+        if q > n:
+            n = q
+            if n > len(names):
+                names = _state_names(1 << (n - 1).bit_length())
+        if q > top:
+            top = q
+        else:
+            ascending = False
+            if names[q - 1] in finals:
+                raise InvalidEncoding(f"state {q} declared final twice", pos)
+        finals[names[q - 1]] = g == 2
         pos += g + 1
         t += 1
-    rules: list[tuple[int, int, int, int, int]] = []
-    keys: set[tuple[int, int]] = set()
+    rules: dict[RuleKey, RuleBody] = {}
     if t == last and not runs[t]:
-        return finals, rules
+        return _state_names(n), finals, rules, ascending
+    top = 0
+    listed = []  # the rules as numbers, for _numbering_canonical
     while True:
         rule_at = pos
-        fields = []
-        for name, hi in _RULE_FIELDS:
-            value = runs[t]
-            if value < 1 or (hi and value > hi):
-                raise InvalidEncoding(f"rule {name} field out of range", pos)
-            if t == last:
-                raise InvalidEncoding(f"expected 1 terminating rule {name}", pos + value)
-            fields.append(value)
-            pos += value + 1
-            t += 1
-        i, j, k, l = fields
-        m = runs[t]
-        if m < 1 or m > 3:
-            raise InvalidEncoding("rule move field out of range", pos)
-        if (i, j) in keys:
-            raise InvalidEncoding(f"duplicate rule for state {i}, symbol code {j}", rule_at)
-        if i in seen_finals:
-            raise InvalidEncoding(f"rule declared for final state {i}", rule_at)
-        keys.add((i, j))
-        rules.append((i, j, k, l, m))
+        i = runs[t]
+        if not i:
+            raise InvalidEncoding("rule state field out of range", pos)
         if t == last:
-            return finals, rules
+            raise InvalidEncoding("expected 1 terminating rule state", pos + i)
+        pos += i + 1
+        j = runs[t + 1]
+        if not 0 < j < 4:
+            raise InvalidEncoding("rule symbol field out of range", pos)
+        if t + 1 == last:
+            raise InvalidEncoding("expected 1 terminating rule symbol", pos + j)
+        pos += j + 1
+        k = runs[t + 2]
+        if not k:
+            raise InvalidEncoding("rule state field out of range", pos)
+        if t + 2 == last:
+            raise InvalidEncoding("expected 1 terminating rule state", pos + k)
+        pos += k + 1
+        l = runs[t + 3]
+        if not 0 < l < 4:
+            raise InvalidEncoding("rule symbol field out of range", pos)
+        if t + 3 == last:
+            raise InvalidEncoding("expected 1 terminating rule symbol", pos + l)
+        pos += l + 1
+        t += 4
+        m = runs[t]
+        if not 0 < m < 4:
+            raise InvalidEncoding("rule move field out of range", pos)
+        if i > n or k > n:
+            n = max(n, i, k)
+            if n > len(names):
+                names = _state_names(1 << (n - 1).bit_length())
+        state = names[i - 1]
+        if 4 * i + j > top:
+            top = 4 * i + j
+        else:
+            ascending = False
+            if (state, _SYMBOLS[j]) in rules:
+                raise InvalidEncoding(f"duplicate rule for state {i}, symbol code {j}", rule_at)
+        if state in finals:
+            raise InvalidEncoding(f"rule declared for final state {i}", rule_at)
+        rules[state, _SYMBOLS[j]] = (names[k - 1], _SYMBOLS[l], _MOVES[m])
+        listed.append((i, j, k, l, m))
+        if t == last:
+            return _state_names(n), finals, rules, ascending and _numbering_canonical(listed)
         pos += m + 1  # the move's terminator is the joiner's first 1
         t += 1
         if runs[t] or t == last:
@@ -223,39 +263,27 @@ def _parse(bits: str) -> tuple[list[tuple[int, int]], list[tuple[int, int, int, 
             raise InvalidEncoding("trailing rule joiner", pos - 1)
 
 
-# decoded machines share these tuples and their state names
-_SYMBOL_TUPLES = {code: (sym,) for sym, code in SYMBOL_CODES.items()}
-_MOVE_TUPLES = {code: (move,) for move, code in MOVE_CODES.items()}
+# decoded machines share these tuples, indexed by code, and their state names
+_SYMBOLS = (None, *((sym,) for sym in sorted(SYMBOL_CODES, key=SYMBOL_CODES.get)))
+_MOVES = (None, *((move,) for move in sorted(MOVE_CODES, key=MOVE_CODES.get)))
 
 
 @lru_cache(maxsize=64)
 def _state_names(n: int) -> tuple[str, ...]:
-    """``q1..qn``, one shared tuple per state count."""
+    """``q1..qn``, one shared tuple per state count.  A tuple, unlike a list
+    grown on demand, cannot take the same new name from two threads."""
     return tuple(f"q{i}" for i in range(1, n + 1))
 
 
-def _machine_from_structure(finals: list[tuple[int, int]], rules: list[tuple[int, int, int, int, int]]) -> Machine:
-    """The machine of parsed final entries and rules, built by ``_prechecked``:
-    _parse already guarantees all that ``Machine.__post_init__`` checks (states
-    q1..qn with q1 the start, every final declared and without a rule, one
-    symbol and one move per rule, each in range)."""
-    n = max([1] + [q for q, _ in finals] + [max(i, k) for i, _, k, _, _ in rules])
-    states = _state_names(n)
-    rules_view = MappingProxyType(
-        {(states[i - 1], _SYMBOL_TUPLES[j]): (states[k - 1], _SYMBOL_TUPLES[l], _MOVE_TUPLES[m]) for i, j, k, l, m in rules}
-    )
-    return _prechecked("decoded", states, MappingProxyType({states[q - 1]: g == 2 for q, g in finals}), rules_view)
-
-
-# a caller decodes one description at most three times in a row and does
-# not come back to it soon, so a few entries keep every hit there is
+# _parse decides validity in the pass that builds the tables, so only a
+# description that is not canonical is re-encoded.  A caller decodes one
+# description at most three times in a row and does not come back to it
+# soon, so a few entries keep every hit there is
 @lru_cache(maxsize=64)
 def _decode_bits(bits: str) -> Machine:
-    finals, rules = _parse(bits)
-    machine = _machine_from_structure(finals, rules)
-    # _parse rejects repeated final states and rule keys, so sorted here is
-    # strictly ascending, the order encode renders
-    if not (finals == sorted(finals) and rules == sorted(rules) and _numbering_canonical(rules)):
+    states, finals, rules, canonical = _parse(bits)
+    machine = _prechecked("decoded", states, MappingProxyType(finals), MappingProxyType(rules))
+    if not canonical:
         rebuilt = encode(machine).bits
         at = next((i for i, (a, b) in enumerate(zip(bits, rebuilt)) if a != b), min(len(bits), len(rebuilt)))
         raise InvalidEncoding("description is not in canonical form", at)
@@ -265,12 +293,13 @@ def _decode_bits(bits: str) -> Machine:
 def decode(description: Description) -> Machine:
     """The unique machine of a valid description, states named q1..qn.
 
-    Validity is decided on the parsed numbers: final entries must ascend by
-    state, rules by (state, symbol), and the state numbering must be the
-    canonical one.  That holds exactly when re-encoding the machine
-    reproduces the description, so decode is a two-sided inverse of encode
-    on its whole domain.  A description that parses but is not canonical
-    is re-encoded only to report the first bit where it differs.
+    Validity is decided in the pass that builds the machine's tables: final
+    entries must ascend by state, rules by (state, symbol), and the state
+    numbering must be the canonical one.  That holds exactly when
+    re-encoding the machine reproduces the description, so decode is a
+    two-sided inverse of encode on its whole domain.  A description that
+    parses but is not canonical is re-encoded only to report the first bit
+    where it differs; a fault of the parse anywhere in it is reported first.
     """
     return _decode_bits(description.bits)
 

@@ -615,6 +615,8 @@ _EDITS = st.tuples(
 @example(_FLIP_BITS, [("delete", 28, 0)])  # duplicate rule for state 1, symbol code 2
 @example("110101010100", [("insert", 12, 1), ("insert", 13, 1)])  # trailing rule joiner
 @example(_FLIP_BITS, [("swap", 0, 1)])  # not in canonical form
+# the rules out of order, then a trailing joiner: the parse fault wins
+@example(_FLIP_BITS, [("swap", 0, 1), ("insert", 41, 1), ("insert", 42, 1)])
 @example("11", [("flip", 1, 0), ("delete", 0, 0)])  # no 1 ends the final count
 @example("0110101", [("delete", 6, 0), ("delete", 5, 0), ("delete", 4, 0)])  # no 1 ends the final state
 @settings(max_examples=300, deadline=None)
@@ -625,3 +627,40 @@ def test_decode_matches_reference_on_damaged_descriptions(bits, edits):
     for edit in edits:
         bits = _mutate(bits, edit)
         _same_verdict(bits)
+
+
+def test_decode_names_states_alike_under_threads():
+    # descriptions whose one final state q outgrows every state-name tuple
+    # decoded so far, taken by more threads than cores in different orders:
+    # each machine still names its states q1..qq
+    counts = list(range(65, 401))
+    expected = {q: _reference_decode("011" + "0" * q + "101") for q in counts}
+    start = threading.Barrier(8, timeout=60)
+    errors = []
+
+    def decode_all(order):
+        try:
+            start.wait()
+            for q in order:
+                machine = _decode_bits.__wrapped__("011" + "0" * q + "101")
+                if machine != expected[q] or machine.states != tuple(f"q{i}" for i in range(1, q + 1)):
+                    errors.append(q)
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    # from the top down, each thread starting one count lower than the last,
+    # so that they all outgrow the names at once
+    down = counts[::-1]
+    orders = [down[s:] + down[:s] for s in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=decode_all, args=(order,)) for order in orders]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
