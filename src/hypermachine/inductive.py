@@ -18,16 +18,18 @@ a head running away over blank cells in a self-returning state.
 
 Repeats are looked for among configurations of at most 64 cells, through a
 Karp-Rabin rolling hash that the rule about to fire updates in O(1).  The
-hash keys of the first 2**16 steps are kept, so a cycle that starts before
-then is reported exactly at its first repeat.  After that only the keys at
-Brent's power-of-two checkpoints are kept (Brent 1980), so memory stays
-bounded whatever the budget.  The one difference: a cycle that starts at or
-after step 2**16 may be reported, and its run stopped, some steps after its
+check owns its cycle history.  It keeps the keys of the first 2**16 steps,
+so a cycle that starts before then is reported exactly at its first repeat.
+After that it keeps only the keys at Brent's checkpoints, whose distances
+double (Brent 1980), so memory stays bounded whatever the budget.  The one
+difference: a cycle that starts at or after step 2**16 is reported, and its
+run stopped, at the first repeat of a checkpoint in it, some steps after its
 first repeat.  Its certificate is still the exact (period,
-first_repeat_step), as the period is found exactly and the start by one
-lockstep pass of two replays a period apart.  Every hash match is confirmed
-by replaying a fresh run and comparing configurations exactly, so a hash
-collision costs time but never yields a false or different certificate.
+first_repeat_step): the period is exact, as every tracked step is compared
+with every checkpoint before it, and one lockstep pass of two replays a
+period apart finds the start.  Every hash match is confirmed by replaying a
+fresh run and comparing configurations exactly, so a hash collision costs
+time but never yields a false or different certificate.
 
 The 64 cells are ``machine._HOOK_CELLS``, the engine's hook gate; which
 steps the engine calls the check on, and which it jumps, ``machine.Run``
@@ -38,9 +40,10 @@ the tapes that the rule changes.  On any tape count it looks a tracked
 step's key up the same way, hashes only tracked steps and rebuilds its hash
 on the first one after a gap, so the certificates are those of a check that
 hashes every step.  The runaway test needs a moving head, so the check
-takes a fixed point for no sweep: the cycle check reports
-``ConfigurationCycle(1, s)`` at step s + 1 for a fixed point that starts at
-step s.
+takes a fixed point for no sweep.  It reports ``ConfigurationCycle(1, s)``
+at step s + 1 for a fixed point that starts at step s, at any tape size:
+above the 64 cells, no key is kept, but the fixed point fired at the step
+before.
 
 One runaway test serves every tape count, once per sweep, at its first step:
 the sweep writes blank on every moving head, each of which is beyond its
@@ -203,74 +206,30 @@ def _normal_form(state: str, tapes: Sequence[dict], heads: Sequence[int]) -> tup
     return state, tuple({cell - head: sym for cell, sym in tape.items()} for tape, head in zip(tapes, heads))
 
 
-class _Cycles:
-    """The first repeat of a cycle-tracked configuration, found by hash key.
+def _replay(machine: Machine, input_word: str, steps: int) -> Run:
+    run = Run(machine, input_word)
+    run.advance(steps)
+    return run
 
-    The key of every tracked configuration before step _HISTORY_STEPS is
-    kept, so a cycle that starts before then is reported exactly at its first
-    repeat, step first_repeat_step + period.  Later, keys are kept only at
-    Brent's checkpoints: the first tracked step at or after ``mark``, where
-    the distance between checkpoints doubles each time.  A later cycle is
-    therefore reported at the first repeat of a checkpoint that lies in it.
-    The distance from the checkpoint to that repeat is exactly the period,
-    because every tracked step is compared with every checkpoint before it;
-    two replays a period apart then find the cycle's first tracked step in
-    one lockstep pass, so the certificate is the one a full history would
-    give.  The hooks keep a new key before _HISTORY_STEPS themselves and
-    call ``visit`` only for a known key or, after that, at the mark.
-    """
 
-    __slots__ = ("machine", "input_word", "seen", "collided", "mark", "window")
+def _same(machine: Machine, input_word: str, earlier: int, state: str, tapes: Sequence[dict], heads: Sequence[int]) -> bool:
+    run = _replay(machine, input_word, earlier)
+    return _normal_form(run.state, run.tapes, run.heads) == _normal_form(state, tapes, heads)
 
-    def __init__(self, machine: Machine, input_word: str):
-        self.machine = machine
-        self.input_word = input_word
-        self.seen: dict[int, int] = {}  # key -> step of its first configuration
-        self.collided: dict[int, list[int]] = {}  # key -> steps of other configurations
-        self.mark = 0
-        self.window = 1
 
-    def visit(
-        self, key: int, steps: int, state: str, tapes: Sequence[dict], heads: Sequence[int]
-    ) -> ConfigurationCycle | None:
-        first = self.seen.get(key)
-        if first is None:  # a checkpoint
-            self.seen[key] = steps
-            self.mark = steps + self.window
-            self.window *= 2
-            return None
-        for earlier in (first, *self.collided.get(key, ())):
-            if self._same(earlier, state, tapes, heads):
-                period = steps - earlier
-                if earlier >= _HISTORY_STEPS:  # a checkpoint, which may lie past the cycle's start
-                    earlier = self._first_repeat(period)
-                return ConfigurationCycle(period, earlier)
-        if steps < _HISTORY_STEPS:
-            self.collided.setdefault(key, []).append(steps)
-        return None
-
-    def _replay(self, steps: int) -> Run:
-        run = Run(self.machine, self.input_word)
-        run.advance(steps)
-        return run
-
-    def _same(self, earlier: int, state: str, tapes: Sequence[dict], heads: Sequence[int]) -> bool:
-        run = self._replay(earlier)
-        return _normal_form(run.state, run.tapes, run.heads) == _normal_form(state, tapes, heads)
-
-    def _first_repeat(self, period: int) -> int:
-        """The first tracked step from which the run repeats with ``period``."""
-        # a deterministic run repeats with ``period`` from every step of its
-        # cycle on and from no step before, so two runs a period apart are
-        # advanced together until they first agree on a tracked step
-        run, ahead = self._replay(0), self._replay(period)
-        while (
-            sum(map(len, run.tapes)) > _HOOK_CELLS
-            or _normal_form(run.state, run.tapes, run.heads) != _normal_form(ahead.state, ahead.tapes, ahead.heads)
-        ):
-            run.advance(run.steps + 1)
-            ahead.advance(ahead.steps + 1)
-        return run.steps
+def _first_repeat(machine: Machine, input_word: str, period: int) -> int:
+    """The first tracked step from which the run repeats with ``period``."""
+    # a deterministic run repeats with ``period`` from every step of its
+    # cycle on and from no step before, so two runs a period apart are
+    # advanced together until they first agree on a tracked step
+    run, ahead = _replay(machine, input_word, 0), _replay(machine, input_word, period)
+    while (
+        sum(map(len, run.tapes)) > _HOOK_CELLS
+        or _normal_form(run.state, run.tapes, run.heads) != _normal_form(ahead.state, ahead.tapes, ahead.heads)
+    ):
+        run.advance(run.steps + 1)
+        ahead.advance(ahead.steps + 1)
+    return run.steps
 
 
 def _runaway(
@@ -291,25 +250,51 @@ def _runaway(
 
 def _check(machine: Machine, input_word: str, changes: list[tuple[int, str]]) -> Callable:
     """The certificate hook for ``machine``'s tape count; on several tapes it
-    also appends each output change to ``changes``."""
+    also appends each output change to ``changes``.  It owns its cycle history."""
     modulus = _MODULUS
     values, move, offsets = _hash_constants(modulus, machine.alphabet, machine.blank, machine.tape_count, machine.states)
     blank = machine.blank
     history = _HISTORY_STEPS
     h, hashes, at = 0, [], -1  # one tape's hash or several tapes' hashes, kept for step ``at`` only
-    swept = -1  # the step after the last sweep step seen
+    swept = fixed = -1  # the step after the last sweep step seen, and after the last untracked fixed point
     word, lo = "", 0  # on several tapes the trimmed output, empty at the start, and its leftmost cell
-    cycles = _Cycles(machine, input_word)
-    seen = cycles.seen
+    seen: dict[int, int] = {}  # key -> step of its first configuration
+    collided: dict[int, list[int]] = {}  # key -> steps of other configurations
+    mark, window = 0, 1  # from step ``history`` on, the next checkpoint and the distance to the one after
+
+    def visit(key, steps, state, tapes, heads):
+        """The cycle that a tracked configuration with a known ``key``
+        closes, once a replay confirms it; a new key is a checkpoint."""
+        nonlocal mark, window
+        first = seen.get(key)
+        if first is None:  # a checkpoint
+            seen[key] = steps
+            mark = steps + window
+            window *= 2
+            return None
+        for earlier in (first, *collided.get(key, ())):
+            if _same(machine, input_word, earlier, state, tapes, heads):
+                period = steps - earlier
+                if earlier >= history:  # a checkpoint, which may lie past the cycle's start
+                    earlier = _first_repeat(machine, input_word, period)
+                return ConfigurationCycle(period, earlier)
+        if steps < history:
+            collided.setdefault(key, []).append(steps)
+        return None
+
     if machine.tape_count == 1:
         (value,) = values
 
         def check(state, tape, head, steps, rule):
-            nonlocal h, at, swept
+            nonlocal h, at, swept, fixed
             _, wsym, delta, _, sweep = rule
             if sweep is not None:
                 if steps != swept and (found := _runaway(machine, state, sweep, (tape,), (head,), steps)):
                     return found
+                if not sweep and len(tape) > _HOOK_CELLS:  # a fixed point that no key tracks
+                    if steps == fixed:
+                        return ConfigurationCycle(1, fixed - 1)
+                    fixed = steps + 1
                 swept = steps + 1
             if len(tape) > _HOOK_CELLS:
                 return None
@@ -317,12 +302,12 @@ def _check(machine: Machine, input_word: str, changes: list[tuple[int, str]]) ->
                 h = _tape_hash(tape, head, value, move, modulus)
             key = h + offsets[state]
             if key in seen:
-                if found := cycles.visit(key, steps, state, (tape,), (head,)):
+                if found := visit(key, steps, state, (tape,), (head,)):
                     return found
             elif steps < history:
                 seen[key] = steps
-            elif steps >= cycles.mark:
-                cycles.visit(key, steps, state, (tape,), (head,))
+            elif steps >= mark:
+                visit(key, steps, state, (tape,), (head,))
             h = (h + value[wsym] - value[tape.get(head, blank)]) * move[delta] % modulus
             at = steps + 1
             return None
@@ -330,23 +315,27 @@ def _check(machine: Machine, input_word: str, changes: list[tuple[int, str]]) ->
         return check
 
     def check(state, tapes, heads, steps, rule):
-        nonlocal hashes, at, swept, word, lo
+        nonlocal hashes, at, swept, fixed, word, lo
         _, syms, writes, effects, _, sweep = rule
         if sweep is not None:
             if steps != swept and (found := _runaway(machine, state, sweep, tapes, heads, steps)):
                 return found
+            if not sweep and sum(map(len, tapes)) > _HOOK_CELLS:  # a fixed point that no key tracks
+                if steps == fixed:
+                    return ConfigurationCycle(1, fixed - 1)
+                fixed = steps + 1
             swept = steps + 1
         if sum(map(len, tapes)) <= _HOOK_CELLS:
             if at != steps:
                 hashes = [_tape_hash(t, h, v, move, modulus) for t, h, v in zip(tapes, heads, values)]
             key = sum(hashes) % modulus + offsets[state]
             if key in seen:
-                if found := cycles.visit(key, steps, state, tapes, heads):
+                if found := visit(key, steps, state, tapes, heads):
                     return found
             elif steps < history:
                 seen[key] = steps
-            elif steps >= cycles.mark:
-                cycles.visit(key, steps, state, tapes, heads)
+            elif steps >= mark:
+                visit(key, steps, state, tapes, heads)
             for i, _, delta in effects:
                 hashes[i] = (hashes[i] + values[i][writes[i]] - values[i][syms[i]]) * move[delta] % modulus
             at = steps + 1
@@ -359,19 +348,14 @@ def _check(machine: Machine, input_word: str, changes: list[tuple[int, str]]) ->
     return check
 
 
-def _observed_run(machine: Machine, input_word: str) -> tuple[Run, list[tuple[int, str]]]:
-    """A run, not yet advanced, that a certificate (kept in ``run.checked``)
-    stops.  On a multi-tape machine the hook also logs every change of the
-    trimmed output tape as the rule that makes it fires; the log starts at
-    (0, "")."""
-    changes = [(0, "")]
-    return Run(machine, input_word, _check(machine, input_word, changes)), changes
-
-
 def _observe(machine: Machine, input_word: str, budget: int) -> tuple[Run, list[tuple[int, str]]]:
-    """The observed run, advanced until a halt, a certificate or the budget."""
+    """A run that a certificate (kept in ``run.checked``) stops, advanced
+    until a halt, a certificate or the budget.  On a multi-tape machine the
+    hook also logs every change of the trimmed output tape as the rule that
+    makes it fires; the log starts at (0, "")."""
     _check_budget(budget)
-    run, changes = _observed_run(machine, input_word)
+    changes = [(0, "")]
+    run = Run(machine, input_word, _check(machine, input_word, changes))
     run.advance(budget)
     return run, changes
 
@@ -471,11 +455,13 @@ def _halting_changes(run: Run) -> tuple[tuple[int, str], ...]:
     return ((0, "0"), (run.steps, "1")) if run.steps else ((0, "1"),)
 
 
-def _halting_log(run: Run) -> Callable[[int], tuple[tuple[int, str], ...]]:
-    """The halting change log of an observed run, by the budget that it is
-    advanced to, kept with the run.  Threads that share the log take turns
-    to advance the run; a run that halted or that a certificate stopped is
-    final, so reading its log takes no turn."""
+def _halting_log(machine: Machine, input_word: str) -> Callable[[int], tuple[tuple[int, str], ...]]:
+    """The halting change log of an observed run of ``machine`` on
+    ``input_word``, by the budget that it is advanced to, kept with the run.
+    Threads that share the log take turns to advance the run; a run that
+    halted or that a certificate stopped is final, so reading its log takes
+    no turn."""
+    run = Run(machine, input_word, _check(machine, input_word, []))
     log = ((0, "0"),)
     lock = allocate_lock()
 

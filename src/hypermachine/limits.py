@@ -158,9 +158,9 @@ def _observed(description: Description, input_word: str) -> _HaltingLog:
     Imported here, so that the constant and oscillator functions do not
     load ``inductive``.
     """
-    from .inductive import _halting_log, _observed_run
+    from .inductive import _halting_log
 
-    return _halting_log(_observed_run(decode(description), input_word)[0])
+    return _halting_log(decode(description), input_word)
 
 
 def _indexed_log(x: int) -> _HaltingLog:

@@ -524,8 +524,8 @@ class Run:
     instead); a truthy result stops the run unfired and is kept in ``checked``.
     On a single tape a certificate hook sees every tracked step, one whose
     tape holds at most _HOOK_CELLS cells, the most any hook tracks, and every
-    sweep that moves a head (below); one that it passes beyond the tape's
-    extent ends in one jump, whose steps it does not see.  A ``_traced``
+    sweep step (below); a sweep that moves a head and that it passes beyond
+    the tape's extent ends in one jump, whose steps it does not see.  A ``_traced``
     run's hook, an observer, sees every step at any size, as every hook on
     several tapes does, and the run never jumps.  A state with no row stops
     the run as a halt does, right after the rule that enters it fires: a
@@ -554,8 +554,7 @@ class Run:
     and rewrites no cell, is the sweep that moves no head, and only an
     unhooked run jumps it: the extent test holds with no moving head to test, no head
     moves and nothing is left to fill.  A hooked run steps it, since the
-    hook's cycle check reports its repeat at the step after its first, and a
-    single-tape hook is not called on it above _HOOK_CELLS cells.
+    hook's cycle check reports its repeat at the step after its first.
     When some moving head writes non-blank, the jump keeps, per moving head,
     its tape, write, move and the cell it jumped from in ``_fill``.  A later
     ``advance`` goes on with the same jump from there, so the cells of a
@@ -626,8 +625,7 @@ class Run:
                         self.halted = True
                         break
                     nstate, wsym, delta, nrow, sweep = rule
-                    # a fixed point is no sweep to a hook; None is the faster test
-                    if hook is not None and (len(tape) <= cap or sweep is not None and sweep):
+                    if hook is not None and (len(tape) <= cap or sweep is not None):
                         if found := hook(state, tape, head, steps, rule):
                             break
                     if sweep is not None and steps >= retry:

@@ -444,20 +444,24 @@ def test_the_hook_on_every_step_gives_the_same_certificates(monkeypatch):
     assert [certify_nonhalting(*case) for case in cases] == expected
 
 
-def test_forced_hash_collisions_change_no_certificate(monkeypatch):
+@pytest.mark.parametrize("history", [1 << 16, 0], ids=["exact", "brent"])
+def test_forced_hash_collisions_change_no_certificate(monkeypatch, history):
+    # with no exact history, every key is kept at a Brent checkpoint, so
+    # the collisions are met there
     machines = list(islice(two_state_family(), 0, None, 7))
     words = ("", "0110")
     budget = 100
     expected = [certify_nonhalting(m, w, budget) for m in machines for w in words]
     confirmations = []
-    same = inductive._Cycles._same
+    same = inductive._same
 
-    def counted(self, *args):
-        confirmations.append(same(self, *args))
+    def counted(*args):
+        confirmations.append(same(*args))
         return confirmations[-1]
 
     monkeypatch.setattr(inductive, "_MODULUS", 31)  # keys now collide often
-    monkeypatch.setattr(inductive._Cycles, "_same", counted)
+    monkeypatch.setattr(inductive, "_HISTORY_STEPS", history)
+    monkeypatch.setattr(inductive, "_same", counted)
     assert [certify_nonhalting(m, w, budget) for m in machines for w in words] == expected
     assert confirmations.count(False) > 100  # collisions were met and rejected
     assert True in confirmations

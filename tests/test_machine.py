@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypermachine import machine as engine
+from hypermachine import inductive, machine as engine
 from hypermachine.codec import decode, encode, universal_run
 from hypermachine.corpus import corpus_machine, delay_machine, encodable_corpus
 from hypermachine.inductive import (
@@ -20,9 +20,9 @@ from hypermachine.inductive import (
     ConfigurationCycle,
     UNKNOWN,
     HaltsAt,
-    _Cycles,
     _check,
     _observe,
+    _same,
     certify_nonhalting,
     inductive_run,
 )
@@ -739,6 +739,26 @@ _SETTLE3 = Machine(
 )
 # rules that change nothing, each the sweep that moves no head
 _FIXED_POINTS = [(BLINK, ""), (_SETTLE, "001"), (_FIXED3, ""), (_SETTLE3, "0")]
+# walks right over its input, then stays on the blank past it: on 70 0s, a
+# fixed point from step 70 on a tape of 70 cells, past the 64 that a
+# certificate hook tracks
+_WALK_STAY = single_tape_machine("walk-stay", {("q0", "0"): ("q0", "0", "R"), ("q0", "_"): ("q0", "_", "S")})
+# copies its input's length onto tape 2 as 1s, steps back onto the last 1 and
+# stays there: on 70 0s, a fixed point from step 71 over 140 cells
+_WALK_STAY3 = Machine(
+    name="walk-stay3",
+    tape_count=3,
+    alphabet=_SYMS,
+    blank="_",
+    states=("a", "b"),
+    start="a",
+    finals={},
+    rules={
+        ("a", ("0", "_", "_")): ("a", ("0", "1", "_"), ("R", "R", "S")),
+        ("a", ("_", "_", "_")): ("b", ("_", "_", "_"), ("S", "L", "S")),
+        ("b", ("_", "1", "_")): ("b", ("_", "1", "_"), ("S", "S", "S")),
+    },
+)
 
 
 def _last_config(machine, word, budget):
@@ -781,13 +801,20 @@ def test_a_fixed_point_runs_a_trillion_steps_at_once():
 
 @pytest.mark.parametrize(
     "machine,word,onset",
-    [(BLINK, "", 0), (_SETTLE, "001", 2), (_FIXED3, "", 0), (_SETTLE3, "0", 1)],
-    ids=["blink", "settle", "fixed3", "settle3"],
+    [
+        (BLINK, "", 0),
+        (_SETTLE, "001", 2),
+        (_FIXED3, "", 0),
+        (_SETTLE3, "0", 1),
+        (_WALK_STAY, "0" * 70, 70),
+        (_WALK_STAY3, "0" * 70, 71),
+    ],
+    ids=["blink", "settle", "fixed3", "settle3", "walk-stay", "walk-stay3"],
 )
 def test_a_fixed_point_under_a_certificate_hook_is_a_cycle_at_its_first_repeat(machine, word, onset):
     # the hook sees the fixed point's first step and the next, where the
-    # cycle check reports it, whatever the budget: a rule that moves no head
-    # is no runaway, and a hooked run never jumps it
+    # cycle check reports it, whatever the budget and the tape's size: a
+    # rule that moves no head is no runaway, and a hooked run never jumps it
     for budget in (onset + 2, 1000, 10**12):
         run, _ = _observe(machine, word, budget)
         assert (run.checked, run.steps) == (ConfigurationCycle(1, onset), onset + 1)
@@ -801,16 +828,15 @@ def test_a_fixed_point_under_a_certificate_hook_is_a_cycle_at_its_first_repeat(m
 def test_a_fixed_point_past_the_hook_gate_is_stepped_under_a_hook():
     # the head walks right over 70 cells and then stays on the blank past
     # them: above the 64 cells that gate a certificate hook, the hook sees
-    # none of the fixed point's steps, which end at the budget unjumped
-    machine = single_tape_machine("walk-stay", {("q0", "0"): ("q0", "0", "R"), ("q0", "_"): ("q0", "_", "S")})
+    # the fixed point's first step and the next, where it reports the cycle,
+    # while an unhooked run jumps the fixed point to the budget
     word = "0" * 70
-    check = _check(machine, word, [])
+    check = _check(_WALK_STAY, word, [])
     seen = []
-    run = Run(machine, word, lambda *args: seen.append(args[3]) or check(*args))
+    run = Run(_WALK_STAY, word, lambda *args: seen.append(args[3]) or check(*args))
     run.advance(500)
-    assert (seen, run.steps, run.checked, run.heads) == ([], 500, None, [70])
-    assert certify_nonhalting(machine, word, 500) == UNKNOWN
-    assert run_bounded(machine, word, 10**12).steps == 10**12
+    assert (seen, run.steps, run.checked, run.heads) == ([70, 71], 71, ConfigurationCycle(1, 70), [70])
+    assert run_bounded(_WALK_STAY, word, 10**12).steps == 10**12
 
 
 @st.composite
@@ -998,7 +1024,7 @@ def test_a_jumped_sweep_is_written_when_the_tapes_are_read(machine, word):
     assert run.tapes == expected.tapes and run.heads == list(expected.heads)
     # a cycle check replays hookless runs, which jump too, and compares their tapes
     reference = _last_config(machine, word, 400)
-    assert _Cycles(machine, word)._same(400, reference.state, reference.tapes, reference.heads)
+    assert _same(machine, word, 400, reference.state, reference.tapes, reference.heads)
 
 
 def test_a_module_loads_only_the_modules_that_it_imports():
@@ -1135,8 +1161,8 @@ def test_a_run_that_its_hook_stopped_is_left_as_it_is(monkeypatch):
         hooked.append(args[3])
         return check(*args)
 
-    replay = _Cycles._replay
-    monkeypatch.setattr(_Cycles, "_replay", lambda self, steps: replays.append(steps) or replay(self, steps))
+    replay = inductive._replay
+    monkeypatch.setattr(inductive, "_replay", lambda *args: replays.append(args[2]) or replay(*args))
     run = Run(machine, "", hook)
     run.advance(1000)
     assert (run.checked, run.steps, hooked, replays) == (ConfigurationCycle(1, 0), 1, [0, 1], [0])
